@@ -1,0 +1,77 @@
+"""Byte contract: fixed-seed outputs pinned to sha256 values.
+
+The digests were recorded before the critical-altitude derivation was
+unified; a refactor that keeps them keeps every CSV byte, the layout hash,
+the oracle hit dump and the kernel's floats unchanged. A deliberate change
+of outputs must re-record them and say why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_city, sample_open_point
+from urbanlos.cli import main
+from urbanlos.geometry import LayoutGeometry, Link
+
+ANGLES_SHA = "b7ad24ada62bfb63e0eae5519a1dc5c34354496d511fe685f0469cd913baf671"
+DISTANCE_SHA = "7f6d479bff56187f08ebdb614e0f99d1da07b238832ee77446b459c17f064016"
+SIMULATE_GOLDEN = {
+    "angles_buildings-only.csv": ANGLES_SHA,
+    "angles_full.csv": ANGLES_SHA,
+    "angles_trees.csv": ANGLES_SHA,
+    "delta_buildings-only_vs_trees.csv": "5020af7c9744bcab2e9116635e21338d0807c592facb2ba8f2bd64c1ad9ebc10",
+    "density_0.csv": ANGLES_SHA,
+    "density_50.csv": ANGLES_SHA,
+    "distance_buildings-only.csv": DISTANCE_SHA,
+    "distance_full.csv": DISTANCE_SHA,
+    "distance_trees.csv": DISTANCE_SHA,
+}
+LAYOUT_HASH = "2b4a0690c41f38dbcac70aee8c9864cac444c51fc6e367ec74ecb09d07da4676"
+HITS_SHA = "eadf0e5ee34330dbcf08ae8ca0290aba6a081958da349a1a34b70aa73ff8bbc0"
+# dense_urban, seed 2, 1000 users: batch arrays, and the crossings, class and
+# critical altitudes of 300 links at 20 m (these include blocking tree and
+# streetlight hits, which the small simulate run above never produces)
+KERNEL_SHA = "85c3334b1eee0a286cbd62383c67a53cb07be33d726665301c84babe6d0f8d38"
+CROSSINGS_SHA = "e5d4db92977986fe49dfa8d6eaf2ec545767e2b5a61a7573b6740ede841ce3b4"
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_simulate_golden_bytes(tmp_path):
+    args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "2", "--n-gu", "20"]
+    assert main(args + ["--densities", "0,50", "--out", str(tmp_path)]) == 0
+    (run,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    assert {p.name: _sha(p) for p in run.glob("*.csv")} == SIMULATE_GOLDEN
+    assert json.loads((run / "manifest.json").read_text())["layout_hash"] == LAYOUT_HASH
+
+
+def test_oracle_hit_dump_golden(tmp_path):
+    dump = tmp_path / "hits.json"
+    args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
+    assert main(args + ["--dump-hits", str(dump), "--out", str(tmp_path)]) == 0
+    assert _sha(dump) == HITS_SHA
+
+
+def test_kernel_golden():
+    layout = generate_city(PRESETS["dense_urban"], GenConfig(n_gu=1000, seed=2))
+    geom = LayoutGeometry(layout)
+    ax, ay = sample_open_point(geom.index, layout.side, city_rng(2, 0, STREAM_ABS))
+    gu = np.array([[u.x, u.y] for u in layout.users])
+    digest = hashlib.sha256()
+    for arr in geom.batch_critical_altitudes((ax, ay), gu, 1.5):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == KERNEL_SHA
+
+    digest = hashlib.sha256()
+    for user in layout.users[:300]:
+        link = Link((ax, ay), 20.0, (user.x, user.y), 1.5)
+        for h in geom.crossings(link):
+            fields = (h.kind, h.index, h.r_i, h.obstacle_height, h.blockage_height, h.blocks)
+            digest.update(repr(fields).encode())
+        digest.update(repr((geom.classify(link).value, geom.critical_altitudes(link))).encode())
+    assert digest.hexdigest() == CROSSINGS_SHA
