@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
@@ -373,67 +373,60 @@ def _sidewalk_point(
     return b.x1 + d_o, b.y + u * b.l  # east
 
 
+def _place_on_sidewalks(
+    buildings: Sequence[Building],
+    config: GenConfig,
+    rng: Generator,
+    count: int,
+    what: str,
+    draw: Callable[[float, float], Tree | Streetlight],
+) -> tuple:
+    """Place count sidewalk obstacles whose discs avoid every building.
+
+    Each attempt draws a sidewalk point, then draw(x, y) makes the
+    candidate from further draws of the same generator.
+    """
+    placed = []
+    bounds = _BuildingBounds(buildings)
+    for i in range(count):
+        if not buildings:
+            raise InfeasibleLayoutError(
+                f"could not place {what} {i}: no building edges available"
+            )
+        for _ in range(RETRY_LIMIT):
+            cx, cy = _sidewalk_point(rng, buildings, config.d_o)
+            obstacle = draw(cx, cy)
+            if bounds.disc_is_free(cx, cy, obstacle.r, config.side):
+                placed.append(obstacle)
+                break
+        else:
+            raise InfeasibleLayoutError(
+                f"could not place {what} {i} after {RETRY_LIMIT} attempts"
+            )
+    return tuple(placed)
+
+
 def place_trees(
     buildings: Sequence[Building], config: GenConfig, rng: Generator
 ) -> tuple[Tree, ...]:
     """Place n_trees sidewalk trees; discs may not intersect any building."""
-    trees: list[Tree] = []
-    side = config.side
-    bounds = _BuildingBounds(buildings)
-    for i in range(config.n_trees):
-        if not buildings:
-            raise InfeasibleLayoutError(
-                f"could not place tree {i}: no building edges available"
-            )
-        for _ in range(RETRY_LIMIT):
-            cx, cy = _sidewalk_point(rng, buildings, config.d_o)
-            h = rng.uniform(*TREE_HEIGHT_RANGE)
-            r = rng.uniform(*TREE_RADIUS_RANGE)
-            if bounds.disc_is_free(cx, cy, r, side):
-                trees.append(Tree(x=cx, y=cy, r=r, h=h))
-                break
-        else:
-            raise InfeasibleLayoutError(
-                f"could not place tree {i} after {RETRY_LIMIT} attempts"
-            )
-    return tuple(trees)
+
+    def draw(x: float, y: float) -> Tree:  # height, then radius
+        h = rng.uniform(*TREE_HEIGHT_RANGE)
+        return Tree(x=x, y=y, r=rng.uniform(*TREE_RADIUS_RANGE), h=h)
+
+    return _place_on_sidewalks(buildings, config, rng, config.n_trees, "tree", draw)
 
 
 def place_lights(
     buildings: Sequence[Building], config: GenConfig, rng: Generator
 ) -> tuple[Streetlight, ...]:
     """Place n_lights streetlights; same sidewalk rule as trees."""
-    lights: list[Streetlight] = []
-    side = config.side
-    bounds = _BuildingBounds(buildings)
-    for i in range(config.n_lights):
-        if not buildings:
-            raise InfeasibleLayoutError(
-                f"could not place streetlight {i}: no building edges available"
-            )
-        for _ in range(RETRY_LIMIT):
-            cx, cy = _sidewalk_point(rng, buildings, config.d_o)
-            h = rng.uniform(*LIGHT_HEIGHT_RANGE)
-            if bounds.disc_is_free(cx, cy, LIGHT_RADIUS, side):
-                lights.append(Streetlight(x=cx, y=cy, h=h))
-                break
-        else:
-            raise InfeasibleLayoutError(
-                f"could not place streetlight {i} after {RETRY_LIMIT} attempts"
-            )
-    return tuple(lights)
 
+    def draw(x: float, y: float) -> Streetlight:
+        return Streetlight(x=x, y=y, h=rng.uniform(*LIGHT_HEIGHT_RANGE))
 
-def place_obstacles(
-    buildings: Sequence[Building],
-    config: GenConfig,
-    rng_trees: Generator,
-    rng_lights: Generator,
-) -> tuple[tuple[Tree, ...], tuple[Streetlight, ...]]:
-    """Place both obstacle families from their own substreams."""
-    return place_trees(buildings, config, rng_trees), place_lights(
-        buildings, config, rng_lights
-    )
+    return _place_on_sidewalks(buildings, config, rng, config.n_lights, "streetlight", draw)
 
 
 class FootprintIndex:
@@ -519,12 +512,8 @@ def generate_city(
     buildings = place_buildings(
         params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS)
     )
-    trees, lights = place_obstacles(
-        buildings,
-        config,
-        city_rng(config.seed, city_index, STREAM_TREES),
-        city_rng(config.seed, city_index, STREAM_LIGHTS),
-    )
+    trees = place_trees(buildings, config, city_rng(config.seed, city_index, STREAM_TREES))
+    lights = place_lights(buildings, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
     users = place_users(
         buildings, trees, lights, config, city_rng(config.seed, city_index, STREAM_USERS)
     )

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 validation error, 2 infeasible generation,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .citygen import (
     save_layout,
 )
 from .errors import (
+    AggregationError,
     InfeasibleLayoutError,
     MissingInputError,
     ParameterError,
@@ -34,6 +37,9 @@ from .errors import (
 )
 from .geometry import LayoutGeometry
 from .montecarlo import (
+    DISTANCE_BIN_M,
+    DistanceStats,
+    PLoSCurve,
     SweepConfig,
     parse_scenario,
     run_scenarios,
@@ -42,6 +48,7 @@ from .montecarlo import (
 )
 from .oracle import classify_link_bruteforce, compare_on_links, random_links
 from .outputs import (
+    FITS_CSV_COLUMNS,
     config_hash,
     layouts_hash,
     read_csv_dicts,
@@ -152,13 +159,37 @@ def _deep_update(base: dict, overlay: dict) -> dict:
     return out
 
 
+def _check_keys(doc: dict, defaults: dict, where: str = "") -> None:
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ParameterError(f"unknown config key {where}{key!r}")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ParameterError(f"config key {where}{key} must be a mapping")
+            _check_keys(value, defaults[key], f"{where}{key}.")
+
+
+def _check_finite(value, where: str) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(item, where)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ParameterError(f"config value {where} must be finite, got {value}")
+
+
 def resolve_config(args: argparse.Namespace, kind: str) -> dict:
-    config = dict(_DEFAULT_CONFIG)
+    config = copy.deepcopy(_DEFAULT_CONFIG)
     if getattr(args, "config", None):
         doc = yaml.safe_load(Path(args.config).read_text())
         if isinstance(doc, dict) and "config" in doc and "config_hash" in doc:
             doc = doc["config"]  # a manifest was passed
+        if not isinstance(doc, dict):
+            raise ParameterError(f"config file {args.config} must hold a mapping")
         doc = {k: v for k, v in doc.items() if k != "kind"}
+        _check_keys(doc, _DEFAULT_CONFIG)
         config = _deep_update(config, doc)
     for name in ("env",):
         if getattr(args, name, None) is not None:
@@ -175,6 +206,7 @@ def resolve_config(args: argparse.Namespace, kind: str) -> dict:
         config["scenarios"] = [s.strip() for s in args.scenario.split(",") if s.strip()]
     if getattr(args, "densities", None):
         config["densities"] = [int(v) for v in args.densities.split(",")]
+    _check_finite(config, "")
     config["kind"] = kind
     return config
 
@@ -308,33 +340,40 @@ def _require(run_dir: Path, names: list[str]) -> None:
         raise MissingInputError("missing inputs: " + ", ".join(missing))
 
 
-def _stats_from_csv(run_dir: Path, scenario: str):
-    from .montecarlo import DISTANCE_BIN_M, DistanceStats
+def _counts_from_csv(path: Path, cls):
+    """Rebuild a PLoSCurve or DistanceStats from its CSV.
 
-    rows = read_csv_dicts(run_dir / f"distance_{scenario}.csv")
-    n = [int(r["n"]) for r in rows]
+    Each class count comes back as round(p * n). Products farther than
+    1e-6 from a nonnegative integer, or counts not summing to n, mean the
+    file does not hold counts, and raise AggregationError.
+    """
+    rows = read_csv_dicts(path)
+    names = ("los", "nlos_b", "nlos_t", "nlos_s")
+    table = []
+    for line, r in enumerate(rows, start=2):
+        try:
+            n = int(r["n"])
+            products = [float(r[f"p_{name}"]) * n for name in names]
+        except (KeyError, ValueError) as exc:
+            raise AggregationError(f"{path} line {line}: {exc}") from None
+        counts = [round(x) if math.isfinite(x) else -1 for x in products]
+        if (
+            min(counts) < 0
+            or sum(counts) != n
+            or any(abs(x - c) > 1e-6 for x, c in zip(products, counts))
+        ):
+            raise AggregationError(
+                f"{path} line {line}: p * n = {products} are not class counts summing to n = {n}"
+            )
+        table.append(counts)
+    counts = {name: tuple(row[i] for row in table) for i, name in enumerate(names)}
+    if cls is PLoSCurve:
+        return PLoSCurve(theta_deg=tuple(float(r["theta_deg"]) for r in rows), **counts)
     return DistanceStats(
         bin_width=DISTANCE_BIN_M,
         bin_centers=tuple(float(r["bin_center_m"]) for r in rows),
-        los=tuple(int(round(float(r["p_los"]) * k)) for r, k in zip(rows, n)),
-        nlos_b=tuple(int(round(float(r["p_nlos_b"]) * k)) for r, k in zip(rows, n)),
-        nlos_t=tuple(int(round(float(r["p_nlos_t"]) * k)) for r, k in zip(rows, n)),
-        nlos_s=tuple(int(round(float(r["p_nlos_s"]) * k)) for r, k in zip(rows, n)),
-        d_sum=tuple(float(r["mean_d_m"]) * k for r, k in zip(rows, n)),
-    )
-
-
-def _curve_from_csv(run_dir: Path, name: str):
-    from .montecarlo import PLoSCurve
-
-    rows = read_csv_dicts(run_dir / name)
-    n = [int(r["n"]) for r in rows]
-    return PLoSCurve(
-        theta_deg=tuple(float(r["theta_deg"]) for r in rows),
-        los=tuple(int(round(float(r["p_los"]) * k)) for r, k in zip(rows, n)),
-        nlos_b=tuple(int(round(float(r["p_nlos_b"]) * k)) for r, k in zip(rows, n)),
-        nlos_t=tuple(int(round(float(r["p_nlos_t"]) * k)) for r, k in zip(rows, n)),
-        nlos_s=tuple(int(round(float(r["p_nlos_s"]) * k)) for r, k in zip(rows, n)),
+        d_sum=tuple(float(r["mean_d_m"]) * int(r["n"]) for r in rows),
+        **counts,
     )
 
 
@@ -356,12 +395,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     rows = []
     for scenario in scenarios:
-        stats = _stats_from_csv(run_dir, scenario)
+        stats = _counts_from_csv(run_dir / f"distance_{scenario}.csv", DistanceStats)
         bins = composite_bins(stats, params=params, seed=seed)
         fit = fit_ab([(d, pl) for d, pl, _ in bins], weights=[n for *_, n in bins])
         rows.append((env, scenario, fit.a_db, fit.b, fit.rmse_db, fit.n_points))
-    from .outputs import FITS_CSV_COLUMNS
-
     write_csv(run_dir / "fits.csv", FITS_CSV_COLUMNS, rows)
     print(run_dir / "fits.csv")
     return EXIT_OK
@@ -403,7 +440,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     tree_scenario = "trees" if "trees" in scenarios else None
     if tree_scenario is None:
         raise MissingInputError("report requires the trees scenario for the tree-NLoS table")
-    curve = _curve_from_csv(run_dir, f"angles_{tree_scenario}.csv")
+    curve = _counts_from_csv(run_dir / f"angles_{tree_scenario}.csv", PLoSCurve)
     write_csv(
         run_dir / "report_tree_nlos_vs_theta.csv",
         ["theta_deg", "p_nlos_t", "n"],
@@ -431,7 +468,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for scenario in scenarios:
         if scenario not in ("buildings-only", "trees"):
             continue
-        curve = _curve_from_csv(run_dir, f"angles_{scenario}.csv")
+        curve = _counts_from_csv(run_dir / f"angles_{scenario}.csv", PLoSCurve)
         for theta, d, pl in pl_vs_theta(curve, params=params, seed=seed):
             rows.append((scenario, theta, d, pl))
     write_csv(

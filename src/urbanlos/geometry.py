@@ -213,9 +213,6 @@ class LayoutGeometry:
         self.th = np.array([t.h for t in layout.trees])
         self.lh = np.array([s.h for s in layout.lights])
 
-    def point_blocked(self, x: float, y: float) -> bool:
-        return self.index.blocked(x, y)
-
     # -- batched crossing analysis -------------------------------------
 
     def _rect_chords(
@@ -266,17 +263,67 @@ class LayoutGeometry:
         u2 = np.minimum((-b + sq) / (2.0 * g2), 1.0)
         return ok & (u1 <= u2), u1, u2
 
-    @staticmethod
-    def _const_height_alt(
-        h: np.ndarray, h_gu: float, u_in: np.ndarray, u_out: np.ndarray
-    ) -> np.ndarray:
-        """Critical altitude for constant-height obstacles (both chord ends)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a_in = (h - h_gu * u_in) / (1.0 - u_in)
-            a_out = (h - h_gu * u_out) / (1.0 - u_out)
-        a_in = np.where(u_in >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), a_in)
-        a_out = np.where(u_out >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), a_out)
-        return np.maximum(a_in, a_out)
+    def _critical_points(
+        self, abs_xy: tuple[float, float], gu_xy: np.ndarray, h_gu: float
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Critical point of every crossed (link, obstacle) pair.
+
+        The one derivation of u_crit (the fraction along the link needing
+        the highest ABS altitude to clear the obstacle), the profile height
+        there and the critical altitude; every view below reads it. For L
+        links sharing one ABS position returns (buildings, trees, lights).
+        Buildings and lights are dense (L, N) arrays (crossed, u_crit, alt),
+        their profile being the obstacle height; trees are flat parallel
+        arrays (link row, tree index, u_crit, profile, alt) over crossed
+        pairs only.
+        """
+        ax, ay = abs_xy
+        dx = gu_xy[:, 0:1] - ax
+        dy = gu_xy[:, 1:2] - ay
+        g2 = dx * dx + dy * dy
+        if np.any(g2 <= 0.0):
+            raise DegenerateLinkError("a link has zero ground distance")
+        idx = self.index
+
+        def constant_height(h, crossed, u_in, u_out):
+            # the required altitude rises along the chord when h >= h_gu and
+            # falls otherwise, so the stricter end is the exit or the entry
+            u = np.where(h >= h_gu, u_out, u_in)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alt = (h - h_gu * u) / (1.0 - u)
+            alt = np.where(u >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), alt)
+            return crossed, u, alt
+
+        buildings = constant_height(self.bh[None, :], *self._rect_chords(ax, ay, dx, dy))
+        lights = constant_height(
+            self.lh[None, :],
+            *self._disc_chords(ax, ay, dx, dy, g2, idx.lx, idx.ly, idx.lr),
+        )
+
+        crossed, _, _ = self._disc_chords(ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr)
+        found = []
+        for row, col in zip(*(a.tolist() for a in np.nonzero(crossed))):
+            res = _tree_critical(
+                ax,
+                ay,
+                float(dx[row, 0]),
+                float(dy[row, 0]),
+                float(g2[row, 0]),
+                float(idx.tx[col]),
+                float(idx.ty[col]),
+                float(idx.tr[col]),
+                float(self.th[col]),
+                h_gu,
+            )
+            if res is not None:
+                alt, u, prof = res
+                found.append((row, col, u, prof, alt))
+        columns = list(zip(*found)) if found else [()] * 5
+        trees = tuple(
+            np.array(values, dtype=dtype)
+            for values, dtype in zip(columns, (np.int64, np.int64, float, float, float))
+        )
+        return buildings, trees, lights
 
     def batch_critical_altitudes(
         self, abs_xy: tuple[float, float], gu_xy: np.ndarray, h_gu: float
@@ -289,144 +336,54 @@ class LayoutGeometry:
         (link row, tree index, critical altitude) for every crossed tree,
         so callers can take prefix subsets of the tree population.
         """
-        ax, ay = abs_xy
-        gx = gu_xy[:, 0:1]
-        gy = gu_xy[:, 1:2]
-        dx = gx - ax
-        dy = gy - ay
-        g2 = dx * dx + dy * dy
-        if np.any(g2 <= 0.0):
-            raise DegenerateLinkError("a link has zero ground distance")
-        L = gu_xy.shape[0]
-        idx = self.index
-
-        alt_b = np.full(L, -np.inf)
-        if idx.bx0.size:
-            crossed, u_in, u_out = self._rect_chords(ax, ay, dx, dy)
-            alt = self._const_height_alt(self.bh[None, :], h_gu, u_in, u_out)
-            alt_b = np.max(np.where(crossed, alt, -np.inf), axis=1)
-
-        alt_s = np.full(L, -np.inf)
-        if idx.lx.size:
-            crossed, u1, u2 = self._disc_chords(
-                ax, ay, dx, dy, g2, idx.lx, idx.ly, idx.lr
-            )
-            alt = self._const_height_alt(self.lh[None, :], h_gu, u1, u2)
-            alt_s = np.max(np.where(crossed, alt, -np.inf), axis=1)
-
-        tree_link: list[int] = []
-        tree_idx: list[int] = []
-        tree_alt: list[float] = []
-        if idx.tx.size:
-            crossed, _, _ = self._disc_chords(
-                ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr
-            )
-            rows, cols = np.nonzero(crossed)
-            for row, col in zip(rows.tolist(), cols.tolist()):
-                res = _tree_critical(
-                    ax,
-                    ay,
-                    float(dx[row, 0]),
-                    float(dy[row, 0]),
-                    float(g2[row, 0]),
-                    float(idx.tx[col]),
-                    float(idx.ty[col]),
-                    float(idx.tr[col]),
-                    float(self.th[col]),
-                    h_gu,
-                )
-                if res is not None:
-                    tree_link.append(row)
-                    tree_idx.append(col)
-                    tree_alt.append(res[0])
-        return (
-            alt_b,
-            alt_s,
-            np.array(tree_link, dtype=np.int64),
-            np.array(tree_idx, dtype=np.int64),
-            np.array(tree_alt, dtype=float),
+        buildings, trees, lights = self._critical_points(abs_xy, gu_xy, h_gu)
+        alt_b, alt_s = (
+            np.max(np.where(crossed, alt, -np.inf), axis=1, initial=-np.inf)
+            for crossed, _, alt in (buildings, lights)
         )
+        tree_link, tree_idx, _, _, tree_alt = trees
+        return alt_b, alt_s, tree_link, tree_idx, tree_alt
 
     # -- single-link views ----------------------------------------------
 
-    def critical_altitudes(
-        self, link: Link
-    ) -> tuple[float, float, float]:
+    def critical_altitudes(self, link: Link) -> tuple[float, float, float]:
         """(building, tree, streetlight) critical altitudes for one link."""
-        g = link.ground_distance
-        if g <= 0.0:
-            raise DegenerateLinkError("link has zero ground distance")
-        gu = np.array([[link.gu_xy[0], link.gu_xy[1]]])
         alt_b, alt_s, _, _, tree_alt = self.batch_critical_altitudes(
-            link.abs_xy, gu, link.h_gu
+            link.abs_xy, np.array([link.gu_xy]), link.h_gu
         )
-        alt_t = float(np.max(tree_alt)) if tree_alt.size else -math.inf
-        return float(alt_b[0]), alt_t, float(alt_s[0])
+        return float(alt_b[0]), float(np.max(tree_alt, initial=-np.inf)), float(alt_s[0])
 
     def crossings(self, link: Link) -> list[ObstructionHit]:
         """All footprints crossed by the link, ordered by ground distance
         from the ABS to each crossing's critical point."""
-        ax, ay = link.abs_xy
-        gx, gy = link.gu_xy
+        buildings, trees, lights = self._critical_points(
+            link.abs_xy, np.array([link.gu_xy]), link.h_gu
+        )
+
+        def dense(family, h):
+            crossed, u, alt = family
+            cols = np.flatnonzero(crossed[0])
+            return cols, u[0, cols], h[cols], alt[0, cols]
+
         g = link.ground_distance
-        if g <= 0.0:
-            raise DegenerateLinkError("link has zero ground distance")
-        dxs = np.array([[gx - ax]])
-        dys = np.array([[gy - ay]])
-        g2 = dxs * dxs + dys * dys
-        idx = self.index
         hits: list[ObstructionHit] = []
-
-        def add(kind: str, i: int, u: float, prof: float, alt: float) -> None:
-            r_i = u * g
-            h_line = blockage_height(link.h_abs, link.h_gu, r_i, g)
-            hits.append(
-                ObstructionHit(
-                    kind=kind,
-                    index=i,
-                    r_i=r_i,
-                    obstacle_height=prof,
-                    blockage_height=h_line,
-                    blocks=link.h_abs <= alt,
+        for kind, family in (
+            ("building", dense(buildings, self.bh)),
+            ("tree", trees[1:]),
+            ("streetlight", dense(lights, self.lh)),
+        ):
+            for i, u, prof, alt in zip(*(a.tolist() for a in family)):
+                r_i = u * g
+                hits.append(
+                    ObstructionHit(
+                        kind=kind,
+                        index=i,
+                        r_i=r_i,
+                        obstacle_height=prof,
+                        blockage_height=blockage_height(link.h_abs, link.h_gu, r_i, g),
+                        blocks=link.h_abs <= alt,
+                    )
                 )
-            )
-
-        if idx.bx0.size:
-            crossed, u_in, u_out = self._rect_chords(ax, ay, dxs, dys)
-            for i in np.nonzero(crossed[0])[0]:
-                h = float(self.bh[i])
-                # the stricter chord end needs the higher ABS altitude
-                u_crit = float(u_out[0, i] if h >= link.h_gu else u_in[0, i])
-                alt = _required_altitude(h, link.h_gu, u_crit)
-                add("building", int(i), u_crit, h, alt)
-
-        if idx.tx.size:
-            crossed, _, _ = self._disc_chords(ax, ay, dxs, dys, g2, idx.tx, idx.ty, idx.tr)
-            for i in np.nonzero(crossed[0])[0]:
-                res = _tree_critical(
-                    ax,
-                    ay,
-                    float(dxs[0, 0]),
-                    float(dys[0, 0]),
-                    float(g2[0, 0]),
-                    float(idx.tx[i]),
-                    float(idx.ty[i]),
-                    float(idx.tr[i]),
-                    float(self.th[i]),
-                    link.h_gu,
-                )
-                if res is not None:
-                    alt, u, prof = res
-                    add("tree", int(i), u, prof, alt)
-
-        if idx.lx.size:
-            crossed, u1, u2 = self._disc_chords(ax, ay, dxs, dys, g2, idx.lx, idx.ly, idx.lr)
-            for i in np.nonzero(crossed[0])[0]:
-                h = float(self.lh[i])
-                u_crit = float(u2[0, i] if h >= link.h_gu else u1[0, i])
-                alt = _required_altitude(h, link.h_gu, u_crit)
-                add("streetlight", int(i), u_crit, h, alt)
-
         hits.sort(key=lambda hit: hit.r_i)
         return hits
 

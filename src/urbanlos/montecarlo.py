@@ -100,15 +100,9 @@ class SweepConfig:
             )
 
 
-@dataclass(frozen=True)
-class PLoSCurve:
-    """Per-angle class counts and derived probabilities."""
-
-    theta_deg: tuple[float, ...]
-    los: tuple[int, ...]
-    nlos_b: tuple[int, ...]
-    nlos_t: tuple[int, ...]
-    nlos_s: tuple[int, ...]
+class _ClassCounts:
+    """Probabilities from the los/nlos_b/nlos_t/nlos_s count fields of a
+    subclass; rows with no samples read 0."""
 
     @property
     def n(self) -> np.ndarray:
@@ -143,7 +137,18 @@ class PLoSCurve:
 
 
 @dataclass(frozen=True)
-class DistanceStats:
+class PLoSCurve(_ClassCounts):
+    """Per-angle class counts and derived probabilities."""
+
+    theta_deg: tuple[float, ...]
+    los: tuple[int, ...]
+    nlos_b: tuple[int, ...]
+    nlos_t: tuple[int, ...]
+    nlos_s: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class DistanceStats(_ClassCounts):
     """Class counts aggregated over 3-D distance bins (non-empty bins only)."""
 
     bin_width: float
@@ -155,36 +160,8 @@ class DistanceStats:
     d_sum: tuple[float, ...]
 
     @property
-    def n(self) -> np.ndarray:
-        return (
-            np.array(self.los)
-            + np.array(self.nlos_b)
-            + np.array(self.nlos_t)
-            + np.array(self.nlos_s)
-        )
-
-    @property
     def mean_d(self) -> np.ndarray:
         return np.array(self.d_sum) / self.n
-
-    def _p(self, counts: tuple[int, ...]) -> np.ndarray:
-        return np.array(counts, dtype=float) / self.n
-
-    @property
-    def p_los(self) -> np.ndarray:
-        return self._p(self.los)
-
-    @property
-    def p_nlos_b(self) -> np.ndarray:
-        return self._p(self.nlos_b)
-
-    @property
-    def p_nlos_t(self) -> np.ndarray:
-        return self._p(self.nlos_t)
-
-    @property
-    def p_nlos_s(self) -> np.ndarray:
-        return self._p(self.nlos_s)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 byte-identical reproduction from manifests."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,42 @@ def test_generate_infeasible_exit(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_flags_do_not_leak_into_defaults(tmp_path):
+    base = ["generate", "--env", "urban", "--seed", "3", "--n-trees", "0", "--n-lights", "0"]
+    assert main(base + ["--n-gu", "7", "--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    assert a.name != b.name
+    assert len(json.loads((a / "layout.json").read_text())["users"]) == 7
+    assert len(json.loads((b / "layout.json").read_text())["users"]) == 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gen: {n_tres: 5}\n",
+        "sweeps: {n_cities: 2}\n",
+        "freq_ghz: .nan\n",
+        "gen: {area: .inf}\n",
+        "sweep: {angles: [1.0, .nan]}\n",
+        "- not a mapping\n",
+    ],
+)
+def test_bad_config_file_exit(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    code = main(["simulate", "--env", "urban", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert "config" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+def test_non_finite_flag_exit(tmp_path, capsys):
+    code = main(["simulate", "--env", "urban", "--seed", "1", "--freq-ghz", "nan", "--out", str(tmp_path)])
+    assert code == 1
+    assert "freq_ghz" in capsys.readouterr().err
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     code = main(["simulate", "--env", "urban", "--out", str(tmp_path)])
     assert code == 1
@@ -128,6 +165,24 @@ def test_fit_output(sim_run):
 
 def test_fit_missing_inputs(tmp_path, capsys):
     assert main(["fit", "--run", str(tmp_path / "nope")]) == 3
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda v: repr(float(v) + 0.01), lambda v: "2.0", lambda v: "nan", lambda v: "x"],
+    ids=["off-count", "off-partition", "nan", "text"],
+)
+def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, corrupt):
+    run = tmp_path / "run"
+    shutil.copytree(sim_run, run)
+    path = run / "distance_trees.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[1] = corrupt(cells[1])  # p_los of the first bin
+    lines[1] = ",".join(cells)
+    path.write_text("".join(lines))
+    assert main(["fit", "--run", str(run)]) == 1
+    assert "distance_trees.csv" in capsys.readouterr().err
 
 
 def test_report_outputs(sim_run):
