@@ -32,8 +32,6 @@ from .geometry import (
     LinkClass,
     ObstructionHit,
     blockage_height,
-    classify_link,
-    footprint_crossings,
     tree_height_at,
 )
 from .montecarlo import (
@@ -45,13 +43,11 @@ from .montecarlo import (
     Scenario,
     SweepConfig,
     run_scenarios,
-    run_sweep,
     streetlight_delta,
     tree_density_sweep,
 )
 from .oracle import classify_link_bruteforce, compare_on_links, random_links
 from .pathloss import (
-    CompositePLInput,
     FitResult,
     VegetationParams,
     VegGeometry,

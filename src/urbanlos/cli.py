@@ -37,7 +37,6 @@ from .errors import (
 )
 from .geometry import LayoutGeometry
 from .montecarlo import (
-    DISTANCE_BIN_M,
     DistanceStats,
     PLoSCurve,
     SweepConfig,
@@ -46,7 +45,7 @@ from .montecarlo import (
     streetlight_delta,
     tree_density_sweep,
 )
-from .oracle import classify_link_bruteforce, compare_on_links, random_links
+from .oracle import check_links, random_links
 from .outputs import (
     FITS_CSV_COLUMNS,
     config_hash,
@@ -180,10 +179,30 @@ def _check_finite(value, where: str) -> None:
         raise ParameterError(f"config value {where} must be finite, got {value}")
 
 
+def _check_integers(config: dict) -> None:
+    """Counts and seeds must be ints: a float or bool would be truncated
+    on use while the manifest kept the value as written."""
+    densities = config["densities"]
+    if not isinstance(densities, (list, type(None))):
+        raise ParameterError(f"config value densities must be a list, got {densities!r}")
+    values = [("seed", config["seed"])] if config["seed"] is not None else []
+    values += [(f"gen.{k}", config["gen"][k]) for k in ("n_trees", "n_lights", "n_gu")]
+    values.append(("sweep.n_cities", config["sweep"]["n_cities"]))
+    values += [("densities", v) for v in densities or ()]
+    for where, value in values:
+        if type(value) is not int:
+            raise ParameterError(f"config value {where} must be an integer, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace, kind: str) -> dict:
     config = copy.deepcopy(_DEFAULT_CONFIG)
     if getattr(args, "config", None):
-        doc = yaml.safe_load(Path(args.config).read_text())
+        try:
+            doc = yaml.safe_load(Path(args.config).read_text())
+        except OSError as exc:
+            raise MissingInputError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        except yaml.YAMLError as exc:
+            raise ParameterError(f"config file {args.config} does not parse: {exc}") from None
         if isinstance(doc, dict) and "config" in doc and "config_hash" in doc:
             doc = doc["config"]  # a manifest was passed
         if not isinstance(doc, dict):
@@ -205,8 +224,14 @@ def resolve_config(args: argparse.Namespace, kind: str) -> dict:
     if getattr(args, "scenario", None):
         config["scenarios"] = [s.strip() for s in args.scenario.split(",") if s.strip()]
     if getattr(args, "densities", None):
-        config["densities"] = [int(v) for v in args.densities.split(",")]
+        try:
+            config["densities"] = [int(v) for v in args.densities.split(",")]
+        except ValueError:
+            raise ParameterError(
+                f"--densities must be comma-separated integers, got {args.densities!r}"
+            ) from None
     _check_finite(config, "")
+    _check_integers(config)
     config["kind"] = kind
     return config
 
@@ -370,7 +395,6 @@ def _counts_from_csv(path: Path, cls):
     if cls is PLoSCurve:
         return PLoSCurve(theta_deg=tuple(float(r["theta_deg"]) for r in rows), **counts)
     return DistanceStats(
-        bin_width=DISTANCE_BIN_M,
         bin_centers=tuple(float(r["bin_center_m"]) for r in rows),
         d_sum=tuple(float(r["mean_d_m"]) * int(r["n"]) for r in rows),
         **counts,
@@ -384,8 +408,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     config = manifest["config"]
     env = config.get("environment") or "custom"
     seed = int(config["seed"])
-    f_ghz = float(args.freq_ghz or config.get("freq_ghz", 28.0))
-    params = VegetationParams(f_ghz=f_ghz)
+    f_ghz = args.freq_ghz if args.freq_ghz is not None else config.get("freq_ghz", 28.0)
+    params = VegetationParams(f_ghz=float(f_ghz))
 
     scenarios = [s for s in ("buildings-only", "trees") if s in manifest["scenarios"]]
     if not scenarios:
@@ -411,6 +435,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = manifest["config"]
     seed = int(config["seed"])
     params = VegetationParams(f_ghz=float(config.get("freq_ghz", 28.0)))
+    h_gu = float(config["gen"]["h_gu"])
     scenarios = manifest["scenarios"]
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     _require(run_dir, [f"angles_{s}.csv" for s in scenarios])
@@ -469,7 +494,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if scenario not in ("buildings-only", "trees"):
             continue
         curve = _counts_from_csv(run_dir / f"angles_{scenario}.csv", PLoSCurve)
-        for theta, d, pl in pl_vs_theta(curve, params=params, seed=seed):
+        for theta, d, pl in pl_vs_theta(curve, h_gu_m=h_gu, params=params, seed=seed):
             rows.append((scenario, theta, d, pl))
     write_csv(
         run_dir / "report_pl_vs_theta.csv",
@@ -490,12 +515,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     geom = LayoutGeometry(layout)
     rng = np.random.default_rng(int(config["seed"]))
     links = random_links(layout, geom, rng, int(args.n_links))
-    mismatches = compare_on_links(layout, links, step=args.step)
-    if args.dump_hits:
-        dump = []
-        for link in links:
-            analytic = geom.crossings(link)
-            brute = classify_link_bruteforce(link, layout, step=args.step)
+    mismatches, dump = [], []
+    for link, (brute, mismatch) in zip(links, check_links(layout, links, step=args.step)):
+        if mismatch is not None:
+            mismatches.append(mismatch)
+        if args.dump_hits:
             dump.append(
                 {
                     "abs_xy": list(link.abs_xy),
@@ -510,12 +534,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                             "blockage_height": h.blockage_height,
                             "blocks": h.blocks,
                         }
-                        for h in analytic
+                        for h in geom.crossings(link)
                     ],
                     "bruteforce_crossed": {k: sorted(v) for k, v in brute.crossed.items()},
                     "bruteforce_blocked": {k: sorted(v) for k, v in brute.blocked.items()},
                 }
             )
+    if args.dump_hits:
         args.dump_hits.write_text(json.dumps(dump, indent=2) + "\n")
     print(f"{len(links)} links, {len(mismatches)} disagreements (step {args.step} m)")
     if mismatches:

@@ -388,6 +388,7 @@ class LayoutGeometry:
         return hits
 
     def classify(self, link: Link) -> LinkClass:
+        """Building > tree > streetlight precedence over blocking obstacles."""
         alt_b, alt_t, alt_s = self.critical_altitudes(link)
         if link.h_abs <= alt_b:
             return LinkClass.NLOS_BUILDING
@@ -397,13 +398,3 @@ class LayoutGeometry:
             return LinkClass.NLOS_LIGHT
         return LinkClass.LOS
 
-
-def footprint_crossings(link: Link, layout: CityLayout) -> list[ObstructionHit]:
-    """Crossing list for one link (convenience wrapper)."""
-    return LayoutGeometry(layout).crossings(link)
-
-
-def classify_link(link: Link, layout: CityLayout) -> LinkClass:
-    """Classify one link; NLoS kind uses building > tree > streetlight
-    precedence over the blocking obstacles."""
-    return LayoutGeometry(layout).classify(link)

@@ -85,7 +85,6 @@ class SweepConfig:
     angles: tuple[float, ...] = tuple(float(a) for a in range(1, 91))
     altitude_policy: str = "per-angle"  # "per-angle" | "fixed"
     fixed_altitude_m: float = 100.0
-    scenario: Scenario = FULL
 
     def __post_init__(self):
         if self.n_cities < 1:
@@ -151,7 +150,6 @@ class PLoSCurve(_ClassCounts):
 class DistanceStats(_ClassCounts):
     """Class counts aggregated over 3-D distance bins (non-empty bins only)."""
 
-    bin_width: float
     bin_centers: tuple[float, ...]
     los: tuple[int, ...]
     nlos_b: tuple[int, ...]
@@ -289,7 +287,6 @@ def _to_distance_stats(dist_counts: np.ndarray, d_sums: np.ndarray) -> DistanceS
     totals = dist_counts.sum(axis=1)
     keep = np.nonzero(totals > 0)[0]
     return DistanceStats(
-        bin_width=DISTANCE_BIN_M,
         bin_centers=tuple((float(i) + 0.5) * DISTANCE_BIN_M for i in keep),
         los=tuple(int(v) for v in dist_counts[keep, LOS]),
         nlos_b=tuple(int(v) for v in dist_counts[keep, NLOS_B]),
@@ -297,14 +294,6 @@ def _to_distance_stats(dist_counts: np.ndarray, d_sums: np.ndarray) -> DistanceS
         nlos_s=tuple(int(v) for v in dist_counts[keep, NLOS_S]),
         d_sum=tuple(float(v) for v in d_sums[keep]),
     )
-
-
-def run_sweep(
-    params: BuiltUpParams, gen: GenConfig, sweep: SweepConfig
-) -> tuple[PLoSCurve, DistanceStats]:
-    """Run the sweep for the configured scenario."""
-    results = run_scenarios(params, gen, sweep, [sweep.scenario])
-    return results[sweep.scenario.name]
 
 
 def run_scenarios(

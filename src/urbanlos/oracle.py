@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator
@@ -61,25 +62,21 @@ def classify_link_bruteforce(
     link: Link,
     layout: CityLayout,
     step: float = DEFAULT_STEP_M,
-    prefilter: bool = True,
 ) -> BruteForceResult:
     """Rasterized classification of one link.
 
-    With prefilter=True, obstacles provably farther from the segment than
-    their own radius are skipped before the point tests; the decision
-    logic itself is unchanged.
+    Obstacles provably farther from the segment than their own radius are
+    skipped before the point tests, since no step point can fall inside them.
     """
     px, py, h_line = _step_points(link, step)
     crossed: dict[str, set[int]] = {"building": set(), "tree": set(), "streetlight": set()}
     blocked: dict[str, set[int]] = {"building": set(), "tree": set(), "streetlight": set()}
 
     bs = layout.buildings
-    cand_b = range(len(bs))
-    if prefilter and bs:
-        cx = np.array([(b.x + b.x1) / 2.0 for b in bs])
-        cy = np.array([(b.y + b.y1) / 2.0 for b in bs])
-        half_diag = np.array([math.hypot(b.w, b.l) / 2.0 for b in bs])
-        cand_b = np.nonzero(_segment_distances(link, cx, cy) <= half_diag + 1e-9)[0]
+    cx = np.array([(b.x + b.x1) / 2.0 for b in bs])
+    cy = np.array([(b.y + b.y1) / 2.0 for b in bs])
+    half_diag = np.array([math.hypot(b.w, b.l) / 2.0 for b in bs])
+    cand_b = np.nonzero(_segment_distances(link, cx, cy) <= half_diag + 1e-9)[0]
     for i in cand_b:
         b = bs[i]
         inside = (px >= b.x) & (px <= b.x1) & (py >= b.y) & (py <= b.y1)
@@ -90,12 +87,10 @@ def classify_link_bruteforce(
             blocked["building"].add(int(i))
 
     ts = layout.trees
-    cand_t = range(len(ts))
-    if prefilter and ts:
-        cx = np.array([t.x for t in ts])
-        cy = np.array([t.y for t in ts])
-        rr = np.array([t.r for t in ts])
-        cand_t = np.nonzero(_segment_distances(link, cx, cy) <= rr + 1e-9)[0]
+    cx = np.array([t.x for t in ts])
+    cy = np.array([t.y for t in ts])
+    rr = np.array([t.r for t in ts])
+    cand_t = np.nonzero(_segment_distances(link, cx, cy) <= rr + 1e-9)[0]
     for i in cand_t:
         t = ts[i]
         rho = np.hypot(px - t.x, py - t.y)
@@ -108,12 +103,10 @@ def classify_link_bruteforce(
             blocked["tree"].add(int(i))
 
     ss = layout.lights
-    cand_s = range(len(ss))
-    if prefilter and ss:
-        cx = np.array([s.x for s in ss])
-        cy = np.array([s.y for s in ss])
-        rr = np.array([s.r for s in ss])
-        cand_s = np.nonzero(_segment_distances(link, cx, cy) <= rr + 1e-9)[0]
+    cx = np.array([s.x for s in ss])
+    cy = np.array([s.y for s in ss])
+    rr = np.array([s.r for s in ss])
+    cand_s = np.nonzero(_segment_distances(link, cx, cy) <= rr + 1e-9)[0]
     for i in cand_s:
         s = ss[i]
         inside = np.hypot(px - s.x, py - s.y) <= s.r
@@ -164,26 +157,34 @@ def random_links(
     return links
 
 
+def check_links(
+    layout: CityLayout,
+    links: list[Link],
+    step: float = DEFAULT_STEP_M,
+) -> Iterator[tuple[BruteForceResult, dict | None]]:
+    """Run both classifiers on each link; yield the oracle's result with a
+    mismatch record, or None where the two agree."""
+    geom = LayoutGeometry(layout)
+    for i, link in enumerate(links):
+        fast = geom.classify(link)
+        slow = classify_link_bruteforce(link, layout, step=step)
+        mismatch = None
+        if fast is not slow.link_class:
+            mismatch = {
+                "link": i,
+                "analytic": fast.value,
+                "bruteforce": slow.link_class.value,
+                "abs_xy": list(link.abs_xy),
+                "gu_xy": list(link.gu_xy),
+                "h_abs": link.h_abs,
+            }
+        yield slow, mismatch
+
+
 def compare_on_links(
     layout: CityLayout,
     links: list[Link],
     step: float = DEFAULT_STEP_M,
 ) -> list[dict]:
-    """Run both classifiers on each link; return one record per mismatch."""
-    geom = LayoutGeometry(layout)
-    mismatches = []
-    for i, link in enumerate(links):
-        fast = geom.classify(link)
-        slow = classify_link_bruteforce(link, layout, step=step)
-        if fast is not slow.link_class:
-            mismatches.append(
-                {
-                    "link": i,
-                    "analytic": fast.value,
-                    "bruteforce": slow.link_class.value,
-                    "abs_xy": list(link.abs_xy),
-                    "gu_xy": list(link.gu_xy),
-                    "h_abs": link.h_abs,
-                }
-            )
-    return mismatches
+    """One mismatch record per link the two classifiers disagree on."""
+    return [m for _, m in check_links(layout, links, step) if m is not None]

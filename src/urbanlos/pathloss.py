@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import AggregationError, ParameterError
-from .montecarlo import DistanceStats, PLoSCurve
+from .montecarlo import DISTANCE_BIN_M, DistanceStats, PLoSCurve
 
 C_M_PER_NS = 0.299792458  # speed of light, meters per nanosecond (m * GHz)
 
@@ -54,8 +54,9 @@ class VegetationParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "k0", "rf", "a0", "f_ghz"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def wavelength_m(self) -> float:
@@ -149,47 +150,34 @@ def pl_nlos_tree(d: float, geom: VegGeometry, params: VegetationParams) -> float
     return float(fspl(d)) + veg_attenuation(geom, params)
 
 
-@dataclass(frozen=True)
-class CompositePLInput:
-    """Probability partition and geometry for one distance bin."""
-
-    p_los: float
-    p_nlos_b: float
-    p_nlos_t: float
-    p_nlos_s: float
-    d_m: float
-    veg: VegGeometry | None = None
-    params: VegetationParams = VegetationParams()
-    include_light_term: bool = False
-    light_excess_db: float = 0.0
-
-
-def composite_pl(inp: CompositePLInput) -> float:
+def composite_pl(
+    p_los: float,
+    p_nlos_b: float,
+    p_nlos_t: float,
+    p_nlos_s: float,
+    d_m: float,
+    veg: VegGeometry | None = None,
+    params: VegetationParams = VegetationParams(),
+) -> float:
     """Probability-weighted mixture of the per-class path losses, dB.
 
-    Streetlight-blocked links carry no excess loss; by default their
-    probability folds into the LoS term (equivalent to a free-space
-    streetlight component), and a flag keeps the term explicit with a
-    configurable excess for sensitivity studies.
+    Streetlight-blocked links carry no excess loss, so their probability
+    is charged free-space loss together with the LoS term.
     """
-    probs = (inp.p_los, inp.p_nlos_b, inp.p_nlos_t, inp.p_nlos_s)
+    probs = (p_los, p_nlos_b, p_nlos_t, p_nlos_s)
     if any(p < 0.0 for p in probs):
         raise AggregationError(f"negative probability in partition {probs}")
     if abs(sum(probs) - 1.0) > 1e-9:
         raise AggregationError(f"probability partition {probs} does not sum to 1")
-    if inp.d_m <= 0.0:
+    if d_m <= 0.0:
         raise ParameterError("bin distance must be > 0")
 
-    pl = inp.p_nlos_b * float(pl_nlos_building(inp.d_m))
-    if inp.p_nlos_t > 0.0:
-        if inp.veg is None:
+    pl = p_nlos_b * float(pl_nlos_building(d_m))
+    if p_nlos_t > 0.0:
+        if veg is None:
             raise ParameterError("vegetation geometry required when p_nlos_t > 0")
-        pl += inp.p_nlos_t * pl_nlos_tree(inp.d_m, inp.veg, inp.params)
-    if inp.include_light_term:
-        pl += inp.p_los * float(fspl(inp.d_m))
-        pl += inp.p_nlos_s * (float(fspl(inp.d_m)) + inp.light_excess_db)
-    else:
-        pl += (inp.p_los + inp.p_nlos_s) * float(fspl(inp.d_m))
+        pl += p_nlos_t * pl_nlos_tree(d_m, veg, params)
+    pl += (p_los + p_nlos_s) * float(fspl(d_m))
     return pl
 
 
@@ -206,34 +194,43 @@ def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
     return VegGeometry(d1=d_m - d2, d2=d2, d_t=d_t, r_t=TREE_MEAN_RADIUS_M)
 
 
+def _composite_rows(
+    counts: PLoSCurve | DistanceStats,
+    rows: Sequence[tuple[int, float, int]],
+    params: VegetationParams,
+    seed: int,
+) -> list[float]:
+    """Composite PL for each (row index, distance, vegetation key) of a
+    class-count table; vegetation is drawn only for rows with tree mass."""
+    probs = list(
+        zip(
+            counts.p_los.tolist(),
+            counts.p_nlos_b.tolist(),
+            counts.p_nlos_t.tolist(),
+            counts.p_nlos_s.tolist(),
+        )
+    )
+    out = []
+    for i, d, key in rows:
+        p_los, p_b, p_t, p_s = probs[i]
+        veg = sample_veg_geometry(d, seed, key) if p_t > 0.0 else None
+        out.append(composite_pl(p_los, p_b, p_t, p_s, d, veg, params))
+    return out
+
+
 def composite_bins(
     stats: DistanceStats,
     params: VegetationParams = VegetationParams(),
     seed: int = 0,
 ) -> list[tuple[float, float, int]]:
-    """(bin center, composite PL, sample count) for every populated bin."""
-    rows = []
-    p_los, p_b = stats.p_los, stats.p_nlos_b
-    p_t, p_s = stats.p_nlos_t, stats.p_nlos_s
-    n = stats.n
-    for i, center in enumerate(stats.bin_centers):
-        veg = None
-        if p_t[i] > 0.0:
-            bin_index = int(round(center / stats.bin_width - 0.5))
-            veg = sample_veg_geometry(center, seed, bin_index)
-        pl = composite_pl(
-            CompositePLInput(
-                p_los=float(p_los[i]),
-                p_nlos_b=float(p_b[i]),
-                p_nlos_t=float(p_t[i]),
-                p_nlos_s=float(p_s[i]),
-                d_m=center,
-                veg=veg,
-                params=params,
-            )
-        )
-        rows.append((center, pl, int(n[i])))
-    return rows
+    """(bin center, composite PL, sample count) for every populated bin;
+    vegetation is keyed by the distance bin index."""
+    rows = [
+        (i, center, int(round(center / DISTANCE_BIN_M - 0.5)))
+        for i, center in enumerate(stats.bin_centers)
+    ]
+    pls = _composite_rows(stats, rows, params, seed)
+    return list(zip(stats.bin_centers, pls, (int(v) for v in stats.n)))
 
 
 @dataclass(frozen=True)
@@ -289,31 +286,18 @@ def pl_vs_theta(
     """(theta, 3-D distance, composite PL) per angle at a fixed altitude.
 
     The distance follows d = (h_abs - h_gu) / sin(theta); theta = 0 has
-    no finite distance and is excluded from the table.
+    no finite distance and is excluded from the table. Vegetation is
+    keyed by the angle index.
     """
     if h_abs_m <= h_gu_m:
         raise ParameterError("h_abs must exceed h_gu")
-    rows = []
-    p_los, p_b = curve.p_los, curve.p_nlos_b
-    p_t, p_s = curve.p_nlos_t, curve.p_nlos_s
-    for i, theta in enumerate(curve.theta_deg):
-        if theta <= 0.0:
-            continue
-        d = (h_abs_m - h_gu_m) / math.sin(math.radians(theta))
-        veg = sample_veg_geometry(d, seed, i) if p_t[i] > 0.0 else None
-        pl = composite_pl(
-            CompositePLInput(
-                p_los=float(p_los[i]),
-                p_nlos_b=float(p_b[i]),
-                p_nlos_t=float(p_t[i]),
-                p_nlos_s=float(p_s[i]),
-                d_m=d,
-                veg=veg,
-                params=params,
-            )
-        )
-        rows.append((theta, d, pl))
-    return rows
+    rows = [
+        (i, (h_abs_m - h_gu_m) / math.sin(math.radians(theta)), i)
+        for i, theta in enumerate(curve.theta_deg)
+        if theta > 0.0
+    ]
+    pls = _composite_rows(curve, rows, params, seed)
+    return [(curve.theta_deg[i], d, pl) for (i, d, _), pl in zip(rows, pls)]
 
 
 def median_extra_loss(

@@ -2,11 +2,14 @@
 byte-identical reproduction from manifests."""
 
 import json
+import math
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+from urbanlos import oracle
 from urbanlos.cli import main
 from urbanlos.outputs import read_csv_dicts
 
@@ -116,6 +119,47 @@ def test_bad_config_file_exit(tmp_path, capsys, text):
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("gen: {n_gu: 2.7}\n", "n_gu"),
+        ("gen: {n_trees: 3.0}\n", "n_trees"),
+        ("gen: {n_lights: true}\n", "n_lights"),
+        ("sweep: {n_cities: 1.5}\n", "n_cities"),
+        ("seed: 1.5\n", "seed"),
+        ("densities: [0, 2.5]\n", "densities"),
+        ("densities: 5\n", "densities"),
+    ],
+)
+def test_non_integer_count_exit(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    code = main(["generate", "--env", "urban", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+def test_bad_densities_flag_exit(tmp_path, capsys):
+    code = main(["simulate", "--env", "urban", "--seed", "1", "--densities", "1,x", "--out", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_missing_config_file_exit(tmp_path, capsys):
+    code = main(["generate", "--env", "urban", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
+    assert code == 3
+    assert "nope.yaml" in capsys.readouterr().err
+
+
+def test_malformed_config_file_exit(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("gen: {n_gu: @5}\n")
+    code = main(["generate", "--env", "urban", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert "cfg.yaml" in capsys.readouterr().err
+
+
 def test_non_finite_flag_exit(tmp_path, capsys):
     code = main(["simulate", "--env", "urban", "--seed", "1", "--freq-ghz", "nan", "--out", str(tmp_path)])
     assert code == 1
@@ -163,6 +207,16 @@ def test_fit_output(sim_run):
         assert int(row["n"]) > 2
 
 
+@pytest.mark.parametrize("freq", ["0", "nan", "inf"])
+def test_fit_rejects_bad_frequency(sim_run, tmp_path, capsys, freq):
+    run = tmp_path / "run"
+    shutil.copytree(sim_run, run)
+    fits = (run / "fits.csv").read_bytes()
+    assert main(["fit", "--run", str(run), "--freq-ghz", freq]) == 1
+    assert "f_ghz" in capsys.readouterr().err
+    assert (run / "fits.csv").read_bytes() == fits
+
+
 def test_fit_missing_inputs(tmp_path, capsys):
     assert main(["fit", "--run", str(tmp_path / "nope")]) == 3
 
@@ -197,6 +251,23 @@ def test_report_outputs(sim_run):
     assert all(float(r["theta_deg"]) > 0.0 for r in pl_rows)
     densities = {int(r["density"]) for r in read_csv_dicts(sim_run / "report_density.csv")}
     assert densities == {0, 20}
+
+
+def test_report_uses_run_ground_user_height(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("gen: {h_gu: 3.0}\n")
+    root = tmp_path / "r"
+    args = ["simulate", "--env", "urban", "--seed", "2", "--n-cities", "1", "--n-gu", "5"]
+    assert main(args + ["--config", str(cfg), "--out", str(root)]) == 0
+    run = _run_dir(root)
+    assert main(["fit", "--run", str(run)]) == 0
+    assert main(["report", "--run", str(run)]) == 0
+    rows = read_csv_dicts(run / "report_pl_vs_theta.csv")
+    assert rows
+    for row in rows:
+        theta = float(row["theta_deg"])
+        expected = (100.0 - 3.0) / math.sin(math.radians(theta))
+        assert float(row["d_m"]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_report_missing_prerequisites(tmp_path, capsys):
@@ -263,3 +334,19 @@ def test_oracle_check(tmp_path, capsys):
     hits = json.loads(dump.read_text())
     assert len(hits) == 25
     assert {"abs_xy", "gu_xy", "h_abs", "analytic_hits", "bruteforce_crossed"} <= set(hits[0])
+
+
+def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
+    original = oracle.classify_link_bruteforce
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("urbanlos") and getattr(module, "classify_link_bruteforce", None) is original:
+            monkeypatch.setattr(module, "classify_link_bruteforce", counted)
+    args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
+    assert main(args + ["--dump-hits", str(tmp_path / "hits.json"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 50

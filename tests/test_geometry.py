@@ -26,8 +26,6 @@ from urbanlos.geometry import (
     Link,
     LinkClass,
     blockage_height,
-    classify_link,
-    footprint_crossings,
     tree_height_at,
 )
 from urbanlos.oracle import classify_link_bruteforce, compare_on_links, random_links
@@ -115,7 +113,7 @@ def test_single_building_crossing():
     b = Building(x=40.0, y=-12.245, w=24.49, l=24.49, h=20.0)
     layout = _fixture_layout(buildings=[b])
     link = Link(abs_xy=(100.0, 0.0), h_abs=120.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    hits = footprint_crossings(link, layout)
+    hits = LayoutGeometry(layout).crossings(link)
     assert [h.kind for h in hits] == ["building"]
     assert hits[0].obstacle_height == 20.0
 
@@ -124,7 +122,7 @@ def test_streetlight_near_miss():
     s = Streetlight(x=50.0, y=0.2, h=4.0)
     layout = _fixture_layout(lights=[s])
     link = Link(abs_xy=(100.0, 0.0), h_abs=50.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    assert footprint_crossings(link, layout) == []
+    assert LayoutGeometry(layout).crossings(link) == []
 
 
 def test_hits_sorted_by_distance_from_abs():
@@ -134,7 +132,7 @@ def test_hits_sorted_by_distance_from_abs():
         lights=[Streetlight(x=80.0, y=0.0, h=4.0)],
     )
     link = Link(abs_xy=(100.0, 0.0), h_abs=40.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    hits = footprint_crossings(link, layout)
+    hits = LayoutGeometry(layout).crossings(link)
     assert [h.kind for h in hits] == ["streetlight", "tree", "building"]
     assert all(a.r_i <= b.r_i for a, b in zip(hits, hits[1:]))
     for h in hits:
@@ -158,9 +156,9 @@ def test_blocking_building_classifies_nlos_b():
     layout = _fixture_layout(buildings=[b])
     # blockage height at the crossing sits near 15 m, below the 20 m roof
     link = Link(abs_xy=(100.0, 0.0), h_abs=25.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    hits = footprint_crossings(link, layout)
+    hits = LayoutGeometry(layout).crossings(link)
     assert hits[0].blocks and hits[0].blockage_height < 20.0
-    assert classify_link(link, layout) is LinkClass.NLOS_BUILDING
+    assert LayoutGeometry(layout).classify(link) is LinkClass.NLOS_BUILDING
 
 
 def test_building_takes_precedence_over_tree():
@@ -171,27 +169,27 @@ def test_building_takes_precedence_over_tree():
     link = Link(abs_xy=(100.0, 0.0), h_abs=10.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     brute = classify_link_bruteforce(link, layout)
     assert brute.blocked["tree"] and brute.blocked["building"]
-    assert classify_link(link, layout) is LinkClass.NLOS_BUILDING
+    assert LayoutGeometry(layout).classify(link) is LinkClass.NLOS_BUILDING
 
 
 def test_tree_blocks_when_low():
     layout = _fixture_layout(trees=[Tree(x=4.0, y=0.0, r=1.0, h=5.0)])
     low = Link(abs_xy=(100.0, 0.0), h_abs=3.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     high = Link(abs_xy=(100.0, 0.0), h_abs=300.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    assert classify_link(low, layout) is LinkClass.NLOS_TREE
-    assert classify_link(high, layout) is LinkClass.LOS
+    assert LayoutGeometry(layout).classify(low) is LinkClass.NLOS_TREE
+    assert LayoutGeometry(layout).classify(high) is LinkClass.LOS
 
 
 def test_streetlight_blocks_when_grazing():
     layout = _fixture_layout(lights=[Streetlight(x=2.0, y=0.0, h=5.0)])
     low = Link(abs_xy=(100.0, 0.0), h_abs=2.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    assert classify_link(low, layout) is LinkClass.NLOS_LIGHT
+    assert LayoutGeometry(layout).classify(low) is LinkClass.NLOS_LIGHT
 
 
 def test_degenerate_link_raises(urban_layout):
     link = Link(abs_xy=(10.0, 10.0), h_abs=100.0, gu_xy=(10.0, 10.0), h_gu=1.5)
     with pytest.raises(DegenerateLinkError):
-        classify_link(link, urban_layout)
+        LayoutGeometry(urban_layout).classify(link)
 
 
 # -- structural properties ----------------------------------------------------------

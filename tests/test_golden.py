@@ -1,9 +1,11 @@
 """Byte contract: fixed-seed outputs pinned to sha256 values.
 
-The digests were recorded before the critical-altitude derivation was
-unified; a refactor that keeps them keeps every CSV byte, the layout hash,
-the oracle hit dump and the kernel's floats unchanged. A deliberate change
-of outputs must re-record them and say why.
+The simulate, hit-dump and kernel digests were recorded before the
+critical-altitude derivation was unified, the fit, report and path-loss
+digests before the composite path-loss input was flattened into
+arguments; a refactor that keeps them keeps every CSV byte, the layout
+hash, the oracle hit dump and the kernel's floats unchanged. A deliberate
+change of outputs must re-record them and say why.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import numpy as np
 from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_city, sample_open_point
 from urbanlos.cli import main
 from urbanlos.geometry import LayoutGeometry, Link
+from urbanlos.montecarlo import DistanceStats, PLoSCurve
+from urbanlos.pathloss import VegetationParams, composite_bins, pl_vs_theta
 
 ANGLES_SHA = "b7ad24ada62bfb63e0eae5519a1dc5c34354496d511fe685f0469cd913baf671"
 DISTANCE_SHA = "7f6d479bff56187f08ebdb614e0f99d1da07b238832ee77446b459c17f064016"
@@ -29,6 +33,16 @@ SIMULATE_GOLDEN = {
     "distance_full.csv": DISTANCE_SHA,
     "distance_trees.csv": DISTANCE_SHA,
 }
+# fit and report of the same run; it has no tree-blocked bin, so the
+# vegetation draws are pinned separately by PATHLOSS_SHA
+PATHLOSS_GOLDEN = {
+    "fits.csv": "f666a9d631b25c755d044bcc1418e6cb827dadb3abb46dc20e28d3a8a89550e1",
+    "report_density.csv": "987fbbfe438a862c01958c82ed9dd88e26c4ebc3cd0343a7216fa3043df0941c",
+    "report_pl_vs_theta.csv": "4844ab447ebdc9bf45bdb81ea22bfab1c17eac95635d69fbe7930764043052ad",
+    "report_plos_vs_distance.csv": "f1d58c1008d610aee8d69e7754528a8ad2bbfb1355319012d65c05018be50ad2",
+    "report_tree_nlos_vs_theta.csv": "4879934b644c35af4c43bfd5a0b06f4f211dddfdc6b4c23469b615815ac7d6db",
+}
+PATHLOSS_SHA = "b56b2aa791d9e7db06df0e3421bac2ee55dea1590e6b321dd438c254575d28a8"
 LAYOUT_HASH = "2b4a0690c41f38dbcac70aee8c9864cac444c51fc6e367ec74ecb09d07da4676"
 HITS_SHA = "eadf0e5ee34330dbcf08ae8ca0290aba6a081958da349a1a34b70aa73ff8bbc0"
 # dense_urban, seed 2, 1000 users: batch arrays, and the crossings, class and
@@ -48,6 +62,35 @@ def test_simulate_golden_bytes(tmp_path):
     (run,) = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert {p.name: _sha(p) for p in run.glob("*.csv")} == SIMULATE_GOLDEN
     assert json.loads((run / "manifest.json").read_text())["layout_hash"] == LAYOUT_HASH
+    assert main(["fit", "--run", str(run)]) == 0
+    assert main(["report", "--run", str(run)]) == 0
+    written = {p.name: _sha(p) for p in run.glob("*.csv") if p.name not in SIMULATE_GOLDEN}
+    assert written == PATHLOSS_GOLDEN
+
+
+def test_pathloss_golden():
+    """Composite rows with tree-blocked mass: vegetation keyed by distance
+    bin index and by angle index, theta = 0 dropped, a non-default h_gu."""
+    stats = DistanceStats(
+        bin_centers=(25.0, 125.0, 175.0, 975.0, 5025.0),
+        los=(5, 3, 0, 1, 0),
+        nlos_b=(0, 4, 2, 6, 7),
+        nlos_t=(2, 1, 3, 0, 2),
+        nlos_s=(1, 0, 1, 1, 0),
+        d_sum=(0.0,) * 5,
+    )
+    curve = PLoSCurve(
+        theta_deg=(0.0, 1.0, 30.0, 89.0, 90.0),
+        los=(0, 1, 4, 8, 9),
+        nlos_b=(9, 5, 2, 0, 0),
+        nlos_t=(0, 3, 2, 1, 0),
+        nlos_s=(0, 0, 1, 0, 0),
+    )
+    digest = hashlib.sha256()
+    digest.update(repr(composite_bins(stats, params=VegetationParams(f_ghz=28.0), seed=4)).encode())
+    rows = pl_vs_theta(curve, h_gu_m=3.0, params=VegetationParams(f_ghz=60.0), seed=4)
+    digest.update(repr(rows).encode())
+    assert digest.hexdigest() == PATHLOSS_SHA
 
 
 def test_oracle_hit_dump_golden(tmp_path):

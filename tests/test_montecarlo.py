@@ -9,12 +9,12 @@ from urbanlos.citygen import PRESETS, GenConfig
 from urbanlos.errors import AggregationError, ParameterError
 from urbanlos.montecarlo import (
     BUILDINGS_ONLY,
+    DISTANCE_BIN_M,
     FULL,
     WITH_TREES,
     SweepConfig,
     parse_scenario,
     run_scenarios,
-    run_sweep,
     streetlight_delta,
     tree_density_sweep,
 )
@@ -71,16 +71,17 @@ def test_partition_and_totals(small_results, small_gen):
 
 def test_distance_bins_cover_samples(small_results):
     _, stats = small_results["full"]
-    assert stats.bin_width == 50.0
     centers = np.array(stats.bin_centers)
+    assert DISTANCE_BIN_M == 50.0
+    assert np.all(np.mod(centers, DISTANCE_BIN_M) == DISTANCE_BIN_M / 2.0)
     assert np.all(np.diff(centers) > 0)
     assert np.all(np.array(stats.d_sum) / np.array(stats.n) >= centers - 25.0 - 1e-9)
     assert np.all(np.array(stats.d_sum) / np.array(stats.n) <= centers + 25.0 + 1e-9)
 
 
 def test_deterministic_rerun(small_gen):
-    a = run_sweep(URBAN, small_gen, SMALL_SWEEP)
-    b = run_sweep(URBAN, small_gen, SMALL_SWEEP)
+    a = run_scenarios(URBAN, small_gen, SMALL_SWEEP, [FULL])
+    b = run_scenarios(URBAN, small_gen, SMALL_SWEEP, [FULL])
     assert a == b
 
 
@@ -143,7 +144,7 @@ def test_fixed_altitude_policy(small_gen):
         n_cities=2, angles=(30.0, 60.0, 90.0), altitude_policy="fixed",
         fixed_altitude_m=100.0,
     )
-    curve, stats = run_sweep(URBAN, small_gen, sweep)
+    curve, stats = run_scenarios(URBAN, small_gen, sweep, [FULL])["full"]
     # altitude does not vary with angle, so every column is identical
     assert curve.los[0] == curve.los[1] == curve.los[2]
     assert max(stats.bin_centers) < 1600.0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from urbanlos.errors import AggregationError, ParameterError
 from urbanlos.montecarlo import PLoSCurve
 from urbanlos.pathloss import (
-    CompositePLInput,
     VegGeometry,
     VegetationParams,
     composite_pl,
@@ -158,37 +157,33 @@ def test_pl_nlos_tree_composition():
 
 
 def test_composite_pure_los():
-    inp = CompositePLInput(p_los=1.0, p_nlos_b=0.0, p_nlos_t=0.0, p_nlos_s=0.0, d_m=250.0)
-    assert composite_pl(inp) == fspl(250.0)
+    assert composite_pl(1.0, 0.0, 0.0, 0.0, d_m=250.0) == fspl(250.0)
 
 
 def test_composite_pure_building():
-    inp = CompositePLInput(p_los=0.0, p_nlos_b=1.0, p_nlos_t=0.0, p_nlos_s=0.0, d_m=100.0)
-    assert composite_pl(inp) == 130.4
+    assert composite_pl(0.0, 1.0, 0.0, 0.0, d_m=100.0) == 130.4
 
 
 def test_composite_equal_mix_is_mean():
-    inp = CompositePLInput(p_los=0.5, p_nlos_b=0.5, p_nlos_t=0.0, p_nlos_s=0.0, d_m=100.0)
-    assert composite_pl(inp) == pytest.approx((101.4 + 130.4) / 2.0, abs=1e-12)
+    pl = composite_pl(0.5, 0.5, 0.0, 0.0, d_m=100.0)
+    assert pl == pytest.approx((101.4 + 130.4) / 2.0, abs=1e-12)
 
 
 def test_composite_partition_violation():
-    inp = CompositePLInput(p_los=0.6, p_nlos_b=0.6, p_nlos_t=0.0, p_nlos_s=0.0, d_m=100.0)
     with pytest.raises(AggregationError):
-        composite_pl(inp)
+        composite_pl(0.6, 0.6, 0.0, 0.0, d_m=100.0)
 
 
 def test_composite_needs_veg_geometry():
-    inp = CompositePLInput(p_los=0.5, p_nlos_b=0.0, p_nlos_t=0.5, p_nlos_s=0.0, d_m=100.0)
     with pytest.raises(ParameterError):
-        composite_pl(inp)
+        composite_pl(0.5, 0.0, 0.5, 0.0, d_m=100.0)
 
 
-def test_composite_light_fold_matches_explicit_term():
-    base = dict(p_los=0.6, p_nlos_b=0.3, p_nlos_t=0.0, p_nlos_s=0.1, d_m=400.0)
-    folded = composite_pl(CompositePLInput(**base))
-    explicit = composite_pl(CompositePLInput(**base, include_light_term=True))
-    assert folded == pytest.approx(explicit, abs=1e-12)
+def test_composite_streetlight_charged_free_space():
+    assert composite_pl(0.0, 0.0, 0.0, 1.0, d_m=400.0) == fspl(400.0)
+    mixed = composite_pl(0.6, 0.3, 0.0, 0.1, d_m=400.0)
+    expected = 0.7 * fspl(400.0) + 0.3 * pl_nlos_building(400.0)
+    assert mixed == pytest.approx(expected, abs=1e-12)
 
 
 @given(
@@ -202,11 +197,7 @@ def test_composite_within_component_envelope(raw, d):
     total = sum(raw)
     p = [v / total for v in raw]
     veg = VegGeometry(d1=max(d - 6.0, 1.0), d2=6.0, d_t=1.0, r_t=1.0)
-    pl = composite_pl(
-        CompositePLInput(
-            p_los=p[0], p_nlos_b=p[1], p_nlos_t=p[2], p_nlos_s=p[3], d_m=d, veg=veg
-        )
-    )
+    pl = composite_pl(p[0], p[1], p[2], p[3], d_m=d, veg=veg)
     components = [fspl(d), pl_nlos_building(d), pl_nlos_tree(d, veg, PARAMS_28)]
     assert min(components) - 1e-9 <= pl <= max(components) + 1e-9
 
