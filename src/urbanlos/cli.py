@@ -85,6 +85,15 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=Path("runs"), help="output root directory")
 
 
+# An empty list flag counts as not given.
+def comma_separated_names(text: str) -> list[str] | None:
+    return [s.strip() for s in text.split(",") if s.strip()] if text else None
+
+
+def comma_separated_integers(text: str) -> list[int] | None:
+    return [int(v) for v in text.split(",")] if text else None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="urbanlos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,10 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cities", type=int, dest="n_cities")
     p.add_argument(
         "--scenario",
+        type=comma_separated_names,
         help="comma-separated scenarios: buildings-only,trees,full",
     )
     p.add_argument(
         "--densities",
+        type=comma_separated_integers,
         help="comma-separated tree counts for a density sweep (lights excluded)",
     )
     p.add_argument("--freq-ghz", type=float, dest="freq_ghz")
@@ -122,80 +133,91 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- configuration resolution ------------------------------------------------
 
-_DEFAULT_CONFIG = {
-    "environment": None,
-    "alpha": None,
-    "beta": None,
-    "gamma": None,
-    "gen": {
-        "area": 1_000_000.0,
-        "n_trees": 200,
-        "n_lights": 500,
-        "n_gu": 100,
-        "d_o": 1.5,
-        "h_gu": 1.5,
-    },
-    "sweep": {
-        "n_cities": 30,
-        "angles": [float(a) for a in range(1, 91)],
-        "altitude_policy": "per-angle",
-        "fixed_altitude_m": 100.0,
-    },
-    "scenarios": ["buildings-only", "trees", "full"],
-    "densities": None,
-    "freq_ghz": 28.0,
-    "seed": None,
+# Kinds of config values, named as an error message names them. bool is
+# neither a count nor a number, and a string is never a number.
+COUNT, REAL, TEXT = "an integer", "a finite number", "a string"
+COUNTS, REALS, TEXTS = "a list of integers", "a list of finite numbers", "a list of strings"
+ENVIRONMENT = "one of " + ", ".join(sorted(PRESETS))
+
+
+def _is_count(value) -> bool:
+    return type(value) is int
+
+
+def _is_real(value) -> bool:
+    # the comparison is exact for ints, so it also rejects ints beyond float range
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_text(value) -> bool:
+    return type(value) is str
+
+
+_KINDS = {
+    COUNT: _is_count,
+    REAL: _is_real,
+    TEXT: _is_text,
+    COUNTS: lambda v: type(v) is list and all(map(_is_count, v)),
+    REALS: lambda v: type(v) is list and all(map(_is_real, v)),
+    TEXTS: lambda v: type(v) is list and all(map(_is_text, v)),
+    ENVIRONMENT: lambda v: _is_text(v) and v in PRESETS,
+}
+
+#: Every config key: path -> (default, kind, flag dest that overrides it).
+#: A key whose default is None may also be null.
+CONFIG_SCHEMA = {
+    "environment": (None, ENVIRONMENT, "env"),
+    "alpha": (None, REAL, "alpha"),
+    "beta": (None, REAL, "beta"),
+    "gamma": (None, REAL, "gamma"),
+    "gen.area": (1_000_000.0, REAL, "area"),
+    "gen.n_trees": (200, COUNT, "n_trees"),
+    "gen.n_lights": (500, COUNT, "n_lights"),
+    "gen.n_gu": (100, COUNT, "n_gu"),
+    "gen.d_o": (1.5, REAL, None),
+    "gen.h_gu": (1.5, REAL, None),
+    "sweep.n_cities": (30, COUNT, "n_cities"),
+    "sweep.angles": ([float(a) for a in range(1, 91)], REALS, None),
+    "sweep.altitude_policy": ("per-angle", TEXT, None),
+    "sweep.fixed_altitude_m": (100.0, REAL, None),
+    "scenarios": (["buildings-only", "trees", "full"], TEXTS, "scenario"),
+    "densities": (None, COUNTS, "densities"),
+    "freq_ghz": (28.0, REAL, "freq_ghz"),
+    "seed": (None, COUNT, "seed"),
 }
 
 
-def _deep_update(base: dict, overlay: dict) -> dict:
-    out = dict(base)
-    for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _put(config: dict, path: str, value) -> None:
+    *sections, key = path.split(".")
+    for section in sections:
+        config = config.setdefault(section, {})
+    config[key] = value
 
 
-def _check_keys(doc: dict, defaults: dict, where: str = "") -> None:
+def _overlay(config: dict, doc: dict, where: str = "") -> None:
+    """Write doc into config; raise ParameterError on an unknown key, a
+    section that is not a mapping, or a value not of its key's kind."""
     for key, value in doc.items():
-        if key not in defaults:
-            raise ParameterError(f"unknown config key {where}{key!r}")
-        if isinstance(defaults[key], dict):
+        path = f"{where}{key}"
+        if key not in config:
+            raise ParameterError(f"unknown config key {path!r}")
+        if isinstance(config[key], dict):
             if not isinstance(value, dict):
-                raise ParameterError(f"config key {where}{key} must be a mapping")
-            _check_keys(value, defaults[key], f"{where}{key}.")
-
-
-def _check_finite(value, where: str) -> None:
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
-        for item in value:
-            _check_finite(item, where)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ParameterError(f"config value {where} must be finite, got {value}")
-
-
-def _check_integers(config: dict) -> None:
-    """Counts and seeds must be ints: a float or bool would be truncated
-    on use while the manifest kept the value as written."""
-    densities = config["densities"]
-    if not isinstance(densities, (list, type(None))):
-        raise ParameterError(f"config value densities must be a list, got {densities!r}")
-    values = [("seed", config["seed"])] if config["seed"] is not None else []
-    values += [(f"gen.{k}", config["gen"][k]) for k in ("n_trees", "n_lights", "n_gu")]
-    values.append(("sweep.n_cities", config["sweep"]["n_cities"]))
-    values += [("densities", v) for v in densities or ()]
-    for where, value in values:
-        if type(value) is not int:
-            raise ParameterError(f"config value {where} must be an integer, got {value!r}")
+                raise ParameterError(f"config key {path} must be a mapping")
+            _overlay(config[key], value, f"{path}.")
+            continue
+        default, kind, _ = CONFIG_SCHEMA[path]
+        if not (value is None and default is None or _KINDS[kind](value)):
+            raise ParameterError(f"config value {path} must be {kind}, got {value!r}")
+        config[key] = value
 
 
 def resolve_config(args: argparse.Namespace, kind: str) -> dict:
-    config = copy.deepcopy(_DEFAULT_CONFIG)
+    config, flags = {}, {}
+    for path, (default, _, flag) in CONFIG_SCHEMA.items():
+        _put(config, path, copy.deepcopy(default))
+        if flag and getattr(args, flag, None) is not None:
+            _put(flags, path, getattr(args, flag))
     if getattr(args, "config", None):
         try:
             doc = yaml.safe_load(Path(args.config).read_text())
@@ -207,68 +229,36 @@ def resolve_config(args: argparse.Namespace, kind: str) -> dict:
             doc = doc["config"]  # a manifest was passed
         if not isinstance(doc, dict):
             raise ParameterError(f"config file {args.config} must hold a mapping")
-        doc = {k: v for k, v in doc.items() if k != "kind"}
-        _check_keys(doc, _DEFAULT_CONFIG)
-        config = _deep_update(config, doc)
-    for name in ("env",):
-        if getattr(args, name, None) is not None:
-            config["environment"] = args.env
-    for name in ("alpha", "beta", "gamma", "seed", "freq_ghz"):
-        if getattr(args, name, None) is not None:
-            config[name] = getattr(args, name)
-    for name in ("area", "n_trees", "n_lights", "n_gu"):
-        if getattr(args, name, None) is not None:
-            config["gen"][name] = getattr(args, name)
-    if getattr(args, "n_cities", None) is not None:
-        config["sweep"]["n_cities"] = args.n_cities
-    if getattr(args, "scenario", None):
-        config["scenarios"] = [s.strip() for s in args.scenario.split(",") if s.strip()]
-    if getattr(args, "densities", None):
-        try:
-            config["densities"] = [int(v) for v in args.densities.split(",")]
-        except ValueError:
-            raise ParameterError(
-                f"--densities must be comma-separated integers, got {args.densities!r}"
-            ) from None
-    _check_finite(config, "")
-    _check_integers(config)
+        doc.pop("kind", None)
+        _overlay(config, doc)
+    _overlay(config, flags)
     config["kind"] = kind
     return config
 
 
 def _built_up_params(config: dict) -> BuiltUpParams:
-    if config["environment"] is not None:
-        preset = PRESETS[config["environment"]]
-        alpha = config["alpha"] if config["alpha"] is not None else preset.alpha
-        beta = config["beta"] if config["beta"] is not None else preset.beta
-        gamma = config["gamma"] if config["gamma"] is not None else preset.gamma
-        return BuiltUpParams(alpha=alpha, beta=beta, gamma=gamma)
-    if None in (config["alpha"], config["beta"], config["gamma"]):
+    preset = PRESETS.get(config["environment"])
+    values = {
+        name: config[name] if config[name] is not None else getattr(preset, name, None)
+        for name in ("alpha", "beta", "gamma")
+    }
+    if None in values.values():
         raise ParameterError("provide --env or all of --alpha/--beta/--gamma")
-    return BuiltUpParams(alpha=config["alpha"], beta=config["beta"], gamma=config["gamma"])
+    return BuiltUpParams(**values)
 
 
-def _gen_config(config: dict, seed: int) -> GenConfig:
-    g = config["gen"]
-    return GenConfig(
-        area=float(g["area"]),
-        n_trees=int(g["n_trees"]),
-        n_lights=int(g["n_lights"]),
-        n_gu=int(g["n_gu"]),
-        d_o=float(g["d_o"]),
-        h_gu=float(g["h_gu"]),
-        seed=seed,
-    )
+def _fields(config: dict, section: str) -> dict:
+    """A config section as its dataclass takes it: numbers as floats,
+    lists of numbers as tuples of floats."""
+    cast = {REAL: float, REALS: lambda v: tuple(map(float, v))}
+    return {
+        key: cast.get(CONFIG_SCHEMA[f"{section}.{key}"][1], lambda v: v)(value)
+        for key, value in config[section].items()
+    }
 
 
-def _sweep_config(config: dict) -> SweepConfig:
-    s = config["sweep"]
-    return SweepConfig(
-        n_cities=int(s["n_cities"]),
-        angles=tuple(float(a) for a in s["angles"]),
-        altitude_policy=s["altitude_policy"],
-        fixed_altitude_m=float(s["fixed_altitude_m"]),
-    )
+def _gen_config(config: dict) -> GenConfig:
+    return GenConfig(**_fields(config, "gen"), seed=config["seed"])
 
 
 def _run_dir(out_root: Path, config: dict) -> tuple[Path, str]:
@@ -286,8 +276,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if config["seed"] is None:
         config["seed"] = 0
     params = _built_up_params(config)
-    gen = _gen_config(config, int(config["seed"]))
-    layout = generate_city(params, gen)
+    layout = generate_city(params, _gen_config(config))
     run_dir, digest = _run_dir(args.out, config)
     save_layout(layout, run_dir / "layout.json")
     write_manifest(
@@ -314,11 +303,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if config["seed"] is None:
         raise ParameterError("simulate requires --seed (or seed in the config file)")
     params = _built_up_params(config)
-    gen = _gen_config(config, int(config["seed"]))
-    sweep = _sweep_config(config)
+    gen = _gen_config(config)
+    sweep = SweepConfig(**_fields(config, "sweep"))
     scenarios = [parse_scenario(s) for s in config["scenarios"]]
     if not scenarios:
         raise ParameterError("at least one scenario is required")
+    VegetationParams(f_ghz=config["freq_ghz"])  # fit's carrier rule, checked before the run
 
     run_dir, digest = _run_dir(args.out, config)
     results = run_scenarios(params, gen, sweep, scenarios)
@@ -509,12 +499,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     config = resolve_config(args, "oracle-check")
     if config["seed"] is None:
         config["seed"] = 0
-    params = _built_up_params(config)
-    gen = _gen_config(config, int(config["seed"]))
-    layout = generate_city(params, gen)
+    layout = generate_city(_built_up_params(config), _gen_config(config))
     geom = LayoutGeometry(layout)
-    rng = np.random.default_rng(int(config["seed"]))
-    links = random_links(layout, geom, rng, int(args.n_links))
+    rng = np.random.default_rng(config["seed"])
+    links = random_links(layout, geom, rng, args.n_links)
     mismatches, dump = [], []
     for link, (brute, mismatch) in zip(links, check_links(layout, links, step=args.step)):
         if mismatch is not None:

@@ -97,6 +97,8 @@ class SweepConfig:
             raise ParameterError(
                 f"altitude_policy must be 'per-angle' or 'fixed', got {self.altitude_policy!r}"
             )
+        if self.fixed_altitude_m <= 0.0:
+            raise ParameterError(f"fixed_altitude_m must be > 0, got {self.fixed_altitude_m}")
 
 
 class _ClassCounts:

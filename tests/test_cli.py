@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from urbanlos import oracle
-from urbanlos.cli import main
+from urbanlos.cli import CONFIG_SCHEMA, main
 from urbanlos.outputs import read_csv_dicts
 
 SIM_ARGS = [
@@ -99,23 +99,56 @@ def test_flags_do_not_leak_into_defaults(tmp_path):
     assert len(json.loads((b / "layout.json").read_text())["users"]) == 100
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "gen: {n_tres: 5}\n",
-        "sweeps: {n_cities: 2}\n",
-        "freq_ghz: .nan\n",
-        "gen: {area: .inf}\n",
-        "sweep: {angles: [1.0, .nan]}\n",
-        "- not a mapping\n",
-    ],
-)
-def test_bad_config_file_exit(tmp_path, capsys, text):
+BAD_CONFIG_FILES = [
+    ("gen: {n_tres: 5}\n", "gen.n_tres"),
+    ("sweeps: {n_cities: 2}\n", "sweeps"),
+    ("freq_ghz: .nan\n", "freq_ghz"),
+    ("gen: {area: .inf}\n", "gen.area"),
+    ("sweep: {angles: [1.0, .nan]}\n", "sweep.angles"),
+    ("- not a mapping\n", "mapping"),
+    ("gen: {h_gu: abc}\n", "gen.h_gu"),
+    ("sweep: {angles: 5}\n", "sweep.angles"),
+    ("sweep: {fixed_altitude_m: abc}\n", "sweep.fixed_altitude_m"),
+    ("sweep: {angles: [a, b]}\n", "sweep.angles"),
+    ("scenarios: full\n", "scenarios"),
+    ("scenarios: [1]\n", "scenarios"),
+    ("environment: foo\n", "environment"),
+    ("{environment: urban, alpha: '0.3'}\n", "alpha"),
+    ("gen: {h_gu: 1e400}\n", "gen.h_gu"),
+    ("freq_ghz: abc\n", "freq_ghz"),
+    ('gen: {h_gu: "3.0"}\n', "gen.h_gu"),
+    ("sweep: {angles: [true]}\n", "sweep.angles"),
+    ("gen: {area: true}\n", "gen.area"),
+]
+
+
+@pytest.mark.parametrize("text, key", BAD_CONFIG_FILES, ids=[text for text, _ in BAD_CONFIG_FILES])
+def test_bad_config_file_exit(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     code = main(["simulate", "--env", "urban", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 1
-    assert "config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config" in err
+    assert key in err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+def _nested_yaml(path: str, value: str) -> str:
+    *sections, key = path.split(".")
+    text = f"{key}: {value}"
+    for section in reversed(sections):
+        text = f"{section}: {{{text}}}"
+    return text + "\n"
+
+
+@pytest.mark.parametrize("value", ["true", ".nan", "[true]", "{a: 1}"])
+@pytest.mark.parametrize("path", list(CONFIG_SCHEMA))
+def test_schema_rejects_wrong_kind(tmp_path, capsys, path, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_nested_yaml(path, value))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert path in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
@@ -164,6 +197,13 @@ def test_non_finite_flag_exit(tmp_path, capsys):
     code = main(["simulate", "--env", "urban", "--seed", "1", "--freq-ghz", "nan", "--out", str(tmp_path)])
     assert code == 1
     assert "freq_ghz" in capsys.readouterr().err
+
+
+def test_simulate_rejects_bad_frequency(tmp_path, capsys):
+    code = main(["simulate", "--env", "urban", "--seed", "1", "--freq-ghz", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "f_ghz" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
 def test_simulate_requires_seed(tmp_path, capsys):

@@ -48,6 +48,8 @@ def test_sweep_config_validation():
         SweepConfig(angles=(95.0,))
     with pytest.raises(ParameterError):
         SweepConfig(altitude_policy="hover")
+    with pytest.raises(ParameterError):
+        SweepConfig(altitude_policy="fixed", fixed_altitude_m=-5.0)
 
 
 def test_parse_scenario_aliases():
