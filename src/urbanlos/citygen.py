@@ -252,27 +252,6 @@ def sample_heights(gamma: float, rng: Generator, n: int) -> np.ndarray:
     return gamma * np.sqrt(-2.0 * np.log1p(-rng.random(n)))
 
 
-class _RectStore:
-    """Growing set of placed rectangles with a vectorized overlap test."""
-
-    def __init__(self):
-        self._rows: list[tuple[float, float, float, float]] = []
-        self._arr = np.empty((0, 4))
-
-    def add(self, x0: float, y0: float, x1: float, y1: float) -> None:
-        self._rows.append((x0, y0, x1, y1))
-        self._arr = np.asarray(self._rows)
-
-    def overlaps(self, x0: float, y0: float, x1: float, y1: float) -> bool:
-        # Strict interior overlap; shared edges are allowed.
-        a = self._arr
-        if not a.size:
-            return False
-        return bool(
-            np.any((x0 < a[:, 2]) & (x1 > a[:, 0]) & (y0 < a[:, 3]) & (y1 > a[:, 1]))
-        )
-
-
 def _jitter_center(
     rng: Generator, block_lo: float, block_size: float, dim: float, side: float
 ) -> float:
@@ -306,7 +285,7 @@ def place_buildings(
     block = side / gdim
     blocks = rng.permutation(gdim * gdim)[:n]
 
-    rects = _RectStore()
+    rects = np.empty((n, 4))  # (x0, y0, x1, y1) of the buildings placed so far
     buildings: list[Building] = []
     for i, blk in enumerate(blocks):
         bx = float(blk % gdim) * block
@@ -326,10 +305,13 @@ def place_buildings(
                 cx = rng.uniform(w / 2.0, side - w / 2.0)
                 cy = rng.uniform(l / 2.0, side - l / 2.0)
             x0, y0 = cx - w / 2.0, cy - l / 2.0
-            if rects.overlaps(x0, y0, x0 + w, y0 + l):
+            x1, y1 = x0 + w, y0 + l
+            a = rects[:i]
+            # Strict interior overlap; shared edges are allowed.
+            if np.any((x0 < a[:, 2]) & (x1 > a[:, 0]) & (y0 < a[:, 3]) & (y1 > a[:, 1])):
                 continue
             h = sample_height(params.gamma, rng)
-            rects.add(x0, y0, x0 + w, y0 + l)
+            rects[i] = (x0, y0, x1, y1)
             buildings.append(Building(x=x0, y=y0, w=w, l=l, h=h))
             placed = True
             break
@@ -338,23 +320,6 @@ def place_buildings(
                 f"could not place building {i} after {RETRY_LIMIT} attempts"
             )
     return tuple(buildings)
-
-
-class _BuildingBounds:
-    """Building corner arrays for vectorized disc-overlap tests."""
-
-    def __init__(self, buildings: Sequence[Building]):
-        self.x0 = np.array([b.x for b in buildings])
-        self.y0 = np.array([b.y for b in buildings])
-        self.x1 = np.array([b.x1 for b in buildings])
-        self.y1 = np.array([b.y1 for b in buildings])
-
-    def disc_is_free(self, cx: float, cy: float, r: float, side: float) -> bool:
-        if cx - r < 0.0 or cy - r < 0.0 or cx + r > side or cy + r > side:
-            return False
-        dx = np.maximum(np.maximum(self.x0 - cx, 0.0), cx - self.x1)
-        dy = np.maximum(np.maximum(self.y0 - cy, 0.0), cy - self.y1)
-        return not np.any(dx * dx + dy * dy < r * r)
 
 
 def _sidewalk_point(
@@ -387,7 +352,7 @@ def _place_on_sidewalks(
     candidate from further draws of the same generator.
     """
     placed = []
-    bounds = _BuildingBounds(buildings)
+    index = FootprintIndex(buildings, (), ())
     for i in range(count):
         if not buildings:
             raise InfeasibleLayoutError(
@@ -396,7 +361,7 @@ def _place_on_sidewalks(
         for _ in range(RETRY_LIMIT):
             cx, cy = _sidewalk_point(rng, buildings, config.d_o)
             obstacle = draw(cx, cy)
-            if bounds.disc_is_free(cx, cy, obstacle.r, config.side):
+            if index.disc_is_free(cx, cy, obstacle.r, config.side):
                 placed.append(obstacle)
                 break
         else:
@@ -430,7 +395,7 @@ def place_lights(
 
 
 class FootprintIndex:
-    """Vectorized point-membership tests against all 2-D footprints."""
+    """Footprint arrays of a layout with vectorized point and disc tests."""
 
     def __init__(
         self,
@@ -464,6 +429,15 @@ class FootprintIndex:
         ):
             return True
         return False
+
+    def disc_is_free(self, cx: float, cy: float, r: float, side: float) -> bool:
+        """True if the disc lies inside the city and meets no building
+        interior; tree and light footprints are not tested."""
+        if cx - r < 0.0 or cy - r < 0.0 or cx + r > side or cy + r > side:
+            return False
+        dx = np.maximum(np.maximum(self.bx0 - cx, 0.0), cx - self.bx1)
+        dy = np.maximum(np.maximum(self.by0 - cy, 0.0), cy - self.by1)
+        return not np.any(dx * dx + dy * dy < r * r)
 
 
 def sample_open_point(

@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -220,10 +221,12 @@ def resolve_config(args: argparse.Namespace, kind: str) -> dict:
             _put(flags, path, getattr(args, flag))
     if getattr(args, "config", None):
         try:
-            doc = yaml.safe_load(Path(args.config).read_text())
+            text = Path(args.config).read_text()
+            # YAML 1.1 reads JSON's exponent form (1e-05) as a string
+            doc = json.loads(text) if args.config.suffix == ".json" else yaml.safe_load(text)
         except OSError as exc:
             raise MissingInputError(f"cannot read config file {args.config}: {exc.strerror}") from None
-        except yaml.YAMLError as exc:
+        except (json.JSONDecodeError, yaml.YAMLError) as exc:
             raise ParameterError(f"config file {args.config} does not parse: {exc}") from None
         if isinstance(doc, dict) and "config" in doc and "config_hash" in doc:
             doc = doc["config"]  # a manifest was passed
@@ -244,7 +247,7 @@ def _built_up_params(config: dict) -> BuiltUpParams:
     }
     if None in values.values():
         raise ParameterError("provide --env or all of --alpha/--beta/--gamma")
-    return BuiltUpParams(**values)
+    return BuiltUpParams(**{name: float(value) for name, value in values.items()})
 
 
 def _fields(config: dict, section: str) -> dict:
@@ -433,18 +436,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     # P_LoS against 3-D distance, one block per scenario
     rows = []
     for scenario in scenarios:
-        for r in read_csv_dicts(run_dir / f"distance_{scenario}.csv"):
-            rows.append(
-                (
-                    scenario,
-                    float(r["bin_center_m"]),
-                    float(r["p_los"]),
-                    float(r["p_nlos_b"]),
-                    float(r["p_nlos_t"]),
-                    float(r["p_nlos_s"]),
-                    int(r["n"]),
-                )
-            )
+        stats = _counts_from_csv(run_dir / f"distance_{scenario}.csv", DistanceStats)
+        p = (stats.p_los, stats.p_nlos_b, stats.p_nlos_t, stats.p_nlos_s)
+        for center, *probs, n in zip(stats.bin_centers, *p, stats.n):
+            rows.append((scenario, center, *map(float, probs), int(n)))
     write_csv(
         run_dir / "report_plos_vs_distance.csv",
         ["scenario", "bin_center_m", "p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s", "n"],
@@ -470,8 +465,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         rows = []
         for path in density_files:
             density = int(path.stem.split("_")[1])
-            for r in read_csv_dicts(path):
-                rows.append((density, float(r["theta_deg"]), float(r["p_los"]), int(r["n"])))
+            curve = _counts_from_csv(path, PLoSCurve)
+            for theta, p_los, n in zip(curve.theta_deg, curve.p_los, curve.n):
+                rows.append((density, theta, float(p_los), int(n)))
         write_csv(
             run_dir / "report_density.csv",
             ["density", "theta_deg", "p_los", "n"],
@@ -513,17 +509,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                     "abs_xy": list(link.abs_xy),
                     "gu_xy": list(link.gu_xy),
                     "h_abs": link.h_abs,
-                    "analytic_hits": [
-                        {
-                            "kind": h.kind,
-                            "index": h.index,
-                            "r_i": h.r_i,
-                            "obstacle_height": h.obstacle_height,
-                            "blockage_height": h.blockage_height,
-                            "blocks": h.blocks,
-                        }
-                        for h in geom.crossings(link)
-                    ],
+                    "analytic_hits": [asdict(h) for h in geom.crossings(link)],
                     "bruteforce_crossed": {k: sorted(v) for k, v in brute.crossed.items()},
                     "bruteforce_blocked": {k: sorted(v) for k, v in brute.blocked.items()},
                 }

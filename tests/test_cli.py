@@ -186,11 +186,38 @@ def test_missing_config_file_exit(tmp_path, capsys):
 
 
 def test_malformed_config_file_exit(tmp_path, capsys):
+    # the trailing comma is valid YAML but not JSON
+    for name, text in (("cfg.yaml", "gen: {n_gu: @5}\n"), ("cfg.json", '{"gen": {"n_gu": 5,}}\n')):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code = main(["generate", "--env", "urban", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert name in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+def test_manifest_replays_exponent_form_reals(tmp_path):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("gen: {n_gu: @5}\n")
-    code = main(["generate", "--env", "urban", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 1
-    assert "cfg.yaml" in capsys.readouterr().err
+    cfg.write_text("gen: {h_gu: 0.00001}\n")
+    args = ["generate", "--env", "urban", "--seed", "1", "--n-gu", "2"]
+    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    run = _run_dir(tmp_path / "a")
+    manifest = run / "manifest.json"
+    assert '"h_gu": 1e-05' in manifest.read_text()
+    assert main(["generate", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 0
+    rerun = _run_dir(tmp_path / "b")
+    assert rerun.name == run.name
+    assert (rerun / "layout.json").read_bytes() == (run / "layout.json").read_bytes()
+
+
+def test_integer_built_up_params_match_flags(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("beta: 500\n")
+    args = ["generate", "--env", "urban", "--seed", "1", "--n-gu", "2"]
+    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert main(args + ["--beta", "500", "--out", str(tmp_path / "flag")]) == 0
+    from_file = (_run_dir(tmp_path / "file") / "layout.json").read_bytes()
+    assert from_file == (_run_dir(tmp_path / "flag") / "layout.json").read_bytes()
 
 
 def test_non_finite_flag_exit(tmp_path, capsys):
@@ -261,22 +288,36 @@ def test_fit_missing_inputs(tmp_path, capsys):
     assert main(["fit", "--run", str(tmp_path / "nope")]) == 3
 
 
+CORRUPTIONS = {
+    "off-count": lambda v: repr(float(v) + 0.01),
+    "off-partition": lambda v: "2.0",
+    "nan": lambda v: "nan",
+    "text": lambda v: "x",
+}
+# (command, file it must reject); the fit cases keep their bare ids
+CORRUPT_INPUTS = [("fit", "distance_trees.csv", kind) for kind in CORRUPTIONS] + [
+    ("report", name, kind)
+    for name in ("distance_full.csv", "density_20.csv")
+    for kind in CORRUPTIONS
+]
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [lambda v: repr(float(v) + 0.01), lambda v: "2.0", lambda v: "nan", lambda v: "x"],
-    ids=["off-count", "off-partition", "nan", "text"],
+    "command, name, kind",
+    CORRUPT_INPUTS,
+    ids=[kind if cmd == "fit" else f"{cmd}-{name}-{kind}" for cmd, name, kind in CORRUPT_INPUTS],
 )
-def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, corrupt):
+def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, name, kind):
     run = tmp_path / "run"
     shutil.copytree(sim_run, run)
-    path = run / "distance_trees.csv"
+    path = run / name
     lines = path.read_text().splitlines(keepends=True)
     cells = lines[1].split(",")
-    cells[1] = corrupt(cells[1])  # p_los of the first bin
+    cells[1] = CORRUPTIONS[kind](cells[1])  # p_los of the first row
     lines[1] = ",".join(cells)
     path.write_text("".join(lines))
-    assert main(["fit", "--run", str(run)]) == 1
-    assert "distance_trees.csv" in capsys.readouterr().err
+    assert main([command, "--run", str(run)]) == 1
+    assert name in capsys.readouterr().err
 
 
 def test_report_outputs(sim_run):
