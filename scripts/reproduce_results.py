@@ -8,6 +8,8 @@ the report CSV bundle, and prints a summary table. Outputs land under
 """
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -17,26 +19,14 @@ from urbanlos.outputs import read_csv_dicts
 
 def run(env: str, seed: int, out: Path, n_cities: int, n_gu: int) -> Path:
     root = out / env
-    code = cli_main(
-        [
-            "simulate",
-            "--env",
-            env,
-            "--seed",
-            str(seed),
-            "--n-cities",
-            str(n_cities),
-            "--n-gu",
-            str(n_gu),
-            "--densities",
-            "0,100,200,400",
-            "--out",
-            str(root),
-        ]
-    )
+    simulate = ["simulate", "--env", env, "--seed", str(seed), "--n-cities", str(n_cities)]
+    simulate += ["--n-gu", str(n_gu), "--densities", "0,100,200,400", "--out", str(root)]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):  # simulate prints its run directory
+        code = cli_main(simulate)
     if code != 0:
         raise SystemExit(code)
-    run_dir = next(p for p in root.iterdir() if p.is_dir())
+    run_dir = Path(printed.getvalue().splitlines()[-1])
     for step in (["fit", "--run", str(run_dir)], ["report", "--run", str(run_dir)]):
         code = cli_main(step)
         if code != 0:

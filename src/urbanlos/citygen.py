@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -475,6 +475,43 @@ def place_users(
     return tuple(users)
 
 
+def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int) -> CityLayout:
+    """The obstacle half of :func:`generate_city`: buildings, trees and
+    lights, with no users yet.
+
+    Trees are drawn one after another from their own substream, so the
+    first k trees of this layout are exactly the layout's trees under
+    n_trees = k; :func:`add_users` takes such a prefix.
+    """
+    buildings = place_buildings(
+        params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS)
+    )
+    trees = place_trees(buildings, config, city_rng(config.seed, city_index, STREAM_TREES))
+    lights = place_lights(buildings, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
+    return CityLayout(
+        params=params,
+        config=config,
+        buildings=buildings,
+        trees=trees,
+        lights=lights,
+        users=(),
+    )
+
+
+def add_users(city: CityLayout, n_trees: int, city_index: int) -> CityLayout:
+    """The user half of :func:`generate_city`: city cut to its first
+    n_trees trees, as if generated with n_trees, and its users placed
+    around them."""
+    if not 0 <= n_trees <= len(city.trees):
+        raise ParameterError(f"n_trees must be in [0, {len(city.trees)}], got {n_trees}")
+    config = replace(city.config, n_trees=n_trees)
+    trees = city.trees[:n_trees]
+    users = place_users(
+        city.buildings, trees, city.lights, config, city_rng(config.seed, city_index, STREAM_USERS)
+    )
+    return replace(city, config=config, trees=trees, users=users)
+
+
 def generate_city(
     params: BuiltUpParams, config: GenConfig, city_index: int = 0
 ) -> CityLayout:
@@ -483,22 +520,7 @@ def generate_city(
     The same inputs always produce a bit-identical layout; distinct
     city_index values yield independent cities under one master seed.
     """
-    buildings = place_buildings(
-        params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS)
-    )
-    trees = place_trees(buildings, config, city_rng(config.seed, city_index, STREAM_TREES))
-    lights = place_lights(buildings, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
-    users = place_users(
-        buildings, trees, lights, config, city_rng(config.seed, city_index, STREAM_USERS)
-    )
-    return CityLayout(
-        params=params,
-        config=config,
-        buildings=buildings,
-        trees=trees,
-        lights=lights,
-        users=users,
-    )
+    return add_users(generate_obstacles(params, config, city_index), config.n_trees, city_index)
 
 
 # ---------------------------------------------------------------------------

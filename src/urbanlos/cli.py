@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .citygen import (
     BuiltUpParams,
     GenConfig,
     generate_city,
+    layout_json,
     save_layout,
 )
 from .errors import (
@@ -42,9 +44,8 @@ from .montecarlo import (
     PLoSCurve,
     SweepConfig,
     parse_scenario,
-    run_scenarios,
+    run_simulation,
     streetlight_delta,
-    tree_density_sweep,
 )
 from .oracle import check_links, random_links
 from .outputs import (
@@ -221,12 +222,12 @@ def resolve_config(args: argparse.Namespace, kind: str) -> dict:
             _put(flags, path, getattr(args, flag))
     if getattr(args, "config", None):
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8")
             # YAML 1.1 reads JSON's exponent form (1e-05) as a string
             doc = json.loads(text) if args.config.suffix == ".json" else yaml.safe_load(text)
         except OSError as exc:
             raise MissingInputError(f"cannot read config file {args.config}: {exc.strerror}") from None
-        except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as exc:
             raise ParameterError(f"config file {args.config} does not parse: {exc}") from None
         if isinstance(doc, dict) and "config" in doc and "config_hash" in doc:
             doc = doc["config"]  # a manifest was passed
@@ -314,7 +315,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     VegetationParams(f_ghz=config["freq_ghz"])  # fit's carrier rule, checked before the run
 
     run_dir, digest = _run_dir(args.out, config)
-    results = run_scenarios(params, gen, sweep, scenarios)
+    layout_digest = hashlib.sha256()  # as layouts_hash, one city at a time
+    results, curves = run_simulation(
+        params,
+        gen,
+        sweep,
+        scenarios,
+        config["densities"] or (),
+        on_layout=lambda layout: layout_digest.update(layout_json(layout).encode()),
+    )
     for scenario in scenarios:
         curve, stats = results[scenario.name]
         write_angle_csv(run_dir / f"angles_{scenario.name}.csv", curve)
@@ -328,21 +337,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             results[a.name][0],
             results[b.name][0],
         )
-    if config["densities"]:
-        curves = tree_density_sweep(params, gen, sweep, config["densities"])
-        for density, curve in curves.items():
-            write_angle_csv(run_dir / f"density_{density}.csv", curve)
+    for density, curve in curves.items():
+        write_angle_csv(run_dir / f"density_{density}.csv", curve)
 
-    layouts = (
-        generate_city(params, gen, city_index=i) for i in range(sweep.n_cities)
-    )
     write_manifest(
         run_dir / "manifest.json",
         {
             "kind": "simulate",
             "config": config,
             "config_hash": digest,
-            "layout_hash": layouts_hash(layouts),
+            "layout_hash": layout_digest.hexdigest(),
             "n_samples": sweep.n_cities * gen.n_gu * len(sweep.angles),
             "scenarios": [s.name for s in scenarios],
             "mean_abs_delta_p_los": delta,
@@ -365,13 +369,16 @@ def _counts_from_csv(path: Path, cls):
     1e-6 from a nonnegative integer, or counts not summing to n, mean the
     file does not hold counts, and raise AggregationError.
     """
-    rows = read_csv_dicts(path)
     names = ("los", "nlos_b", "nlos_t", "nlos_s")
-    table = []
-    for line, r in enumerate(rows, start=2):
+    key = "theta_deg" if cls is PLoSCurve else "bin_center_m"
+    keys, d_sums, table = [], [], []
+    for line, r in enumerate(read_csv_dicts(path), start=2):
         try:
             n = int(r["n"])
             products = [float(r[f"p_{name}"]) * n for name in names]
+            keys.append(float(r[key]))
+            if cls is DistanceStats:
+                d_sums.append(float(r["mean_d_m"]) * n)
         except (KeyError, ValueError) as exc:
             raise AggregationError(f"{path} line {line}: {exc}") from None
         counts = [round(x) if math.isfinite(x) else -1 for x in products]
@@ -386,12 +393,8 @@ def _counts_from_csv(path: Path, cls):
         table.append(counts)
     counts = {name: tuple(row[i] for row in table) for i, name in enumerate(names)}
     if cls is PLoSCurve:
-        return PLoSCurve(theta_deg=tuple(float(r["theta_deg"]) for r in rows), **counts)
-    return DistanceStats(
-        bin_centers=tuple(float(r["bin_center_m"]) for r in rows),
-        d_sum=tuple(float(r["mean_d_m"]) * int(r["n"]) for r in rows),
-        **counts,
-    )
+        return PLoSCurve(theta_deg=tuple(keys), **counts)
+    return DistanceStats(bin_centers=tuple(keys), d_sum=tuple(d_sums), **counts)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -7,7 +7,9 @@ own ground distance g, capped at a maximum altitude, with the 90 degree
 angle evaluated just below vertical. Per-link critical altitudes make the
 whole angle sweep a set of comparisons, and obstacle families can be
 toggled per scenario after the fact, so paired scenario runs share
-exactly the same cities, users, and ABS positions.
+exactly the same cities, users, and ABS positions. The tree-density
+sweep reuses each city's buildings, lights and trees from the same
+build, with its own users and ABS position.
 
 Counts are accumulated as integers and divided once at the end, so the
 reduction is independent of city evaluation order.
@@ -17,16 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .citygen import (
     STREAM_ABS,
     BuiltUpParams,
+    CityLayout,
     GenConfig,
+    add_users,
     city_rng,
-    generate_city,
+    generate_obstacles,
     sample_open_point,
 )
 from .errors import AggregationError, ParameterError
@@ -195,15 +199,14 @@ def _classify_matrix(
 
 
 def _city_worker(
-    params: BuiltUpParams,
-    gen: GenConfig,
+    layout: CityLayout,
     sweep: SweepConfig,
     variants: Sequence[_Variant],
     city_index: int,
     n_bins: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts for one city: (variants, angles, 4), (variants, bins, 4), d sums."""
-    layout = generate_city(params, gen, city_index)
+    gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
     ax, ay = sample_open_point(geom.index, layout.side, abs_rng, what="abs")
@@ -254,25 +257,44 @@ def _city_worker(
     return angle_counts, dist_counts, d_sums
 
 
-def _run_variants(
+def _run_passes(
     params: BuiltUpParams,
     gen: GenConfig,
     sweep: SweepConfig,
-    variants: Sequence[_Variant],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    side = gen.side
-    d_max = math.hypot(ALTITUDE_CAP_M, side * math.sqrt(2.0))
+    passes: Sequence[tuple[int, Sequence[_Variant]]],
+    on_layout: Callable[[CityLayout], None] | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Summed counts of each (tree count, variants) pass over one build
+    per city.
+
+    Each city's buildings, trees and lights are placed once, with the
+    largest tree count of any pass. A pass sees the first n trees of that
+    draw, which is the n-tree draw, and gets its own users and ABS
+    position. on_layout receives each city's layout of the first pass.
+    """
+    if not passes:
+        return []
+    d_max = math.hypot(ALTITUDE_CAP_M, gen.side * math.sqrt(2.0))
     n_bins = int(d_max / DISTANCE_BIN_M) + 2
-    angles = np.asarray(sweep.angles)
-    angle_counts = np.zeros((len(variants), angles.size, 4), dtype=np.int64)
-    dist_counts = np.zeros((len(variants), n_bins, 4), dtype=np.int64)
-    d_sums = np.zeros(n_bins)
+    n_angles = len(sweep.angles)
+    totals = [
+        (
+            np.zeros((len(variants), n_angles, 4), dtype=np.int64),
+            np.zeros((len(variants), n_bins, 4), dtype=np.int64),
+            np.zeros(n_bins),
+        )
+        for _, variants in passes
+    ]
+    most_trees = replace(gen, n_trees=max(n_trees for n_trees, _ in passes))
     for city_index in range(sweep.n_cities):
-        ac, dc, ds = _city_worker(params, gen, sweep, variants, city_index, n_bins)
-        angle_counts += ac
-        dist_counts += dc
-        d_sums += ds
-    return angle_counts, dist_counts, d_sums
+        city = generate_obstacles(params, most_trees, city_index)
+        for k, ((n_trees, variants), total) in enumerate(zip(passes, totals)):
+            layout = add_users(city, n_trees, city_index)
+            if k == 0 and on_layout is not None:
+                on_layout(layout)
+            for acc, c in zip(total, _city_worker(layout, sweep, variants, city_index, n_bins)):
+                acc += c
+    return totals
 
 
 def _to_curve(sweep: SweepConfig, counts: np.ndarray) -> PLoSCurve:
@@ -298,29 +320,64 @@ def _to_distance_stats(dist_counts: np.ndarray, d_sums: np.ndarray) -> DistanceS
     )
 
 
+def run_simulation(
+    params: BuiltUpParams,
+    gen: GenConfig,
+    sweep: SweepConfig,
+    scenarios: Sequence[Scenario],
+    densities: Sequence[int] = (),
+    on_layout: Callable[[CityLayout], None] | None = None,
+) -> tuple[dict[str, tuple[PLoSCurve, DistanceStats]], dict[int, PLoSCurve]]:
+    """Scenario results and tree-density curves over one build per city.
+
+    The scenario pass generates each city as ``generate_city(params, gen,
+    i)`` does and hands that layout to on_layout. All scenarios see
+    identical layouts, users, and ABS positions; only the obstacle toggles
+    differ, which makes the outputs exactly paired.
+
+    The density pass (lights excluded) sees the city with max(densities)
+    trees; lower densities use a prefix of the same tree population, so
+    its curves are paired and p_los is pointwise non-increasing in
+    density. Both passes share the buildings, lights and trees of each
+    city; users and the ABS position are drawn per pass.
+    """
+    if list(densities) != sorted(densities):
+        raise ParameterError("densities must be sorted ascending")
+    if any(d < 0 for d in densities):
+        raise ParameterError("densities must be >= 0")
+    passes = []
+    if scenarios:
+        variants = [_Variant(tree_limit=None if s.trees else 0, lights=s.lights) for s in scenarios]
+        passes.append((gen.n_trees, variants))
+    if densities:
+        variants = [_Variant(tree_limit=int(k), lights=False) for k in densities]
+        passes.append((int(max(densities)), variants))
+    totals = _run_passes(params, gen, sweep, passes, on_layout)
+    results = {}
+    if scenarios:
+        angle_counts, dist_counts, d_sums = totals[0]
+        results = {
+            s.name: (
+                _to_curve(sweep, angle_counts[i]),
+                _to_distance_stats(dist_counts[i], d_sums),
+            )
+            for i, s in enumerate(scenarios)
+        }
+    curves = {}
+    if densities:
+        angle_counts = totals[-1][0]
+        curves = {int(k): _to_curve(sweep, angle_counts[i]) for i, k in enumerate(densities)}
+    return results, curves
+
+
 def run_scenarios(
     params: BuiltUpParams,
     gen: GenConfig,
     sweep: SweepConfig,
     scenarios: Sequence[Scenario],
 ) -> dict[str, tuple[PLoSCurve, DistanceStats]]:
-    """Evaluate several scenarios over one shared set of cities.
-
-    All scenarios see identical layouts, users, and ABS positions; only
-    the obstacle toggles differ, which makes the outputs exactly paired.
-    """
-    variants = [
-        _Variant(tree_limit=None if s.trees else 0, lights=s.lights)
-        for s in scenarios
-    ]
-    angle_counts, dist_counts, d_sums = _run_variants(params, gen, sweep, variants)
-    return {
-        s.name: (
-            _to_curve(sweep, angle_counts[i]),
-            _to_distance_stats(dist_counts[i], d_sums),
-        )
-        for i, s in enumerate(scenarios)
-    }
+    """The scenario pass of :func:`run_simulation` on its own."""
+    return run_simulation(params, gen, sweep, scenarios)[0]
 
 
 def tree_density_sweep(
@@ -329,22 +386,11 @@ def tree_density_sweep(
     sweep: SweepConfig,
     densities: Sequence[int],
 ) -> dict[int, PLoSCurve]:
-    """One curve per tree count, lights excluded, over shared layouts.
-
-    The layout is generated once with the largest density; lower densities
-    use a prefix of the same tree population, so the curves are paired and
-    p_los is pointwise non-increasing in density.
-    """
-    if list(densities) != sorted(densities):
-        raise ParameterError("densities must be sorted ascending")
-    if any(d < 0 for d in densities):
-        raise ParameterError("densities must be >= 0")
+    """The density pass of :func:`run_simulation` on its own: one curve
+    per tree count, lights excluded, over shared layouts."""
     if not densities:
         raise ParameterError("densities must be non-empty")
-    gen_max = replace(gen, n_trees=int(max(densities)))
-    variants = [_Variant(tree_limit=int(k), lights=False) for k in densities]
-    angle_counts, _, _ = _run_variants(params, gen_max, sweep, variants)
-    return {int(k): _to_curve(sweep, angle_counts[i]) for i, k in enumerate(densities)}
+    return run_simulation(params, gen, sweep, (), densities)[1]
 
 
 def streetlight_delta(curve_a: PLoSCurve, curve_b: PLoSCurve) -> float:

@@ -14,8 +14,10 @@ from urbanlos.citygen import (
     PRESETS,
     BuiltUpParams,
     GenConfig,
+    add_users,
     derive_building_dims,
     generate_city,
+    generate_obstacles,
     layout_from_dict,
     layout_json,
     layout_to_dict,
@@ -232,6 +234,16 @@ def test_tree_count_does_not_perturb_other_streams():
     assert a.lights == b.lights
     # trees are drawn sequentially, so the smaller population is a prefix
     assert a.trees == b.trees[:100]
+
+
+@pytest.mark.parametrize("n_trees", [0, 60, 150])
+def test_users_on_a_tree_prefix_match_generate_city(n_trees):
+    city = generate_obstacles(URBAN, GenConfig(seed=4, n_trees=150, n_gu=40), 2)
+    layout = add_users(city, n_trees, 2)
+    expected = generate_city(URBAN, GenConfig(seed=4, n_trees=n_trees, n_gu=40), 2)
+    assert layout_json(layout) == layout_json(expected)
+    with pytest.raises(ParameterError):
+        add_users(city, 151, 2)
 
 
 # -- JSON round trip ----------------------------------------------------------

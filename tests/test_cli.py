@@ -5,13 +5,16 @@ import json
 import math
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from urbanlos import oracle
+from urbanlos import citygen, oracle
+from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
-from urbanlos.outputs import read_csv_dicts
+from urbanlos.montecarlo import SweepConfig, tree_density_sweep
+from urbanlos.outputs import layouts_hash, read_csv_dicts, read_manifest, write_angle_csv
 
 SIM_ARGS = [
     "simulate",
@@ -187,9 +190,13 @@ def test_missing_config_file_exit(tmp_path, capsys):
 
 def test_malformed_config_file_exit(tmp_path, capsys):
     # the trailing comma is valid YAML but not JSON
-    for name, text in (("cfg.yaml", "gen: {n_gu: @5}\n"), ("cfg.json", '{"gen": {"n_gu": 5,}}\n')):
+    for name, text in (
+        ("cfg.yaml", b"gen: {n_gu: @5}\n"),
+        ("cfg.json", b'{"gen": {"n_gu": 5,}}\n'),
+        ("utf16.yaml", b"\xff\xfeg\x00e\x00n\x00"),  # not UTF-8
+    ):
         cfg = tmp_path / name
-        cfg.write_text(text)
+        cfg.write_bytes(text)
         code = main(["generate", "--env", "urban", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         assert name in capsys.readouterr().err
@@ -294,30 +301,96 @@ CORRUPTIONS = {
     "nan": lambda v: "nan",
     "text": lambda v: "x",
 }
-# (command, file it must reject); the fit cases keep their bare ids
-CORRUPT_INPUTS = [("fit", "distance_trees.csv", kind) for kind in CORRUPTIONS] + [
-    ("report", name, kind)
+# (command, file it must reject, corrupted column); the fit cases keep their bare ids
+CORRUPT_INPUTS = [("fit", "distance_trees.csv", "p_los", kind) for kind in CORRUPTIONS] + [
+    ("report", name, "p_los", kind)
     for name in ("distance_full.csv", "density_20.csv")
     for kind in CORRUPTIONS
+] + [
+    ("fit", "distance_trees.csv", "bin_center_m", "text"),
+    ("fit", "distance_trees.csv", "mean_d_m", "text"),
+    ("report", "angles_trees.csv", "theta_deg", "text"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, name, kind",
+    "command, name, column, kind",
     CORRUPT_INPUTS,
-    ids=[kind if cmd == "fit" else f"{cmd}-{name}-{kind}" for cmd, name, kind in CORRUPT_INPUTS],
+    ids=[
+        f"{cmd}-{name}-{column}" if column != "p_los" else kind if cmd == "fit" else f"{cmd}-{name}-{kind}"
+        for cmd, name, column, kind in CORRUPT_INPUTS
+    ],
 )
-def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, name, kind):
+def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, name, column, kind):
     run = tmp_path / "run"
     shutil.copytree(sim_run, run)
     path = run / name
-    lines = path.read_text().splitlines(keepends=True)
+    lines = path.read_text().splitlines()
+    at = lines[0].split(",").index(column)
     cells = lines[1].split(",")
-    cells[1] = CORRUPTIONS[kind](cells[1])  # p_los of the first row
+    cells[at] = CORRUPTIONS[kind](cells[at])  # the column's cell in the first row
     lines[1] = ",".join(cells)
-    path.write_text("".join(lines))
+    path.write_text("\n".join(lines) + "\n")
     assert main([command, "--run", str(run)]) == 1
     assert name in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, owner, names) -> Counter:
+    """Count calls of each named function of owner, in every module binding it."""
+    calls = Counter()
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("urbanlos") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("densities, users_per_city", [(None, 1), ("0,100,200,400", 2)])
+def test_simulate_builds_each_city_once(tmp_path, monkeypatch, densities, users_per_city):
+    calls = _count_calls(monkeypatch, citygen, ["place_buildings", "place_trees", "place_lights", "place_users"])
+    extra = ["--densities", densities] if densities else []
+    assert main(SIM_ARGS + extra + ["--out", str(tmp_path)]) == 0
+    n_cities = 2
+    assert calls == {
+        "place_buildings": n_cities,
+        "place_trees": n_cities,
+        "place_lights": n_cities,
+        "place_users": users_per_city * n_cities,
+    }
+
+
+@pytest.fixture(scope="module")
+def plain_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("plain")
+    assert main(SIM_ARGS + ["--out", str(root)]) == 0
+    return _run_dir(root)
+
+
+# the largest density below, equal to and above SIM_ARGS' 30 trees
+@pytest.mark.parametrize(
+    "densities", [[], [0, 10], [0, 10, 30], [0, 60]], ids=["absent", "below", "equal", "above"]
+)
+def test_shared_build_matches_separate_builds(plain_run, tmp_path, densities):
+    extra = ["--densities", ",".join(map(str, densities))] if densities else []
+    assert main(SIM_ARGS + extra + ["--out", str(tmp_path / "runs")]) == 0
+    run = _run_dir(tmp_path / "runs")
+    gen = GenConfig(n_trees=30, n_lights=40, n_gu=10, seed=5)  # as SIM_ARGS
+    sweep = SweepConfig(n_cities=2)
+    expected = layouts_hash(generate_city(PRESETS["urban"], gen, i) for i in range(sweep.n_cities))
+    assert read_manifest(run / "manifest.json")["layout_hash"] == expected
+    for path in plain_run.glob("*.csv"):
+        assert (run / path.name).read_bytes() == path.read_bytes(), path.name
+    curves = tree_density_sweep(PRESETS["urban"], gen, sweep, densities) if densities else {}
+    assert sorted(p.name for p in run.glob("density_*.csv")) == sorted(f"density_{k}.csv" for k in curves)
+    for k, curve in curves.items():
+        write_angle_csv(tmp_path / "direct.csv", curve)
+        assert (run / f"density_{k}.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_report_outputs(sim_run):
@@ -418,16 +491,7 @@ def test_oracle_check(tmp_path, capsys):
 
 
 def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
-    original = oracle.classify_link_bruteforce
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("urbanlos") and getattr(module, "classify_link_bruteforce", None) is original:
-            monkeypatch.setattr(module, "classify_link_bruteforce", counted)
+    calls = _count_calls(monkeypatch, oracle, ["classify_link_bruteforce"])
     args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
     assert main(args + ["--dump-hits", str(tmp_path / "hits.json"), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 50
+    assert calls["classify_link_bruteforce"] == 50

@@ -153,11 +153,12 @@ def test_fixed_altitude_policy(small_gen):
 
 
 def test_city_order_independent(small_gen):
+    from urbanlos.citygen import generate_city
     from urbanlos.montecarlo import _city_worker, _Variant
 
     variants = [_Variant(tree_limit=None, lights=True)]
     per_city = [
-        _city_worker(URBAN, small_gen, SMALL_SWEEP, variants, idx, n_bins=2832)
+        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, variants, idx, n_bins=2832)
         for idx in range(SMALL_SWEEP.n_cities)
     ]
     forward = sum(ac.sum() for ac, _, _ in per_city)

@@ -1,0 +1,21 @@
+"""scripts/reproduce_results.py: each run it reports is the one it made."""
+
+import importlib.util
+from pathlib import Path
+
+from urbanlos.outputs import read_manifest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+
+
+def test_reproduce_run_returns_its_own_run(tmp_path):
+    spec = importlib.util.spec_from_file_location("reproduce_results", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # Every run lands in one output root. Whichever of the first two run
+    # directories the file system lists first, taking the first one listed
+    # returns the wrong run for seed 2 or for the repeated seed 1.
+    for seed in (1, 2, 1):
+        run_dir = script.run("urban", seed, tmp_path, n_cities=1, n_gu=5)
+        assert read_manifest(run_dir / "manifest.json")["config"]["seed"] == seed
+        assert (run_dir / "fits.csv").exists()
