@@ -96,6 +96,20 @@ def comma_separated_integers(text: str) -> list[int] | None:
     return [int(v) for v in text.split(",")] if text else None
 
 
+def positive_integer(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def positive_real(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="urbanlos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare the classifier against rasterization")
     _add_param_flags(p)
-    p.add_argument("--n-links", type=int, dest="n_links", default=1000)
-    p.add_argument("--step", type=float, default=0.01, help="rasterization step in m")
+    p.add_argument("--n-links", type=positive_integer, dest="n_links", default=1000)
+    p.add_argument("--step", type=positive_real, default=0.01, help="rasterization step in m")
     p.add_argument("--dump-hits", type=Path, dest="dump_hits", help="write per-link hit lists as JSON")
     return parser
 
@@ -261,8 +275,11 @@ def _fields(config: dict, section: str) -> dict:
     }
 
 
-def _gen_config(config: dict) -> GenConfig:
-    return GenConfig(**_fields(config, "gen"), seed=config["seed"])
+def _gen_config(config: dict, need_users: bool = False) -> GenConfig:
+    gen = GenConfig(**_fields(config, "gen"), seed=config["seed"])
+    if need_users and gen.n_gu < 1:  # a command that draws links to users
+        raise ParameterError(f"{config['kind']} needs gen.n_gu >= 1, got {gen.n_gu}")
+    return gen
 
 
 def _run_dir(out_root: Path, config: dict) -> tuple[Path, str]:
@@ -307,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if config["seed"] is None:
         raise ParameterError("simulate requires --seed (or seed in the config file)")
     params = _built_up_params(config)
-    gen = _gen_config(config)
+    gen = _gen_config(config, need_users=True)
     sweep = SweepConfig(**_fields(config, "sweep"))
     scenarios = [parse_scenario(s) for s in config["scenarios"]]
     if not scenarios:
@@ -379,7 +396,7 @@ def _counts_from_csv(path: Path, cls):
             keys.append(float(r[key]))
             if cls is DistanceStats:
                 d_sums.append(float(r["mean_d_m"]) * n)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None cells
             raise AggregationError(f"{path} line {line}: {exc}") from None
         counts = [round(x) if math.isfinite(x) else -1 for x in products]
         if (
@@ -433,8 +450,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     params = VegetationParams(f_ghz=float(config.get("freq_ghz", 28.0)))
     h_gu = float(config["gen"]["h_gu"])
     scenarios = manifest["scenarios"]
+    densities = sorted(set(config["densities"] or ()))  # one file per distinct count
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     _require(run_dir, [f"angles_{s}.csv" for s in scenarios])
+    _require(run_dir, [f"density_{k}.csv" for k in densities])
 
     # P_LoS against 3-D distance, one block per scenario
     rows = []
@@ -460,15 +479,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         zip(curve.theta_deg, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n)),
     )
 
-    # density sweep, when the simulate run produced one
-    density_files = sorted(
-        run_dir.glob("density_*.csv"), key=lambda p: int(p.stem.split("_")[1])
-    )
-    if density_files:
+    # density sweep, when the simulate run made one
+    if densities:
         rows = []
-        for path in density_files:
-            density = int(path.stem.split("_")[1])
-            curve = _counts_from_csv(path, PLoSCurve)
+        for density in densities:
+            curve = _counts_from_csv(run_dir / f"density_{density}.csv", PLoSCurve)
             for theta, p_los, n in zip(curve.theta_deg, curve.p_los, curve.n):
                 rows.append((density, theta, float(p_los), int(n)))
         write_csv(
@@ -498,12 +513,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     config = resolve_config(args, "oracle-check")
     if config["seed"] is None:
         config["seed"] = 0
-    layout = generate_city(_built_up_params(config), _gen_config(config))
+    layout = generate_city(_built_up_params(config), _gen_config(config, need_users=True))
     geom = LayoutGeometry(layout)
     rng = np.random.default_rng(config["seed"])
     links = random_links(layout, geom, rng, args.n_links)
     mismatches, dump = [], []
-    for link, (brute, mismatch) in zip(links, check_links(layout, links, step=args.step)):
+    for link, (hits, brute, mismatch) in zip(links, check_links(layout, links, step=args.step)):
         if mismatch is not None:
             mismatches.append(mismatch)
         if args.dump_hits:
@@ -512,7 +527,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                     "abs_xy": list(link.abs_xy),
                     "gu_xy": list(link.gu_xy),
                     "h_abs": link.h_abs,
-                    "analytic_hits": [asdict(h) for h in geom.crossings(link)],
+                    "analytic_hits": [asdict(h) for h in hits],
                     "bruteforce_crossed": {k: sorted(v) for k, v in brute.crossed.items()},
                     "bruteforce_blocked": {k: sorted(v) for k, v in brute.blocked.items()},
                 }

@@ -16,8 +16,17 @@ elevation-angle sweep reuse one set of per-link critical altitudes.
 
 Buildings and streetlights have constant height over the crossing, so
 the critical altitude sits at a chord endpoint. Tree foliage is a cone;
-its critical point is either a chord endpoint, a trunk-cap boundary, or
-an interior stationary point with a closed-form quadratic solution.
+its critical point is either a chord endpoint, a trunk-cap boundary, an
+interior stationary point with a closed-form quadratic solution, or the
+point nearest the tree axis.
+
+One array pass, LayoutGeometry._critical_points, derives every critical
+point for L links sharing an ABS position: chords come only from
+_rect_chords and _disc_chords, one _required_altitude rule serves all
+three families, and _tree_critical evaluates the tree candidate set for
+all crossed (link, tree) pairs at once. The batch and single-link views
+read that pass; classify is the family precedence over the blocking
+flags of crossings, so one link costs one pass.
 """
 
 from __future__ import annotations
@@ -107,100 +116,82 @@ def tree_height_at(tree: Tree, rho: float) -> float:
     return 0.0
 
 
-def _required_altitude(obstacle_h: float, h_gu: float, u: float) -> float:
-    """ABS altitude at which the line grazes height obstacle_h at fraction u."""
-    if u >= _U_ONE:
-        return math.inf if obstacle_h > h_gu else -math.inf
-    return (obstacle_h - h_gu * u) / (1.0 - u)
+def _required_altitude(h, h_gu: float, u):
+    """ABS altitude at which the line grazes height h at fraction u; arrays.
 
-
-def _tree_critical(
-    ax: float,
-    ay: float,
-    dx: float,
-    dy: float,
-    g2: float,
-    tree_x: float,
-    tree_y: float,
-    r_t: float,
-    h_t: float,
-    h_gu: float,
-) -> tuple[float, float, float] | None:
-    """Critical altitude for one tree crossing, or None if not crossed.
-
-    Returns (critical_altitude, u_at_critical, profile_height_at_critical).
-    The maximum of the required altitude over the crossed region is
-    attained at an interval endpoint, at a trunk-cap boundary, or at a
-    stationary point of the cone term; all are enumerated exactly.
+    At the user end (u >= _U_ONE) the line sits at h_gu whatever the ABS
+    altitude, so the crossing blocks at every altitude or at none.
     """
-    ex, ey = ax - tree_x, ay - tree_y
-    b = 2.0 * (ex * dx + ey * dy)
-    c = ex * ex + ey * ey - r_t * r_t
-    disc = b * b - 4.0 * g2 * c
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    lo = max((-b - sq) / (2.0 * g2), 0.0)
-    hi = min((-b + sq) / (2.0 * g2), 1.0)
-    if lo > hi:
-        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alt = (h - h_gu * u) / (1.0 - u)
+    return np.where(u >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), alt)
 
+
+def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
+    """Critical points of P crossed (link, tree) pairs at once.
+
+    Arguments but h_gu are (P, 1) columns: the ABS offset from the tree axis,
+    the link direction and squared length, tree radius and height, and the
+    chord [lo, hi]. The required altitude peaks at one of these candidates,
+    in order: the trunk-cap ends, then per cone interval beside the cap (one
+    without a cap, two with one) its ends, and the stationary roots and the
+    axis kink strictly inside it. Returns (u_crit, profile, alt) of the first
+    maximum, each (P,).
+    """
+    b = 2.0 * (ex * dx + ey * dy)
     u0 = -b / (2.0 * g2)  # closest approach to the tree axis
-    d2 = max(ex * ex + ey * ey - g2 * u0 * u0, 0.0)  # squared axis distance
+    d2 = np.maximum(ex * ex + ey * ey - g2 * u0 * u0, 0.0)  # squared axis distance
     r_trunk = 0.1 * r_t
     kappa = 0.8 * h_t / r_t
 
-    def cone_height(u: float) -> float:
-        rho = math.sqrt(max(g2 * (u - u0) ** 2 + d2, 0.0))
-        if rho <= r_trunk:
-            return h_t
-        return h_t * (1.0 - 0.8 * min(rho, r_t) / r_t)
+    # Trunk cap: constant full height over its chord, so its ends suffice.
+    cap = d2 <= r_trunk * r_trunk
+    half = np.sqrt(np.where(cap, (r_trunk * r_trunk - d2) / g2, 0.0))
+    t1, t2 = np.maximum(u0 - half, lo), np.minimum(u0 + half, hi)
+    cap &= t1 <= t2
 
-    candidates: list[tuple[float, float]] = []
-
-    # Trunk cap: constant full height over its chord, so endpoints suffice.
-    cap = None
-    if d2 <= r_trunk * r_trunk:
-        half = math.sqrt((r_trunk * r_trunk - d2) / g2)
-        t1, t2 = max(u0 - half, lo), min(u0 + half, hi)
-        if t1 <= t2:
-            cap = (t1, t2)
-            candidates.append((t1, h_t))
-            candidates.append((t2, h_t))
-
-    intervals = [(lo, hi)] if cap is None else [(lo, cap[0]), (cap[1], hi)]
+    # Stationary points u0 + w of the cone term: roots of qa w^2 + qb w + qc.
     c0 = (h_t - h_gu) / kappa
     m = g2 * (1.0 - u0)
     qa = m * m - c0 * c0 * g2
     qb = 2.0 * m * d2
     qc = d2 * d2 - c0 * c0 * d2
-    roots: list[float] = []
-    if abs(qa) > 0.0:
+    quadratic = np.abs(qa) > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
         qd = qb * qb - 4.0 * qa * qc
-        if qd >= 0.0:
-            sqd = math.sqrt(qd)
-            roots = [(-qb - sqd) / (2.0 * qa), (-qb + sqd) / (2.0 * qa)]
-    elif abs(qb) > 0.0:
-        roots = [-qc / qb]
+        sqd = np.sqrt(qd)
+        w1 = np.where(quadratic, (-qb - sqd) / (2.0 * qa), -qc / qb)
+        w2 = (-qb + sqd) / (2.0 * qa)
+        # -qb +- sqd cancels in one root where 4 qa qc is tiny against qb^2
+        # (qa zero up to rounding, say); take that root as 2 qc / (-qb -+ sqd)
+        cancels = qb * qb > 1e8 * np.abs(4.0 * qa * qc)
+        w1 = np.where(quadratic & cancels & (qb < 0.0), 2.0 * qc / (-qb + sqd), w1)
+        w2 = np.where(cancels & (qb > 0.0), 2.0 * qc / (-qb - sqd), w2)
+    # candidates counted only strictly inside an interval: the roots, then
+    # the kink of rho(u) where the chord passes the axis
+    inner = np.concatenate([u0 + w1, u0 + w2, u0], axis=1)
+    every = np.ones_like(cap)
+    found = np.concatenate(
+        [np.where(quadratic, qd >= 0.0, np.abs(qb) > 0.0), quadratic & (qd >= 0.0), every], axis=1
+    )
 
-    for ia, ib in intervals:
-        if ia > ib:
-            continue
-        candidates.append((ia, cone_height(ia)))
-        candidates.append((ib, cone_height(ib)))
-        for w in roots:
-            u = u0 + w
-            if ia < u < ib:
-                candidates.append((u, cone_height(u)))
-        if ia < u0 < ib:  # kink of rho(u) when the chord passes the axis
-            candidates.append((u0, cone_height(u0)))
+    # the cap ends, then each interval with its ends and inner candidates:
+    # (lo, hi) without a cap, (lo, t1) and (t2, hi) with one; lo <= t1 and
+    # t2 <= hi by construction, so every listed interval is nonempty
+    end = np.where(cap, t1, hi)
+    u = np.concatenate([t1, t2, lo, end, inner, t2, hi, inner], axis=1)
+    inside_first = found & (lo < inner) & (inner < end)
+    inside_second = found & cap & (t2 < inner) & (inner < hi)
+    valid = np.concatenate([cap, cap, every, every, inside_first, cap, cap, inside_second], axis=1)
 
-    best = None
-    for u, prof in candidates:
-        alt = _required_altitude(prof, h_gu, u)
-        if best is None or alt > best[0]:
-            best = (alt, u, prof)
-    return best
+    rho = np.sqrt(np.maximum(g2 * (u - u0) ** 2 + d2, 0.0))
+    prof = np.where(rho <= r_trunk, h_t, h_t * (1.0 - 0.8 * np.minimum(rho, r_t) / r_t))
+    prof[:, :2] = h_t  # the cap ends
+    alt = _required_altitude(prof, h_gu, u)
+    # the first valid maximum; a valid -inf still beats an empty slot
+    best = np.max(np.where(valid, alt, -np.inf), axis=1, keepdims=True)
+    pick = np.arange(len(u)), np.argmax(valid & (alt == best), axis=1)
+    return u[pick], prof[pick], alt[pick]
 
 
 class LayoutGeometry:
@@ -289,10 +280,7 @@ class LayoutGeometry:
             # the required altitude rises along the chord when h >= h_gu and
             # falls otherwise, so the stricter end is the exit or the entry
             u = np.where(h >= h_gu, u_out, u_in)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alt = (h - h_gu * u) / (1.0 - u)
-            alt = np.where(u >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), alt)
-            return crossed, u, alt
+            return crossed, u, _required_altitude(h, h_gu, u)
 
         buildings = constant_height(self.bh[None, :], *self._rect_chords(ax, ay, dx, dy))
         lights = constant_height(
@@ -300,28 +288,13 @@ class LayoutGeometry:
             *self._disc_chords(ax, ay, dx, dy, g2, idx.lx, idx.ly, idx.lr),
         )
 
-        crossed, _, _ = self._disc_chords(ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr)
-        found = []
-        for row, col in zip(*(a.tolist() for a in np.nonzero(crossed))):
-            res = _tree_critical(
-                ax,
-                ay,
-                float(dx[row, 0]),
-                float(dy[row, 0]),
-                float(g2[row, 0]),
-                float(idx.tx[col]),
-                float(idx.ty[col]),
-                float(idx.tr[col]),
-                float(self.th[col]),
-                h_gu,
-            )
-            if res is not None:
-                alt, u, prof = res
-                found.append((row, col, u, prof, alt))
-        columns = list(zip(*found)) if found else [()] * 5
-        trees = tuple(
-            np.array(values, dtype=dtype)
-            for values, dtype in zip(columns, (np.int64, np.int64, float, float, float))
+        crossed, lo, hi = self._disc_chords(ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr)
+        row, col = np.nonzero(crossed)
+        if not row.size:  # most single links cross no tree
+            return buildings, (row, col) + (np.zeros(0),) * 3, lights
+        trees = (row, col) + _tree_critical(
+            ax - idx.tx[col, None], ay - idx.ty[col, None], dx[row], dy[row], g2[row],
+            idx.tr[col, None], self.th[col, None], lo[row, col, None], hi[row, col, None], h_gu,
         )
         return buildings, trees, lights
 
@@ -389,12 +362,20 @@ class LayoutGeometry:
 
     def classify(self, link: Link) -> LinkClass:
         """Building > tree > streetlight precedence over blocking obstacles."""
-        alt_b, alt_t, alt_s = self.critical_altitudes(link)
-        if link.h_abs <= alt_b:
-            return LinkClass.NLOS_BUILDING
-        if link.h_abs <= alt_t:
-            return LinkClass.NLOS_TREE
-        if link.h_abs <= alt_s:
-            return LinkClass.NLOS_LIGHT
-        return LinkClass.LOS
+        return classify_hits(self.crossings(link))
 
+
+def classify_hits(hits: list[ObstructionHit]) -> LinkClass:
+    """Link class of one link's crossings: the first blocking family in
+    building > tree > streetlight order, else LoS. A family blocks at h_abs
+    iff h_abs is at most its largest critical altitude, that is iff one of
+    its hits blocks."""
+    blocking = {hit.kind for hit in hits if hit.blocks}
+    for kind, link_class in (
+        ("building", LinkClass.NLOS_BUILDING),
+        ("tree", LinkClass.NLOS_TREE),
+        ("streetlight", LinkClass.NLOS_LIGHT),
+    ):
+        if kind in blocking:
+            return link_class
+    return LinkClass.LOS

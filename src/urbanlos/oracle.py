@@ -18,7 +18,7 @@ from numpy.random import Generator
 
 from .citygen import CityLayout
 from .errors import DegenerateLinkError
-from .geometry import LayoutGeometry, Link, LinkClass
+from .geometry import LayoutGeometry, Link, LinkClass, ObstructionHit, classify_hits
 
 DEFAULT_STEP_M = 0.01
 
@@ -161,12 +161,13 @@ def check_links(
     layout: CityLayout,
     links: list[Link],
     step: float = DEFAULT_STEP_M,
-) -> Iterator[tuple[BruteForceResult, dict | None]]:
-    """Run both classifiers on each link; yield the oracle's result with a
-    mismatch record, or None where the two agree."""
+) -> Iterator[tuple[list[ObstructionHit], BruteForceResult, dict | None]]:
+    """Run both classifiers on each link; yield the analytic crossings, the
+    oracle's result and a mismatch record, or None where the two agree."""
     geom = LayoutGeometry(layout)
     for i, link in enumerate(links):
-        fast = geom.classify(link)
+        hits = geom.crossings(link)
+        fast = classify_hits(hits)
         slow = classify_link_bruteforce(link, layout, step=step)
         mismatch = None
         if fast is not slow.link_class:
@@ -178,7 +179,7 @@ def check_links(
                 "gu_xy": list(link.gu_xy),
                 "h_abs": link.h_abs,
             }
-        yield slow, mismatch
+        yield hits, slow, mismatch
 
 
 def compare_on_links(
@@ -187,4 +188,4 @@ def compare_on_links(
     step: float = DEFAULT_STEP_M,
 ) -> list[dict]:
     """One mismatch record per link the two classifiers disagree on."""
-    return [m for _, m in check_links(layout, links, step) if m is not None]
+    return [m for *_, m in check_links(layout, links, step) if m is not None]

@@ -13,6 +13,7 @@ import pytest
 from urbanlos import citygen, oracle
 from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
+from urbanlos.geometry import LayoutGeometry
 from urbanlos.montecarlo import SweepConfig, tree_density_sweep
 from urbanlos.outputs import layouts_hash, read_csv_dicts, read_manifest, write_angle_csv
 
@@ -300,6 +301,7 @@ CORRUPTIONS = {
     "off-partition": lambda v: "2.0",
     "nan": lambda v: "nan",
     "text": lambda v: "x",
+    "short": None,  # the row cut to its first three cells
 }
 # (command, file it must reject, corrupted column); the fit cases keep their bare ids
 CORRUPT_INPUTS = [("fit", "distance_trees.csv", "p_los", kind) for kind in CORRUPTIONS] + [
@@ -328,7 +330,10 @@ def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, nam
     lines = path.read_text().splitlines()
     at = lines[0].split(",").index(column)
     cells = lines[1].split(",")
-    cells[at] = CORRUPTIONS[kind](cells[at])  # the column's cell in the first row
+    if CORRUPTIONS[kind] is None:
+        del cells[3:]
+    else:
+        cells[at] = CORRUPTIONS[kind](cells[at])  # the column's cell in the first row
     lines[1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     assert main([command, "--run", str(run)]) == 1
@@ -336,7 +341,8 @@ def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, nam
 
 
 def _count_calls(monkeypatch, owner, names) -> Counter:
-    """Count calls of each named function of owner, in every module binding it."""
+    """Count calls of each named function of owner: on owner itself when it
+    is a class, else in every module binding it."""
     calls = Counter()
     for name in names:
         original = getattr(owner, name)
@@ -345,6 +351,8 @@ def _count_calls(monkeypatch, owner, names) -> Counter:
             calls[_name] += 1
             return _original(*args, **kwargs)
 
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("urbanlos") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
@@ -424,6 +432,23 @@ def test_report_uses_run_ground_user_height(tmp_path):
         assert float(row["d_m"]) == pytest.approx(expected, rel=1e-12)
 
 
+def test_report_ignores_stray_density_file(sim_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(sim_run, run)
+    (run / "density_old.csv").write_bytes((run / "density_20.csv").read_bytes())
+    assert main(["report", "--run", str(run)]) == 0
+    for path in sim_run.glob("report_*.csv"):
+        assert (run / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_report_requires_every_density_file(sim_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(sim_run, run)
+    (run / "density_20.csv").unlink()
+    assert main(["report", "--run", str(run)]) == 3
+    assert "density_20.csv" in capsys.readouterr().err
+
+
 def test_report_missing_prerequisites(tmp_path, capsys):
     root = tmp_path / "r"
     assert main(SIM_ARGS + ["--out", str(root)]) == 0
@@ -492,6 +517,36 @@ def test_oracle_check(tmp_path, capsys):
 
 def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, oracle, ["classify_link_bruteforce"])
+    kernel = _count_calls(monkeypatch, LayoutGeometry, ["_critical_points"])
     args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
     assert main(args + ["--dump-hits", str(tmp_path / "hits.json"), "--out", str(tmp_path)]) == 0
     assert calls["classify_link_bruteforce"] == 50
+    assert kernel["_critical_points"] == 50  # the analytic side, once per link too
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--step", "0"],
+        ["--step", "nan"],
+        ["--step", "-0.5"],
+        ["--step", "inf"],
+        ["--n-links", "-3"],
+        ["--n-links", "0"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_oracle_check_rejects_bad_flags(tmp_path, capsys, flags):
+    args = ["oracle-check", "--env", "urban", "--seed", "1", "--n-links", "3", *flags]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flags[0] in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+def test_commands_drawing_links_need_users(tmp_path, capsys, command):
+    args = [command, "--env", "urban", "--seed", "1", "--n-gu", "0", "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "n_gu" in err
+    assert not list(tmp_path.iterdir())

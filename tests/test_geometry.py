@@ -4,8 +4,9 @@ rasterization oracle."""
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
@@ -19,6 +20,7 @@ from urbanlos.citygen import (
     Streetlight,
     Tree,
     generate_city,
+    sample_open_point,
 )
 from urbanlos.errors import DegenerateLinkError, ParameterError
 from urbanlos.geometry import (
@@ -104,6 +106,143 @@ def test_tree_profile_monotone_outside_trunk(rho):
         assert tree_height_at(tree, rho) <= tree_height_at(
             tree, max(rho - 0.1, tree.r_trunk + 1e-9)
         ) + 1e-12
+
+
+# user at the origin, ABS at (g, 0), one tree between them and clear of both;
+# offset is the tree axis's distance from the link as a fraction of its radius
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(1.0, 3.0),
+    h=st.floats(4.0, 12.0),
+    g=st.floats(10.0, 300.0),
+    along=st.floats(0.0, 1.0),
+    offset=st.one_of(  # through the trunk cap, the off-axis cone, near the rim
+        st.floats(0.0, 0.09), st.floats(0.11, 0.9), st.floats(0.9, 0.999)
+    ),
+    h_gu=st.sampled_from([0.0, 1.5, 3.0, 4.5]),
+)
+# qa of the stationary-point quadratic is zero up to rounding, which made the
+# naive root formula cancel
+@example(r=2.0, h=4.0, g=11.0, along=0.0, offset=0.5, h_gu=0.0)
+def test_tree_critical_altitude_is_chord_maximum(r, h, g, along, offset, h_gu):
+    assume(g > 2.0 * r + 1.0)
+    tree = Tree(x=r + 0.5 + along * (g - 2.0 * r - 1.0), y=offset * r, r=r, h=h)
+    link = Link(abs_xy=(g, 0.0), h_abs=h_gu + 100.0, gu_xy=(0.0, 0.0), h_gu=h_gu)
+    _, alt_tree, _ = LayoutGeometry(_fixture_layout(trees=[tree])).critical_altitudes(link)
+
+    # a fine grid over the chord plus the profile's breakpoints (trunk-cap
+    # ends, the axis foot), pulled just inside so each keeps its height
+    def half_chord(radius):
+        return math.sqrt(radius * radius - tree.y * tree.y) * (1.0 - 1e-9)
+
+    xs = list(tree.x + np.linspace(-1.0, 1.0, 20001) * half_chord(tree.r)) + [tree.x]
+    if tree.y < tree.r_trunk:
+        xs += [tree.x - half_chord(tree.r_trunk), tree.x + half_chord(tree.r_trunk)]
+    required = []
+    for x in xs:
+        u = (g - x) / g  # fraction along the link from the ABS
+        profile = tree_height_at(tree, math.hypot(x - tree.x, tree.y))
+        required.append((profile - h_gu * u) / (1.0 - u))
+    top = max(required)
+    scale = max(abs(top), 1.0)
+    # near the rim the chord ends come from a cancelling discriminant, so the
+    # bound holds to rounding, not to the last bit
+    assert alt_tree >= top - 1e-9 * scale
+    assert abs(alt_tree - top) <= 1e-6 * scale
+
+
+def _tree_critical_loop(ax, ay, dx, dy, g2, tree_x, tree_y, r_t, h_t, h_gu):
+    """One (link, tree) pair in scalar arithmetic, the per-pair loop the
+    array tree pass replaced: (u_crit, profile, alt), or None if the link
+    misses the tree. Kept as the pass's reference."""
+    ex, ey = ax - tree_x, ay - tree_y
+    b = 2.0 * (ex * dx + ey * dy)
+    c = ex * ex + ey * ey - r_t * r_t
+    disc = b * b - 4.0 * g2 * c
+    if disc < 0.0:
+        return None
+    sq = math.sqrt(disc)
+    lo = max((-b - sq) / (2.0 * g2), 0.0)
+    hi = min((-b + sq) / (2.0 * g2), 1.0)
+    if lo > hi:
+        return None
+
+    u0 = -b / (2.0 * g2)
+    d2 = max(ex * ex + ey * ey - g2 * u0 * u0, 0.0)
+    r_trunk = 0.1 * r_t
+    kappa = 0.8 * h_t / r_t
+
+    def cone_height(u):
+        rho = math.sqrt(max(g2 * (u - u0) ** 2 + d2, 0.0))
+        if rho <= r_trunk:
+            return h_t
+        return h_t * (1.0 - 0.8 * min(rho, r_t) / r_t)
+
+    candidates = []
+    cap = None
+    if d2 <= r_trunk * r_trunk:
+        half = math.sqrt((r_trunk * r_trunk - d2) / g2)
+        t1, t2 = max(u0 - half, lo), min(u0 + half, hi)
+        if t1 <= t2:
+            cap = (t1, t2)
+            candidates += [(t1, h_t), (t2, h_t)]
+
+    intervals = [(lo, hi)] if cap is None else [(lo, cap[0]), (cap[1], hi)]
+    c0 = (h_t - h_gu) / kappa
+    m = g2 * (1.0 - u0)
+    qa = m * m - c0 * c0 * g2
+    qb = 2.0 * m * d2
+    qc = d2 * d2 - c0 * c0 * d2
+    roots = []
+    if abs(qa) > 0.0:
+        qd = qb * qb - 4.0 * qa * qc
+        if qd >= 0.0:
+            sqd = math.sqrt(qd)
+            roots = [(-qb - sqd) / (2.0 * qa), (-qb + sqd) / (2.0 * qa)]
+            if qb * qb > 1e8 * abs(4.0 * qa * qc):  # the root where -qb +- sqd cancels
+                if qb < 0.0:
+                    roots[0] = 2.0 * qc / (-qb + sqd)
+                elif qb > 0.0:
+                    roots[1] = 2.0 * qc / (-qb - sqd)
+    elif abs(qb) > 0.0:
+        roots = [-qc / qb]
+
+    for ia, ib in intervals:
+        if ia > ib:
+            continue
+        candidates += [(ia, cone_height(ia)), (ib, cone_height(ib))]
+        candidates += [(u0 + w, cone_height(u0 + w)) for w in roots if ia < u0 + w < ib]
+        if ia < u0 < ib:
+            candidates.append((u0, cone_height(u0)))
+
+    best = None
+    for u, prof in candidates:
+        if u >= 1.0 - 1e-12:
+            alt = math.inf if prof > h_gu else -math.inf
+        else:
+            alt = (prof - h_gu * u) / (1.0 - u)
+        if best is None or alt > best[2]:
+            best = (u, prof, alt)
+    return best
+
+
+@pytest.mark.parametrize("h_gu", [0.0, 1.5, 4.5])
+@pytest.mark.parametrize("env", ["urban", "dense_urban", "high_rise"])
+def test_tree_pass_matches_loop_reference(env, h_gu):
+    layout = generate_city(PRESETS[env], GenConfig(n_gu=300, seed=5, h_gu=h_gu))
+    geom = LayoutGeometry(layout)
+    ax, ay = sample_open_point(geom.index, layout.side, default_rng(6))
+    gu = np.array([[user.x, user.y] for user in layout.users])
+    _, trees, _ = geom._critical_points((ax, ay), gu, h_gu)
+    expected = []
+    for row, (x, y) in enumerate(gu.tolist()):
+        dx, dy = x - ax, y - ay
+        for col, t in enumerate(layout.trees):
+            found = _tree_critical_loop(ax, ay, dx, dy, dx * dx + dy * dy, t.x, t.y, t.r, t.h, h_gu)
+            if found is not None:
+                expected.append((row, col, *found))
+    assert expected  # some links cross trees
+    assert list(zip(*(a.tolist() for a in trees))) == expected
 
 
 # -- crossings -------------------------------------------------------------------
