@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Print one sha256 over the critical-altitude kernel's outputs.
+
+A fixed recipe, wider than tests/test_golden.py: the urban, dense_urban
+and high_rise presets, master seeds 1-4, 1500 users per city, and ground
+user heights 0, 1.5, 3.0 and 4.5 m. For each (environment, seed) one city
+and one ABS ground position are drawn; for each h_gu the digest takes the
+five batch_critical_altitudes arrays over all users, then the crossings,
+class and critical altitudes of the links from the ABS at 20 m to the
+first 300 users. A refactor of geometry.py that keeps this digest keeps
+every float the kernel returns.
+
+Usage: PYTHONPATH=src python scripts/kernel_digest.py
+"""
+
+import hashlib
+
+import numpy as np
+
+from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_city, sample_open_point
+from urbanlos.geometry import LayoutGeometry, Link
+
+ENVIRONMENTS = ("urban", "dense_urban", "high_rise")
+SEEDS = (1, 2, 3, 4)
+H_GU = (0.0, 1.5, 3.0, 4.5)
+N_USERS = 1500
+N_LINKS = 300
+H_ABS = 20.0
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    tree_pairs = 0
+    for env in ENVIRONMENTS:
+        for seed in SEEDS:
+            layout = generate_city(PRESETS[env], GenConfig(n_gu=N_USERS, seed=seed))
+            geom = LayoutGeometry(layout)
+            ax, ay = sample_open_point(geom.index, layout.side, city_rng(seed, 0, STREAM_ABS))
+            gu = np.array([[u.x, u.y] for u in layout.users])
+            for h_gu in H_GU:
+                arrays = geom.batch_critical_altitudes((ax, ay), gu, h_gu)
+                tree_pairs += arrays[2].size
+                for arr in arrays:
+                    digest.update(arr.tobytes())
+                for user in layout.users[:N_LINKS]:
+                    link = Link((ax, ay), H_ABS, (user.x, user.y), h_gu)
+                    for h in geom.crossings(link):
+                        fields = (h.kind, h.index, h.r_i, h.obstacle_height, h.blockage_height, h.blocks)
+                        digest.update(repr(fields).encode())
+                    digest.update(repr((geom.classify(link).value, geom.critical_altitudes(link))).encode())
+    print(f"{digest.hexdigest()}  ({tree_pairs} crossed (link, tree) pairs)")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,6 @@ from .citygen import (
     generate_city,
     layout_from_dict,
     layout_to_dict,
-    load_layout,
     sample_height,
     save_layout,
 )
@@ -46,7 +45,7 @@ from .montecarlo import (
     streetlight_delta,
     tree_density_sweep,
 )
-from .oracle import classify_link_bruteforce, compare_on_links, random_links
+from .oracle import classify_link_bruteforce, random_links
 from .pathloss import (
     FitResult,
     VegetationParams,

@@ -191,10 +191,6 @@ class CityLayout:
     def side(self) -> float:
         return self.config.side
 
-    @property
-    def built_area(self) -> float:
-        return sum(b.area for b in self.buildings)
-
 
 def city_rng(seed: int, city_index: int, stream: int) -> Generator:
     """Generator for one named substream of one city."""
@@ -602,7 +598,3 @@ def layout_json(layout: CityLayout) -> str:
 
 def save_layout(layout: CityLayout, path: str | Path) -> None:
     Path(path).write_text(layout_json(layout))
-
-
-def load_layout(path: str | Path) -> CityLayout:
-    return layout_from_dict(json.loads(Path(path).read_text()))

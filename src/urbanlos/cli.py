@@ -331,7 +331,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError("at least one scenario is required")
     VegetationParams(f_ghz=config["freq_ghz"])  # fit's carrier rule, checked before the run
 
-    run_dir, digest = _run_dir(args.out, config)
     layout_digest = hashlib.sha256()  # as layouts_hash, one city at a time
     results, curves = run_simulation(
         params,
@@ -341,6 +340,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config["densities"] or (),
         on_layout=lambda layout: layout_digest.update(layout_json(layout).encode()),
     )
+    run_dir, digest = _run_dir(args.out, config)  # only once the run has succeeded
     for scenario in scenarios:
         curve, stats = results[scenario.name]
         write_angle_csv(run_dir / f"angles_{scenario.name}.csv", curve)
@@ -414,11 +414,27 @@ def _counts_from_csv(path: Path, cls):
     return DistanceStats(bin_centers=tuple(keys), d_sum=tuple(d_sums), **counts)
 
 
+def _run_manifest(run_dir: Path) -> tuple[dict, dict]:
+    """(manifest, its config) of a simulate run; ParameterError unless the
+    manifest parses to a mapping with a config mapping and a scenario list."""
+    path = run_dir / "manifest.json"
+    _require(run_dir, [path.name])
+    try:
+        manifest = read_manifest(path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{path} does not parse: {exc}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("config"), dict)
+        and isinstance(manifest.get("scenarios"), list)
+    ):
+        raise ParameterError(f"{path} must be a mapping with a config mapping and a scenarios list")
+    return manifest, manifest["config"]
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     run_dir = args.run
-    _require(run_dir, ["manifest.json"])
-    manifest = read_manifest(run_dir / "manifest.json")
-    config = manifest["config"]
+    manifest, config = _run_manifest(run_dir)
     env = config.get("environment") or "custom"
     seed = int(config["seed"])
     f_ghz = args.freq_ghz if args.freq_ghz is not None else config.get("freq_ghz", 28.0)
@@ -443,9 +459,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = args.run
-    _require(run_dir, ["manifest.json", "fits.csv"])
-    manifest = read_manifest(run_dir / "manifest.json")
-    config = manifest["config"]
+    manifest, config = _run_manifest(run_dir)
+    _require(run_dir, ["fits.csv"])
     seed = int(config["seed"])
     params = VegetationParams(f_ghz=float(config.get("freq_ghz", 28.0)))
     h_gu = float(config["gen"]["h_gu"])

@@ -21,12 +21,14 @@ interior stationary point with a closed-form quadratic solution, or the
 point nearest the tree axis.
 
 One array pass, LayoutGeometry._critical_points, derives every critical
-point for L links sharing an ABS position: chords come only from
-_rect_chords and _disc_chords, one _required_altitude rule serves all
-three families, and _tree_critical evaluates the tree candidate set for
-all crossed (link, tree) pairs at once. The batch and single-link views
-read that pass; classify is the family precedence over the blocking
-flags of crossings, so one link costs one pass.
+point for L links sharing an ABS position. Every family takes one form:
+flat parallel arrays over the crossed (link, obstacle) pairs only, as
+_rect_chords and _disc_chords hand them out. One _required_altitude rule
+serves all three families, and _tree_critical evaluates the tree
+candidate set for all crossed (link, tree) pairs at once. The batch view
+reduces the pairs to per-link maxima with link_maxima; the single-link
+views read the same pairs, and classify is the family precedence over
+the blocking flags of crossings, so one link costs one pass.
 """
 
 from __future__ import annotations
@@ -127,6 +129,21 @@ def _required_altitude(h, h_gu: float, u):
     return np.where(u >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), alt)
 
 
+def _pairs(crossed: np.ndarray, u_in: np.ndarray, u_out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flat (link row, obstacle index, u_in, u_out) of the crossed entries
+    of (L, N) chord arrays, row-major."""
+    row, col = np.nonzero(crossed)
+    return row, col, u_in[row, col], u_out[row, col]
+
+
+def link_maxima(n_links: int, row: np.ndarray, alt: np.ndarray) -> np.ndarray:
+    """(n_links,) maximum pair altitude per link row; -inf where a link has
+    no pair."""
+    out = np.full(n_links, -np.inf)
+    np.maximum.at(out, row, alt)
+    return out
+
+
 def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
     """Critical points of P crossed (link, tree) pairs at once.
 
@@ -208,10 +225,11 @@ class LayoutGeometry:
 
     def _rect_chords(
         self, ax: float, ay: float, dx: np.ndarray, dy: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Liang-Barsky slab clipping of L links against all rectangles.
 
-        dx, dy have shape (L, 1). Returns (crossed, u_in, u_out), each (L, Nb).
+        dx, dy have shape (L, 1). Returns the crossed pairs as flat arrays
+        (link row, building index, u_in, u_out), row-major.
         """
         idx = self.index
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -229,7 +247,7 @@ class LayoutGeometry:
         tymax = np.where(zy, np.where(in_y, np.inf, -np.inf), np.maximum(t1y, t2y))
         u_in = np.maximum(np.maximum(txmin, tymin), 0.0)
         u_out = np.minimum(np.minimum(txmax, tymax), 1.0)
-        return u_in <= u_out, u_in, u_out
+        return _pairs(u_in <= u_out, u_in, u_out)
 
     @staticmethod
     def _disc_chords(
@@ -241,8 +259,9 @@ class LayoutGeometry:
         cx: np.ndarray,
         cy: np.ndarray,
         r: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Chord parameters of L links through N discs; shapes (L, N)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Chords of L links through N discs, as flat arrays (link row,
+        disc index, u_in, u_out) over the crossed pairs, row-major."""
         ex = ax - cx[None, :]
         ey = ay - cy[None, :]
         b = 2.0 * (ex * dx + ey * dy)
@@ -252,7 +271,7 @@ class LayoutGeometry:
         sq = np.sqrt(np.where(ok, disc, 0.0))
         u1 = np.maximum((-b - sq) / (2.0 * g2), 0.0)
         u2 = np.minimum((-b + sq) / (2.0 * g2), 1.0)
-        return ok & (u1 <= u2), u1, u2
+        return _pairs(ok & (u1 <= u2), u1, u2)
 
     def _critical_points(
         self, abs_xy: tuple[float, float], gu_xy: np.ndarray, h_gu: float
@@ -262,11 +281,10 @@ class LayoutGeometry:
         The one derivation of u_crit (the fraction along the link needing
         the highest ABS altitude to clear the obstacle), the profile height
         there and the critical altitude; every view below reads it. For L
-        links sharing one ABS position returns (buildings, trees, lights).
-        Buildings and lights are dense (L, N) arrays (crossed, u_crit, alt),
-        their profile being the obstacle height; trees are flat parallel
-        arrays (link row, tree index, u_crit, profile, alt) over crossed
-        pairs only.
+        links sharing one ABS position returns one family per entry in
+        precedence order (buildings, trees, lights), each as flat parallel
+        arrays (link row, obstacle index, u_crit, profile, alt) over the
+        crossed pairs only, row-major.
         """
         ax, ay = abs_xy
         dx = gu_xy[:, 0:1] - ax
@@ -276,25 +294,22 @@ class LayoutGeometry:
             raise DegenerateLinkError("a link has zero ground distance")
         idx = self.index
 
-        def constant_height(h, crossed, u_in, u_out):
+        def constant_height(heights, row, col, u_in, u_out):
             # the required altitude rises along the chord when h >= h_gu and
             # falls otherwise, so the stricter end is the exit or the entry
+            h = heights[col]
             u = np.where(h >= h_gu, u_out, u_in)
-            return crossed, u, _required_altitude(h, h_gu, u)
+            return row, col, u, h, _required_altitude(h, h_gu, u)
 
-        buildings = constant_height(self.bh[None, :], *self._rect_chords(ax, ay, dx, dy))
-        lights = constant_height(
-            self.lh[None, :],
-            *self._disc_chords(ax, ay, dx, dy, g2, idx.lx, idx.ly, idx.lr),
-        )
+        buildings = constant_height(self.bh, *self._rect_chords(ax, ay, dx, dy))
+        lights = constant_height(self.lh, *self._disc_chords(ax, ay, dx, dy, g2, idx.lx, idx.ly, idx.lr))
 
-        crossed, lo, hi = self._disc_chords(ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr)
-        row, col = np.nonzero(crossed)
+        row, col, lo, hi = self._disc_chords(ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr)
         if not row.size:  # most single links cross no tree
-            return buildings, (row, col) + (np.zeros(0),) * 3, lights
+            return buildings, (row, col, lo, lo, lo), lights
         trees = (row, col) + _tree_critical(
             ax - idx.tx[col, None], ay - idx.ty[col, None], dx[row], dy[row], g2[row],
-            idx.tr[col, None], self.th[col, None], lo[row, col, None], hi[row, col, None], h_gu,
+            idx.tr[col, None], self.th[col, None], lo[:, None], hi[:, None], h_gu,
         )
         return buildings, trees, lights
 
@@ -304,16 +319,13 @@ class LayoutGeometry:
         """Per-link critical altitudes for L users sharing one ABS position.
 
         Returns (alt_building, alt_light, tree_link, tree_idx, tree_alt):
-        the first two are (L,) maxima over crossed obstacles (-inf when
-        nothing is crossed); the tree entries are flat parallel arrays of
-        (link row, tree index, critical altitude) for every crossed tree,
-        so callers can take prefix subsets of the tree population.
+        the first two are the (L,) link_maxima of the building and light
+        pairs (-inf when nothing is crossed); the tree entries are the flat
+        (link row, tree index, critical altitude) pairs themselves, so
+        callers can take prefix subsets of the tree population.
         """
         buildings, trees, lights = self._critical_points(abs_xy, gu_xy, h_gu)
-        alt_b, alt_s = (
-            np.max(np.where(crossed, alt, -np.inf), axis=1, initial=-np.inf)
-            for crossed, _, alt in (buildings, lights)
-        )
+        alt_b, alt_s = (link_maxima(len(gu_xy), row, alt) for row, *_, alt in (buildings, lights))
         tree_link, tree_idx, _, _, tree_alt = trees
         return alt_b, alt_s, tree_link, tree_idx, tree_alt
 
@@ -321,31 +333,17 @@ class LayoutGeometry:
 
     def critical_altitudes(self, link: Link) -> tuple[float, float, float]:
         """(building, tree, streetlight) critical altitudes for one link."""
-        alt_b, alt_s, _, _, tree_alt = self.batch_critical_altitudes(
-            link.abs_xy, np.array([link.gu_xy]), link.h_gu
-        )
-        return float(alt_b[0]), float(np.max(tree_alt, initial=-np.inf)), float(alt_s[0])
+        families = self._critical_points(link.abs_xy, np.array([link.gu_xy]), link.h_gu)
+        return tuple(float(np.max(alt, initial=-np.inf)) for *_, alt in families)
 
     def crossings(self, link: Link) -> list[ObstructionHit]:
         """All footprints crossed by the link, ordered by ground distance
         from the ABS to each crossing's critical point."""
-        buildings, trees, lights = self._critical_points(
-            link.abs_xy, np.array([link.gu_xy]), link.h_gu
-        )
-
-        def dense(family, h):
-            crossed, u, alt = family
-            cols = np.flatnonzero(crossed[0])
-            return cols, u[0, cols], h[cols], alt[0, cols]
-
+        families = self._critical_points(link.abs_xy, np.array([link.gu_xy]), link.h_gu)
         g = link.ground_distance
         hits: list[ObstructionHit] = []
-        for kind, family in (
-            ("building", dense(buildings, self.bh)),
-            ("tree", trees[1:]),
-            ("streetlight", dense(lights, self.lh)),
-        ):
-            for i, u, prof, alt in zip(*(a.tolist() for a in family)):
+        for kind, (_, *pairs) in zip(("building", "tree", "streetlight"), families):
+            for i, u, prof, alt in zip(*(a.tolist() for a in pairs)):
                 r_i = u * g
                 hits.append(
                     ObstructionHit(

@@ -34,7 +34,7 @@ from .citygen import (
     sample_open_point,
 )
 from .errors import AggregationError, ParameterError
-from .geometry import LayoutGeometry
+from .geometry import LayoutGeometry, link_maxima
 
 #: The nominal 90 degree angle is evaluated at this elevation.
 TOP_ANGLE_EVAL_DEG = 89.9
@@ -177,25 +177,13 @@ class _Variant:
 
 
 def _classify_matrix(
-    h_abs: np.ndarray,
-    alt_b: np.ndarray,
-    alt_t: np.ndarray,
-    alt_s: np.ndarray,
-    use_trees: bool,
-    use_lights: bool,
+    h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt_s: np.ndarray
 ) -> np.ndarray:
-    """Class codes for an (L, A) altitude matrix; building > tree > light."""
-    cls = np.zeros(h_abs.shape, dtype=np.int8)
-    blocked_b = h_abs <= alt_b[:, None]
-    cls[blocked_b] = NLOS_B
-    clear = ~blocked_b
-    if use_trees:
-        blocked_t = clear & (h_abs <= alt_t[:, None])
-        cls[blocked_t] = NLOS_T
-        clear &= ~blocked_t
-    if use_lights:
-        cls[clear & (h_abs <= alt_s[:, None])] = NLOS_S
-    return cls
+    """Class codes for an (L, A) altitude matrix: the first family in
+    building > tree > light order whose (L,) critical altitudes reach h_abs.
+    A family left out reads -inf and never blocks."""
+    blocked = [h_abs <= alt[:, None] for alt in (alt_b, alt_t, alt_s)]
+    return np.select(blocked, [NLOS_B, NLOS_T, NLOS_S], LOS)
 
 
 def _city_worker(
@@ -216,13 +204,11 @@ def _city_worker(
         (ax, ay), gu, gen.h_gu
     )
     n_users = gu.shape[0]
+    no_lights = np.full(n_users, -np.inf)
 
     def tree_altitudes(limit: int | None) -> np.ndarray:
-        alt = np.full(n_users, -np.inf)
-        if t_alt.size:
-            keep = slice(None) if limit is None else t_idx < limit
-            np.maximum.at(alt, t_link[keep], t_alt[keep])
-        return alt
+        keep = slice(None) if limit is None else t_idx < limit
+        return link_maxima(n_users, t_link[keep], t_alt[keep])
 
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
     angles = np.asarray(sweep.angles)
@@ -235,24 +221,15 @@ def _city_worker(
     d = np.hypot(g[:, None], h_abs - gen.h_gu)
     bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
 
+    # one bincount per view, keyed 4 * angle + class and 4 * bin + class
+    angle_key = 4 * np.arange(angles.size)
     angle_counts = np.zeros((len(variants), angles.size, 4), dtype=np.int64)
     dist_counts = np.zeros((len(variants), n_bins, 4), dtype=np.int64)
     for vi, variant in enumerate(variants):
         alt_t = tree_altitudes(variant.tree_limit)
-        cls = _classify_matrix(
-            h_abs,
-            alt_b,
-            alt_t,
-            alt_s,
-            use_trees=variant.tree_limit is None or variant.tree_limit > 0,
-            use_lights=variant.lights,
-        )
-        for c in range(4):
-            mask = cls == c
-            angle_counts[vi, :, c] = mask.sum(axis=0)
-            dist_counts[vi, :, c] = np.bincount(
-                bins[mask].ravel(), minlength=n_bins
-            )
+        cls = _classify_matrix(h_abs, alt_b, alt_t, alt_s if variant.lights else no_lights)
+        angle_counts[vi] = np.bincount((angle_key + cls).ravel(), minlength=4 * angles.size).reshape(-1, 4)
+        dist_counts[vi] = np.bincount((4 * bins + cls).ravel(), minlength=4 * n_bins).reshape(-1, 4)
     d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)
     return angle_counts, dist_counts, d_sums
 

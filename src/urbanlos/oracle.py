@@ -180,12 +180,3 @@ def check_links(
                 "h_abs": link.h_abs,
             }
         yield hits, slow, mismatch
-
-
-def compare_on_links(
-    layout: CityLayout,
-    links: list[Link],
-    step: float = DEFAULT_STEP_M,
-) -> list[dict]:
-    """One mismatch record per link the two classifiers disagree on."""
-    return [m for *_, m in check_links(layout, links, step) if m is not None]

@@ -242,9 +242,6 @@ class FitResult:
     rmse_db: float
     n_points: int
 
-    def predict(self, d: float | np.ndarray) -> float | np.ndarray:
-        return self.a_db + 10.0 * self.b * np.log10(d)
-
 
 def fit_ab(
     samples: Sequence[tuple[float, float]],

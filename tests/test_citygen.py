@@ -114,7 +114,7 @@ def test_urban_counts_and_built_area(urban_layout):
     assert len(urban_layout.trees) == 200
     assert len(urban_layout.lights) == 500
     assert len(urban_layout.users) == 100
-    assert 2.94e5 <= urban_layout.built_area <= 3.06e5
+    assert 2.94e5 <= sum(b.area for b in urban_layout.buildings) <= 3.06e5
 
 
 def test_per_building_footprint_exact(urban_layout):

@@ -458,6 +458,43 @@ def test_report_missing_prerequisites(tmp_path, capsys):
     assert "fits.csv" in capsys.readouterr().err
 
 
+CORRUPT_MANIFESTS = {
+    "truncated": b"{",
+    "not-utf8": b"\xff\xfe{\x00}\x00",
+    "list": b"[]",
+    "empty": b"{}",
+    "no-scenarios": b'{"config": {"seed": 5}}',
+    "config-not-mapping": b'{"config": [], "scenarios": ["trees"]}',
+}
+
+
+@pytest.mark.parametrize("kind", CORRUPT_MANIFESTS)
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_corrupt_manifest_exit(sim_run, tmp_path, capsys, command, kind):
+    run = tmp_path / "run"
+    shutil.copytree(sim_run, run)
+    (run / "manifest.json").write_bytes(CORRUPT_MANIFESTS[kind])
+    assert main([command, "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "manifest.json" in err
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--env", "urban", "--densities", "50,0"], 1),
+        (["--env", "urban", "--densities=-5,0"], 1),
+        (["--alpha", "0.98", "--beta", "20", "--gamma", "15", "--n-trees", "0", "--n-lights", "0"], 2),
+    ],
+    ids=["unsorted-densities", "negative-density", "infeasible"],
+)
+def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code):
+    args = ["simulate", "--seed", "1", "--n-cities", "1", "--n-gu", "2", *flags]
+    assert main(args + ["--out", str(tmp_path)]) == code
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_rerun_identical_bytes(sim_run):
     before = {
         p.name: p.read_bytes() for p in sim_run.glob("report_*.csv")

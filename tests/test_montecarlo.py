@@ -166,3 +166,30 @@ def test_city_order_independent(small_gen):
     angle_sum_rev = np.sum([ac for ac, _, _ in reversed(per_city)], axis=0)
     assert np.array_equal(angle_sum_fwd, angle_sum_rev)
     assert forward == angle_sum_fwd.sum()
+
+
+def test_sweep_classes_match_single_link_classify():
+    """The sweep's class matrix, from the batch critical altitudes, equals
+    LayoutGeometry.classify of each (user, altitude) link. The layout is a
+    small urban city crowded with trees and lights, so every class occurs."""
+    from urbanlos.citygen import STREAM_ABS, city_rng, generate_city, sample_open_point
+    from urbanlos.geometry import LayoutGeometry, Link, LinkClass, link_maxima
+    from urbanlos.montecarlo import LOS, NLOS_B, NLOS_S, NLOS_T, _classify_matrix
+
+    gen = GenConfig(area=250_000.0, n_trees=400, n_lights=400, n_gu=200, seed=2)
+    layout = generate_city(URBAN, gen)
+    geom = LayoutGeometry(layout)
+    ax, ay = sample_open_point(geom.index, layout.side, city_rng(gen.seed, 0, STREAM_ABS))
+    gu = np.array([[u.x, u.y] for u in layout.users])
+    alt_b, alt_s, t_link, _, t_alt = geom.batch_critical_altitudes((ax, ay), gu, gen.h_gu)
+    g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
+    h_abs = gen.h_gu + g[:, None] * np.tan(np.radians(np.arange(1.0, 90.0, 4.0)))
+    cls = _classify_matrix(h_abs, alt_b, link_maxima(len(gu), t_link, t_alt), alt_s)
+
+    code = {LinkClass.LOS: LOS, LinkClass.NLOS_BUILDING: NLOS_B, LinkClass.NLOS_TREE: NLOS_T, LinkClass.NLOS_LIGHT: NLOS_S}
+    single = [
+        [code[geom.classify(Link((ax, ay), float(h), (float(x), float(y)), gen.h_gu))] for h in row]
+        for (x, y), row in zip(gu, h_abs)
+    ]
+    assert np.array_equal(cls, single)
+    assert set(np.unique(cls)) == {LOS, NLOS_B, NLOS_T, NLOS_S}
