@@ -37,8 +37,7 @@ from .montecarlo import (
     BUILDINGS_ONLY,
     FULL,
     WITH_TREES,
-    DistanceStats,
-    PLoSCurve,
+    ClassCounts,
     Scenario,
     SweepConfig,
     run_scenarios,

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -31,33 +32,21 @@ from .citygen import (
     layout_json,
     save_layout,
 )
-from .errors import (
-    AggregationError,
-    InfeasibleLayoutError,
-    MissingInputError,
-    ParameterError,
-    UrbanLosError,
-)
+from .errors import InfeasibleLayoutError, MissingInputError, ParameterError, UrbanLosError
 from .geometry import LayoutGeometry
-from .montecarlo import (
-    DistanceStats,
-    PLoSCurve,
-    SweepConfig,
-    parse_scenario,
-    run_simulation,
-    streetlight_delta,
-)
+from .montecarlo import SweepConfig, parse_scenario, run_simulation, streetlight_delta
 from .oracle import check_links, random_links
 from .outputs import (
+    ANGLE_KEY,
+    DISTANCE_KEY,
     FITS_CSV_COLUMNS,
     config_hash,
     layouts_hash,
-    read_csv_dicts,
+    read_counts_csv,
     read_manifest,
-    write_angle_csv,
+    write_counts_csv,
     write_csv,
     write_delta_csv,
-    write_distance_csv,
     write_manifest,
 )
 from .pathloss import VegetationParams, composite_bins, fit_ab, pl_vs_theta
@@ -343,8 +332,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     run_dir, digest = _run_dir(args.out, config)  # only once the run has succeeded
     for scenario in scenarios:
         curve, stats = results[scenario.name]
-        write_angle_csv(run_dir / f"angles_{scenario.name}.csv", curve)
-        write_distance_csv(run_dir / f"distance_{scenario.name}.csv", stats)
+        write_counts_csv(run_dir / f"angles_{scenario.name}.csv", ANGLE_KEY, curve)
+        write_counts_csv(run_dir / f"distance_{scenario.name}.csv", DISTANCE_KEY, stats)
     delta = None
     if len(scenarios) >= 2:
         a, b = scenarios[0], scenarios[1]
@@ -355,7 +344,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             results[b.name][0],
         )
     for density, curve in curves.items():
-        write_angle_csv(run_dir / f"density_{density}.csv", curve)
+        write_counts_csv(run_dir / f"density_{density}.csv", ANGLE_KEY, curve)
 
     write_manifest(
         run_dir / "manifest.json",
@@ -379,44 +368,13 @@ def _require(run_dir: Path, names: list[str]) -> None:
         raise MissingInputError("missing inputs: " + ", ".join(missing))
 
 
-def _counts_from_csv(path: Path, cls):
-    """Rebuild a PLoSCurve or DistanceStats from its CSV.
-
-    Each class count comes back as round(p * n). Products farther than
-    1e-6 from a nonnegative integer, or counts not summing to n, mean the
-    file does not hold counts, and raise AggregationError.
-    """
-    names = ("los", "nlos_b", "nlos_t", "nlos_s")
-    key = "theta_deg" if cls is PLoSCurve else "bin_center_m"
-    keys, d_sums, table = [], [], []
-    for line, r in enumerate(read_csv_dicts(path), start=2):
-        try:
-            n = int(r["n"])
-            products = [float(r[f"p_{name}"]) * n for name in names]
-            keys.append(float(r[key]))
-            if cls is DistanceStats:
-                d_sums.append(float(r["mean_d_m"]) * n)
-        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None cells
-            raise AggregationError(f"{path} line {line}: {exc}") from None
-        counts = [round(x) if math.isfinite(x) else -1 for x in products]
-        if (
-            min(counts) < 0
-            or sum(counts) != n
-            or any(abs(x - c) > 1e-6 for x, c in zip(products, counts))
-        ):
-            raise AggregationError(
-                f"{path} line {line}: p * n = {products} are not class counts summing to n = {n}"
-            )
-        table.append(counts)
-    counts = {name: tuple(row[i] for row in table) for i, name in enumerate(names)}
-    if cls is PLoSCurve:
-        return PLoSCurve(theta_deg=tuple(keys), **counts)
-    return DistanceStats(bin_centers=tuple(keys), d_sum=tuple(d_sums), **counts)
+_UNSET = object()
 
 
 def _run_manifest(run_dir: Path) -> tuple[dict, dict]:
     """(manifest, its config) of a simulate run; ParameterError unless the
-    manifest parses to a mapping with a config mapping and a scenario list."""
+    manifest parses to a mapping with a scenario list and a config mapping
+    that holds every CONFIG_SCHEMA key, each of its kind, and a seed."""
     path = run_dir / "manifest.json"
     _require(run_dir, [path.name])
     try:
@@ -429,16 +387,26 @@ def _run_manifest(run_dir: Path) -> tuple[dict, dict]:
         and isinstance(manifest.get("scenarios"), list)
     ):
         raise ParameterError(f"{path} must be a mapping with a config mapping and a scenarios list")
-    return manifest, manifest["config"]
+    config = {}
+    for key in CONFIG_SCHEMA:
+        _put(config, key, _UNSET)
+    try:
+        _overlay(config, {k: v for k, v in manifest["config"].items() if k != "kind"})
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    # simulate writes every key, and only with a seed
+    missing = [key for key in CONFIG_SCHEMA if reduce(dict.get, key.split("."), config) is _UNSET]
+    if missing or config["seed"] is None:
+        raise ParameterError(f"{path}: config has no value for {', '.join(missing or ['seed'])}")
+    return manifest, config
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     run_dir = args.run
     manifest, config = _run_manifest(run_dir)
-    env = config.get("environment") or "custom"
-    seed = int(config["seed"])
-    f_ghz = args.freq_ghz if args.freq_ghz is not None else config.get("freq_ghz", 28.0)
-    params = VegetationParams(f_ghz=float(f_ghz))
+    env = config["environment"] or "custom"
+    f_ghz = args.freq_ghz if args.freq_ghz is not None else config["freq_ghz"]
+    params = VegetationParams(f_ghz=f_ghz)
 
     scenarios = [s for s in ("buildings-only", "trees") if s in manifest["scenarios"]]
     if not scenarios:
@@ -448,8 +416,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     rows = []
     for scenario in scenarios:
-        stats = _counts_from_csv(run_dir / f"distance_{scenario}.csv", DistanceStats)
-        bins = composite_bins(stats, params=params, seed=seed)
+        stats = read_counts_csv(run_dir / f"distance_{scenario}.csv", DISTANCE_KEY)
+        bins = composite_bins(stats, params=params, seed=config["seed"])
         fit = fit_ab([(d, pl) for d, pl, _ in bins], weights=[n for *_, n in bins])
         rows.append((env, scenario, fit.a_db, fit.b, fit.rmse_db, fit.n_points))
     write_csv(run_dir / "fits.csv", FITS_CSV_COLUMNS, rows)
@@ -461,10 +429,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_dir = args.run
     manifest, config = _run_manifest(run_dir)
     _require(run_dir, ["fits.csv"])
-    seed = int(config["seed"])
-    params = VegetationParams(f_ghz=float(config.get("freq_ghz", 28.0)))
-    h_gu = float(config["gen"]["h_gu"])
+    seed, h_gu = config["seed"], config["gen"]["h_gu"]
+    params = VegetationParams(f_ghz=config["freq_ghz"])
     scenarios = manifest["scenarios"]
+    if "trees" not in scenarios:
+        raise MissingInputError("report requires the trees scenario for the tree-NLoS table")
     densities = sorted(set(config["densities"] or ()))  # one file per distinct count
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     _require(run_dir, [f"angles_{s}.csv" for s in scenarios])
@@ -473,10 +442,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     # P_LoS against 3-D distance, one block per scenario
     rows = []
     for scenario in scenarios:
-        stats = _counts_from_csv(run_dir / f"distance_{scenario}.csv", DistanceStats)
-        p = (stats.p_los, stats.p_nlos_b, stats.p_nlos_t, stats.p_nlos_s)
-        for center, *probs, n in zip(stats.bin_centers, *p, stats.n):
-            rows.append((scenario, center, *map(float, probs), int(n)))
+        stats = read_counts_csv(run_dir / f"distance_{scenario}.csv", DISTANCE_KEY)
+        for center, probs, n in zip(stats.keys, stats.p.tolist(), stats.n.tolist()):
+            rows.append((scenario, center, *probs, n))
     write_csv(
         run_dir / "report_plos_vs_distance.csv",
         ["scenario", "bin_center_m", "p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s", "n"],
@@ -484,22 +452,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     # extra tree-caused NLoS probability against elevation angle
-    tree_scenario = "trees" if "trees" in scenarios else None
-    if tree_scenario is None:
-        raise MissingInputError("report requires the trees scenario for the tree-NLoS table")
-    curve = _counts_from_csv(run_dir / f"angles_{tree_scenario}.csv", PLoSCurve)
+    curve = read_counts_csv(run_dir / "angles_trees.csv", ANGLE_KEY)
     write_csv(
         run_dir / "report_tree_nlos_vs_theta.csv",
         ["theta_deg", "p_nlos_t", "n"],
-        zip(curve.theta_deg, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n)),
+        zip(curve.keys, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n)),
     )
 
     # density sweep, when the simulate run made one
     if densities:
         rows = []
         for density in densities:
-            curve = _counts_from_csv(run_dir / f"density_{density}.csv", PLoSCurve)
-            for theta, p_los, n in zip(curve.theta_deg, curve.p_los, curve.n):
+            curve = read_counts_csv(run_dir / f"density_{density}.csv", ANGLE_KEY)
+            for theta, p_los, n in zip(curve.keys, curve.p_los, curve.n):
                 rows.append((density, theta, float(p_los), int(n)))
         write_csv(
             run_dir / "report_density.csv",
@@ -512,7 +477,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for scenario in scenarios:
         if scenario not in ("buildings-only", "trees"):
             continue
-        curve = _counts_from_csv(run_dir / f"angles_{scenario}.csv", PLoSCurve)
+        curve = read_counts_csv(run_dir / f"angles_{scenario}.csv", ANGLE_KEY)
         for theta, d, pl in pl_vs_theta(curve, h_gu_m=h_gu, params=params, seed=seed):
             rows.append((scenario, theta, d, pl))
     write_csv(

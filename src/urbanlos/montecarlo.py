@@ -12,7 +12,10 @@ sweep reuses each city's buildings, lights and trees from the same
 build, with its own users and ABS position.
 
 Counts are accumulated as integers and divided once at the end, so the
-reduction is independent of city evaluation order.
+reduction is independent of city evaluation order. Every result is one
+ClassCounts table: per elevation angle, or per non-empty 3-D distance
+bin with the bin's mean distance; outputs writes it to its CSV and reads
+it back.
 """
 
 from __future__ import annotations
@@ -105,67 +108,62 @@ class SweepConfig:
             raise ParameterError(f"fixed_altitude_m must be > 0, got {self.fixed_altitude_m}")
 
 
-class _ClassCounts:
-    """Probabilities from the los/nlos_b/nlos_t/nlos_s count fields of a
-    subclass; rows with no samples read 0."""
+@dataclass(frozen=True)
+class ClassCounts:
+    """Class counts per row of a table, and the probabilities they give.
+
+    keys are the elevation angles in degrees of a P_LoS curve, or the 3-D
+    distance-bin centres in metres of a distance table (non-empty bins
+    only). Only distance tables carry mean_d, the mean 3-D distance of
+    each bin. Rows with no samples read probability 0.
+    """
+
+    keys: tuple[float, ...]
+    los: tuple[int, ...]
+    nlos_b: tuple[int, ...]
+    nlos_t: tuple[int, ...]
+    nlos_s: tuple[int, ...]
+    mean_d: tuple[float, ...] | None = None
 
     @property
     def n(self) -> np.ndarray:
-        return (
-            np.array(self.los)
-            + np.array(self.nlos_b)
-            + np.array(self.nlos_t)
-            + np.array(self.nlos_s)
-        )
+        return np.sum([self.los, self.nlos_b, self.nlos_t, self.nlos_s], axis=0, dtype=np.int64)
 
-    def _p(self, counts: tuple[int, ...]) -> np.ndarray:
-        n = self.n
-        out = np.zeros(len(counts))
-        np.divide(np.array(counts, dtype=float), n, out=out, where=n > 0)
+    @property
+    def p(self) -> np.ndarray:
+        """(rows, 4) class probabilities in class-code order."""
+        n = self.n[:, None]
+        out = np.zeros((n.shape[0], 4))
+        counts = np.array([self.los, self.nlos_b, self.nlos_t, self.nlos_s], dtype=float).T
+        np.divide(counts, n, out=out, where=n > 0)
         return out
 
     @property
     def p_los(self) -> np.ndarray:
-        return self._p(self.los)
+        return self.p[:, LOS]
 
     @property
     def p_nlos_b(self) -> np.ndarray:
-        return self._p(self.nlos_b)
+        return self.p[:, NLOS_B]
 
     @property
     def p_nlos_t(self) -> np.ndarray:
-        return self._p(self.nlos_t)
+        return self.p[:, NLOS_T]
 
     @property
     def p_nlos_s(self) -> np.ndarray:
-        return self._p(self.nlos_s)
+        return self.p[:, NLOS_S]
 
 
-@dataclass(frozen=True)
-class PLoSCurve(_ClassCounts):
-    """Per-angle class counts and derived probabilities."""
-
-    theta_deg: tuple[float, ...]
-    los: tuple[int, ...]
-    nlos_b: tuple[int, ...]
-    nlos_t: tuple[int, ...]
-    nlos_s: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DistanceStats(_ClassCounts):
-    """Class counts aggregated over 3-D distance bins (non-empty bins only)."""
-
-    bin_centers: tuple[float, ...]
-    los: tuple[int, ...]
-    nlos_b: tuple[int, ...]
-    nlos_t: tuple[int, ...]
-    nlos_s: tuple[int, ...]
-    d_sum: tuple[float, ...]
-
-    @property
-    def mean_d(self) -> np.ndarray:
-        return np.array(self.d_sum) / self.n
+def class_counts(keys, counts, mean_d=None) -> ClassCounts:
+    """The table of keys, their (rows, 4) counts in class-code order and,
+    for a distance table, their mean distances."""
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
+    return ClassCounts(
+        tuple(float(k) for k in keys),
+        *(tuple(int(v) for v in counts[:, c]) for c in (LOS, NLOS_B, NLOS_T, NLOS_S)),
+        mean_d=None if mean_d is None else tuple(float(v) for v in mean_d),
+    )
 
 
 @dataclass(frozen=True)
@@ -274,29 +272,6 @@ def _run_passes(
     return totals
 
 
-def _to_curve(sweep: SweepConfig, counts: np.ndarray) -> PLoSCurve:
-    return PLoSCurve(
-        theta_deg=tuple(float(a) for a in sweep.angles),
-        los=tuple(int(v) for v in counts[:, LOS]),
-        nlos_b=tuple(int(v) for v in counts[:, NLOS_B]),
-        nlos_t=tuple(int(v) for v in counts[:, NLOS_T]),
-        nlos_s=tuple(int(v) for v in counts[:, NLOS_S]),
-    )
-
-
-def _to_distance_stats(dist_counts: np.ndarray, d_sums: np.ndarray) -> DistanceStats:
-    totals = dist_counts.sum(axis=1)
-    keep = np.nonzero(totals > 0)[0]
-    return DistanceStats(
-        bin_centers=tuple((float(i) + 0.5) * DISTANCE_BIN_M for i in keep),
-        los=tuple(int(v) for v in dist_counts[keep, LOS]),
-        nlos_b=tuple(int(v) for v in dist_counts[keep, NLOS_B]),
-        nlos_t=tuple(int(v) for v in dist_counts[keep, NLOS_T]),
-        nlos_s=tuple(int(v) for v in dist_counts[keep, NLOS_S]),
-        d_sum=tuple(float(v) for v in d_sums[keep]),
-    )
-
-
 def run_simulation(
     params: BuiltUpParams,
     gen: GenConfig,
@@ -304,7 +279,7 @@ def run_simulation(
     scenarios: Sequence[Scenario],
     densities: Sequence[int] = (),
     on_layout: Callable[[CityLayout], None] | None = None,
-) -> tuple[dict[str, tuple[PLoSCurve, DistanceStats]], dict[int, PLoSCurve]]:
+) -> tuple[dict[str, tuple[ClassCounts, ClassCounts]], dict[int, ClassCounts]]:
     """Scenario results and tree-density curves over one build per city.
 
     The scenario pass generates each city as ``generate_city(params, gen,
@@ -333,17 +308,17 @@ def run_simulation(
     results = {}
     if scenarios:
         angle_counts, dist_counts, d_sums = totals[0]
-        results = {
-            s.name: (
-                _to_curve(sweep, angle_counts[i]),
-                _to_distance_stats(dist_counts[i], d_sums),
+        for scenario, angles, bins in zip(scenarios, angle_counts, dist_counts):
+            keep = np.nonzero(bins.sum(axis=1) > 0)[0]  # non-empty bins only
+            kept = bins[keep]
+            results[scenario.name] = (
+                class_counts(sweep.angles, angles),
+                class_counts((keep + 0.5) * DISTANCE_BIN_M, kept, d_sums[keep] / kept.sum(axis=1)),
             )
-            for i, s in enumerate(scenarios)
-        }
     curves = {}
     if densities:
         angle_counts = totals[-1][0]
-        curves = {int(k): _to_curve(sweep, angle_counts[i]) for i, k in enumerate(densities)}
+        curves = {int(k): class_counts(sweep.angles, angle_counts[i]) for i, k in enumerate(densities)}
     return results, curves
 
 
@@ -352,7 +327,7 @@ def run_scenarios(
     gen: GenConfig,
     sweep: SweepConfig,
     scenarios: Sequence[Scenario],
-) -> dict[str, tuple[PLoSCurve, DistanceStats]]:
+) -> dict[str, tuple[ClassCounts, ClassCounts]]:
     """The scenario pass of :func:`run_simulation` on its own."""
     return run_simulation(params, gen, sweep, scenarios)[0]
 
@@ -362,7 +337,7 @@ def tree_density_sweep(
     gen: GenConfig,
     sweep: SweepConfig,
     densities: Sequence[int],
-) -> dict[int, PLoSCurve]:
+) -> dict[int, ClassCounts]:
     """The density pass of :func:`run_simulation` on its own: one curve
     per tree count, lights excluded, over shared layouts."""
     if not densities:
@@ -370,8 +345,8 @@ def tree_density_sweep(
     return run_simulation(params, gen, sweep, (), densities)[1]
 
 
-def streetlight_delta(curve_a: PLoSCurve, curve_b: PLoSCurve) -> float:
+def streetlight_delta(curve_a: ClassCounts, curve_b: ClassCounts) -> float:
     """Mean absolute P_LoS difference over the shared angle grid."""
-    if curve_a.theta_deg != curve_b.theta_deg:
+    if curve_a.keys != curve_b.keys:
         raise AggregationError("curves are on different angle grids")
     return float(np.mean(np.abs(curve_a.p_los - curve_b.p_los)))

@@ -4,6 +4,11 @@ Every run directory is keyed by a hash of its fully resolved
 configuration and carries a manifest sufficient to reproduce the run
 byte-for-byte. Floats are written with shortest-roundtrip repr so
 identical results always serialize to identical bytes.
+
+This module owns the count CSV both ways: write_counts_csv writes a
+ClassCounts table and read_counts_csv rebuilds it, so reading a count
+CSV and writing it again gives the same bytes, and a file that holds no
+such table fails loudly.
 """
 
 from __future__ import annotations
@@ -11,22 +16,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .citygen import CityLayout, layout_json
-from .montecarlo import DistanceStats, PLoSCurve
+from .errors import AggregationError
+from .montecarlo import ClassCounts, class_counts
 
-ANGLE_CSV_COLUMNS = ["theta_deg", "p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s", "n"]
-DISTANCE_CSV_COLUMNS = [
-    "bin_center_m",
-    "p_los",
-    "p_nlos_b",
-    "p_nlos_t",
-    "p_nlos_s",
-    "n",
-    "mean_d_m",
-]
+#: Key columns of the count CSVs: the elevation angle of angle and
+#: density tables, and the bin centre of distance tables, which alone
+#: end with a mean_d_m column.
+ANGLE_KEY, DISTANCE_KEY = "theta_deg", "bin_center_m"
+P_COLUMNS = ("p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s")
 FITS_CSV_COLUMNS = ["environment", "scenario", "A_dB", "B", "rmse_dB", "n"]
 
 
@@ -44,40 +46,57 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_angle_csv(path: Path, curve: PLoSCurve) -> None:
-    n = curve.n
-    rows = zip(
-        curve.theta_deg,
-        (float(v) for v in curve.p_los),
-        (float(v) for v in curve.p_nlos_b),
-        (float(v) for v in curve.p_nlos_t),
-        (float(v) for v in curve.p_nlos_s),
-        (int(v) for v in n),
-    )
-    write_csv(path, ANGLE_CSV_COLUMNS, rows)
+def write_counts_csv(path: Path, key_column: str, table: ClassCounts) -> None:
+    """Write table as key, one probability per class, n and, for a
+    distance table, mean_d_m."""
+    header = [key_column, *P_COLUMNS, "n"]
+    columns = [table.keys, *table.p.T.tolist(), table.n.tolist()]
+    if key_column == DISTANCE_KEY:
+        header.append("mean_d_m")
+        columns.append(table.mean_d)
+    write_csv(path, header, zip(*columns))
 
 
-def write_distance_csv(path: Path, stats: DistanceStats) -> None:
-    rows = zip(
-        stats.bin_centers,
-        (float(v) for v in stats.p_los),
-        (float(v) for v in stats.p_nlos_b),
-        (float(v) for v in stats.p_nlos_t),
-        (float(v) for v in stats.p_nlos_s),
-        (int(v) for v in stats.n),
-        (float(v) for v in stats.mean_d),
-    )
-    write_csv(path, DISTANCE_CSV_COLUMNS, rows)
+def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
+    """The table write_counts_csv wrote to path under key_column.
+
+    Each class count comes back as round(p * n). A missing or non-finite
+    cell, products farther than 1e-6 from a nonnegative integer, or counts
+    not summing to n mean the file does not hold counts, and raise
+    AggregationError naming it.
+    """
+    with_mean = key_column == DISTANCE_KEY
+    keys, counts, mean_d = [], [], []
+    for line, r in enumerate(read_csv_dicts(path), start=2):
+        try:
+            n = int(r["n"])
+            products = [float(r[p]) * n for p in P_COLUMNS]
+            reals = {key_column: float(r[key_column])}
+            if with_mean:
+                reals["mean_d_m"] = float(r["mean_d_m"])
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None cells
+            raise AggregationError(f"{path} line {line}: {exc}") from None
+        if not all(map(math.isfinite, reals.values())):
+            raise AggregationError(f"{path} line {line}: {reals} must be finite")
+        row = [round(x) if math.isfinite(x) else -1 for x in products]
+        if (
+            min(row) < 0
+            or sum(row) != n
+            or any(abs(x - c) > 1e-6 for x, c in zip(products, row))
+        ):
+            raise AggregationError(
+                f"{path} line {line}: p * n = {products} are not class counts summing to n = {n}"
+            )
+        keys.append(reals[key_column])
+        mean_d.append(reals.get("mean_d_m"))
+        counts.append(row)
+    return class_counts(keys, counts, mean_d if with_mean else None)
 
 
-def write_delta_csv(path: Path, curve_a: PLoSCurve, curve_b: PLoSCurve) -> None:
-    rows = zip(
-        curve_a.theta_deg,
-        (float(v) for v in curve_a.p_los),
-        (float(v) for v in curve_b.p_los),
-        (float(abs(v)) for v in (curve_a.p_los - curve_b.p_los)),
-    )
-    write_csv(path, ["theta_deg", "p_los_a", "p_los_b", "abs_delta"], rows)
+def write_delta_csv(path: Path, curve_a: ClassCounts, curve_b: ClassCounts) -> None:
+    p_a, p_b = curve_a.p_los.tolist(), curve_b.p_los.tolist()
+    rows = zip(curve_a.keys, p_a, p_b, (abs(a - b) for a, b in zip(p_a, p_b)))
+    write_csv(path, [ANGLE_KEY, "p_los_a", "p_los_b", "abs_delta"], rows)
 
 
 def canonical_json(obj) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import AggregationError, ParameterError
-from .montecarlo import DISTANCE_BIN_M, DistanceStats, PLoSCurve
+from .montecarlo import DISTANCE_BIN_M, ClassCounts
 
 C_M_PER_NS = 0.299792458  # speed of light, meters per nanosecond (m * GHz)
 
@@ -195,21 +195,14 @@ def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
 
 
 def _composite_rows(
-    counts: PLoSCurve | DistanceStats,
+    counts: ClassCounts,
     rows: Sequence[tuple[int, float, int]],
     params: VegetationParams,
     seed: int,
 ) -> list[float]:
     """Composite PL for each (row index, distance, vegetation key) of a
     class-count table; vegetation is drawn only for rows with tree mass."""
-    probs = list(
-        zip(
-            counts.p_los.tolist(),
-            counts.p_nlos_b.tolist(),
-            counts.p_nlos_t.tolist(),
-            counts.p_nlos_s.tolist(),
-        )
-    )
+    probs = counts.p.tolist()
     out = []
     for i, d, key in rows:
         p_los, p_b, p_t, p_s = probs[i]
@@ -219,7 +212,7 @@ def _composite_rows(
 
 
 def composite_bins(
-    stats: DistanceStats,
+    stats: ClassCounts,
     params: VegetationParams = VegetationParams(),
     seed: int = 0,
 ) -> list[tuple[float, float, int]]:
@@ -227,10 +220,10 @@ def composite_bins(
     vegetation is keyed by the distance bin index."""
     rows = [
         (i, center, int(round(center / DISTANCE_BIN_M - 0.5)))
-        for i, center in enumerate(stats.bin_centers)
+        for i, center in enumerate(stats.keys)
     ]
     pls = _composite_rows(stats, rows, params, seed)
-    return list(zip(stats.bin_centers, pls, (int(v) for v in stats.n)))
+    return list(zip(stats.keys, pls, (int(v) for v in stats.n)))
 
 
 @dataclass(frozen=True)
@@ -274,7 +267,7 @@ def fit_ab(
 
 
 def pl_vs_theta(
-    curve: PLoSCurve,
+    curve: ClassCounts,
     h_abs_m: float = 100.0,
     h_gu_m: float = 1.5,
     params: VegetationParams = VegetationParams(),
@@ -290,11 +283,11 @@ def pl_vs_theta(
         raise ParameterError("h_abs must exceed h_gu")
     rows = [
         (i, (h_abs_m - h_gu_m) / math.sin(math.radians(theta)), i)
-        for i, theta in enumerate(curve.theta_deg)
+        for i, theta in enumerate(curve.keys)
         if theta > 0.0
     ]
     pls = _composite_rows(curve, rows, params, seed)
-    return [(curve.theta_deg[i], d, pl) for (i, d, _), pl in zip(rows, pls)]
+    return [(curve.keys[i], d, pl) for (i, d, _), pl in zip(rows, pls)]
 
 
 def median_extra_loss(

@@ -24,7 +24,7 @@ from urbanlos.montecarlo import (
     streetlight_delta,
 )
 from urbanlos.oracle import check_links, random_links
-from urbanlos.outputs import write_angle_csv
+from urbanlos.outputs import ANGLE_KEY, write_counts_csv
 from urbanlos.pathloss import (
     VegGeometry,
     VegetationParams,
@@ -156,7 +156,7 @@ def test_tree_blockage_peak():
         # 9-degree moving average to resolve the argmax of a small probability
         kernel = np.ones(9) / 9.0
         smooth = np.convolve(p_t, kernel, mode="valid")
-        peak_theta = float(curve.theta_deg[int(np.argmax(smooth)) + 4])
+        peak_theta = float(curve.keys[int(np.argmax(smooth)) + 4])
         ok = 50.0 <= peak_theta <= 60.0
         _report(
             f"tree-blockage peak {env}",
@@ -301,8 +301,8 @@ def test_seeded_run_reproduction(env_results, tmp_path):
     )
     a_path = tmp_path / "a.csv"
     b_path = tmp_path / "b.csv"
-    write_angle_csv(a_path, env_results["urban"]["full"][0])
-    write_angle_csv(b_path, rerun["full"][0])
+    write_counts_csv(a_path, ANGLE_KEY, env_results["urban"]["full"][0])
+    write_counts_csv(b_path, ANGLE_KEY, rerun["full"][0])
     identical = a_path.read_bytes() == b_path.read_bytes()
     _report(
         "seeded byte-identical reproduction",

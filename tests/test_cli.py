@@ -15,7 +15,7 @@ from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
 from urbanlos.geometry import LayoutGeometry
 from urbanlos.montecarlo import SweepConfig, tree_density_sweep
-from urbanlos.outputs import layouts_hash, read_csv_dicts, read_manifest, write_angle_csv
+from urbanlos.outputs import ANGLE_KEY, layouts_hash, read_csv_dicts, read_manifest, write_counts_csv
 
 SIM_ARGS = [
     "simulate",
@@ -300,28 +300,40 @@ CORRUPTIONS = {
     "off-count": lambda v: repr(float(v) + 0.01),
     "off-partition": lambda v: "2.0",
     "nan": lambda v: "nan",
+    "inf": lambda v: "inf",
     "text": lambda v: "x",
     "short": None,  # the row cut to its first three cells
 }
-# (command, file it must reject, corrupted column); the fit cases keep their bare ids
-CORRUPT_INPUTS = [("fit", "distance_trees.csv", "p_los", kind) for kind in CORRUPTIONS] + [
+# the corruptions of a probability cell; an inf one takes nan's path
+P_CORRUPTIONS = ["off-count", "off-partition", "nan", "text", "short"]
+# (command, file it must reject, corrupted column, corruption)
+CORRUPT_INPUTS = [("fit", "distance_trees.csv", "p_los", kind) for kind in P_CORRUPTIONS] + [
     ("report", name, "p_los", kind)
     for name in ("distance_full.csv", "density_20.csv")
-    for kind in CORRUPTIONS
+    for kind in P_CORRUPTIONS
 ] + [
     ("fit", "distance_trees.csv", "bin_center_m", "text"),
     ("fit", "distance_trees.csv", "mean_d_m", "text"),
     ("report", "angles_trees.csv", "theta_deg", "text"),
+    ("fit", "distance_trees.csv", "bin_center_m", "nan"),
+    ("fit", "distance_trees.csv", "bin_center_m", "inf"),
+    ("fit", "distance_trees.csv", "mean_d_m", "nan"),
+    ("report", "angles_trees.csv", "theta_deg", "nan"),
 ]
+
+
+def _corrupt_input_id(cmd, name, column, kind):
+    """Test id of a case: the bare kind for fit's p_los cells, and no kind
+    suffix for a text key or mean cell."""
+    if column == "p_los":
+        return kind if cmd == "fit" else f"{cmd}-{name}-{kind}"
+    return f"{cmd}-{name}-{column}" + ("" if kind == "text" else f"-{kind}")
 
 
 @pytest.mark.parametrize(
     "command, name, column, kind",
     CORRUPT_INPUTS,
-    ids=[
-        f"{cmd}-{name}-{column}" if column != "p_los" else kind if cmd == "fit" else f"{cmd}-{name}-{kind}"
-        for cmd, name, column, kind in CORRUPT_INPUTS
-    ],
+    ids=[_corrupt_input_id(*case) for case in CORRUPT_INPUTS],
 )
 def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, name, column, kind):
     run = tmp_path / "run"
@@ -397,7 +409,7 @@ def test_shared_build_matches_separate_builds(plain_run, tmp_path, densities):
     curves = tree_density_sweep(PRESETS["urban"], gen, sweep, densities) if densities else {}
     assert sorted(p.name for p in run.glob("density_*.csv")) == sorted(f"density_{k}.csv" for k in curves)
     for k, curve in curves.items():
-        write_angle_csv(tmp_path / "direct.csv", curve)
+        write_counts_csv(tmp_path / "direct.csv", ANGLE_KEY, curve)
         assert (run / f"density_{k}.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
@@ -458,6 +470,16 @@ def test_report_missing_prerequisites(tmp_path, capsys):
     assert "fits.csv" in capsys.readouterr().err
 
 
+def test_report_checks_trees_scenario_before_writing(tmp_path, capsys):
+    assert main(SIM_ARGS + ["--scenario", "buildings-only,full", "--out", str(tmp_path)]) == 0
+    run = _run_dir(tmp_path)
+    assert main(["fit", "--run", str(run)]) == 0
+    assert main(["report", "--run", str(run)]) == 3
+    assert "trees scenario" in capsys.readouterr().err
+    assert not list(run.glob("report_*"))
+
+
+# the manifest's bytes, or an edit of the run's own manifest config
 CORRUPT_MANIFESTS = {
     "truncated": b"{",
     "not-utf8": b"\xff\xfe{\x00}\x00",
@@ -465,6 +487,13 @@ CORRUPT_MANIFESTS = {
     "empty": b"{}",
     "no-scenarios": b'{"config": {"seed": 5}}',
     "config-not-mapping": b'{"config": [], "scenarios": ["trees"]}',
+    "config-empty": b'{"config": {}, "scenarios": ["trees"]}',
+    "seed-text": lambda config: config.update(seed="x"),
+    "seed-null": lambda config: config.update(seed=None),
+    "freq-text": lambda config: config.update(freq_ghz="x"),
+    "no-gen": lambda config: config.pop("gen"),
+    "h_gu-text": lambda config: config["gen"].update(h_gu="abc"),
+    "densities-count": lambda config: config.update(densities=5),
 }
 
 
@@ -473,7 +502,12 @@ CORRUPT_MANIFESTS = {
 def test_corrupt_manifest_exit(sim_run, tmp_path, capsys, command, kind):
     run = tmp_path / "run"
     shutil.copytree(sim_run, run)
-    (run / "manifest.json").write_bytes(CORRUPT_MANIFESTS[kind])
+    corrupt = CORRUPT_MANIFESTS[kind]
+    if callable(corrupt):
+        manifest = read_manifest(run / "manifest.json")
+        corrupt(manifest["config"])
+        corrupt = json.dumps(manifest).encode()
+    (run / "manifest.json").write_bytes(corrupt)
     assert main([command, "--run", str(run)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "manifest.json" in err

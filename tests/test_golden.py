@@ -13,11 +13,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_city, sample_open_point
 from urbanlos.cli import main
 from urbanlos.geometry import LayoutGeometry, Link
-from urbanlos.montecarlo import DistanceStats, PLoSCurve
+from urbanlos.montecarlo import ClassCounts
+from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv
 from urbanlos.pathloss import VegetationParams, composite_bins, pl_vs_theta
 
 ANGLES_SHA = "b7ad24ada62bfb63e0eae5519a1dc5c34354496d511fe685f0469cd913baf671"
@@ -56,31 +58,49 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_simulate_golden_bytes(tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
     args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "2", "--n-gu", "20"]
-    assert main(args + ["--densities", "0,50", "--out", str(tmp_path)]) == 0
-    (run,) = [p for p in tmp_path.iterdir() if p.is_dir()]
-    assert {p.name: _sha(p) for p in run.glob("*.csv")} == SIMULATE_GOLDEN
-    assert json.loads((run / "manifest.json").read_text())["layout_hash"] == LAYOUT_HASH
-    assert main(["fit", "--run", str(run)]) == 0
-    assert main(["report", "--run", str(run)]) == 0
-    written = {p.name: _sha(p) for p in run.glob("*.csv") if p.name not in SIMULATE_GOLDEN}
+    assert main(args + ["--densities", "0,50", "--out", str(root)]) == 0
+    (run,) = [p for p in root.iterdir() if p.is_dir()]
+    return run
+
+
+def test_simulate_golden_bytes(golden_run):
+    assert {p.name: _sha(p) for p in golden_run.glob("*.csv")} == SIMULATE_GOLDEN
+    assert json.loads((golden_run / "manifest.json").read_text())["layout_hash"] == LAYOUT_HASH
+    assert main(["fit", "--run", str(golden_run)]) == 0
+    assert main(["report", "--run", str(golden_run)]) == 0
+    written = {p.name: _sha(p) for p in golden_run.glob("*.csv") if p.name not in SIMULATE_GOLDEN}
     assert written == PATHLOSS_GOLDEN
+
+
+@pytest.mark.parametrize(
+    "prefix, key_column", [("angles", ANGLE_KEY), ("density", ANGLE_KEY), ("distance", DISTANCE_KEY)]
+)
+def test_count_csv_round_trip(golden_run, tmp_path, prefix, key_column):
+    """Reading a count CSV and writing the table again gives its bytes."""
+    paths = sorted(golden_run.glob(f"{prefix}_*.csv"))
+    assert paths
+    for path in paths:
+        write_counts_csv(tmp_path / path.name, key_column, read_counts_csv(path, key_column))
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_pathloss_golden():
     """Composite rows with tree-blocked mass: vegetation keyed by distance
     bin index and by angle index, theta = 0 dropped, a non-default h_gu."""
-    stats = DistanceStats(
-        bin_centers=(25.0, 125.0, 175.0, 975.0, 5025.0),
+    stats = ClassCounts(
+        keys=(25.0, 125.0, 175.0, 975.0, 5025.0),
         los=(5, 3, 0, 1, 0),
         nlos_b=(0, 4, 2, 6, 7),
         nlos_t=(2, 1, 3, 0, 2),
         nlos_s=(1, 0, 1, 1, 0),
-        d_sum=(0.0,) * 5,
+        mean_d=(0.0,) * 5,
     )
-    curve = PLoSCurve(
-        theta_deg=(0.0, 1.0, 30.0, 89.0, 90.0),
+    curve = ClassCounts(
+        keys=(0.0, 1.0, 30.0, 89.0, 90.0),
         los=(0, 1, 4, 8, 9),
         nlos_b=(9, 5, 2, 0, 0),
         nlos_t=(0, 3, 2, 1, 0),

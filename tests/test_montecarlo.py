@@ -73,12 +73,12 @@ def test_partition_and_totals(small_results, small_gen):
 
 def test_distance_bins_cover_samples(small_results):
     _, stats = small_results["full"]
-    centers = np.array(stats.bin_centers)
+    centers = np.array(stats.keys)
     assert DISTANCE_BIN_M == 50.0
     assert np.all(np.mod(centers, DISTANCE_BIN_M) == DISTANCE_BIN_M / 2.0)
     assert np.all(np.diff(centers) > 0)
-    assert np.all(np.array(stats.d_sum) / np.array(stats.n) >= centers - 25.0 - 1e-9)
-    assert np.all(np.array(stats.d_sum) / np.array(stats.n) <= centers + 25.0 + 1e-9)
+    assert np.all(np.array(stats.mean_d) >= centers - 25.0 - 1e-9)
+    assert np.all(np.array(stats.mean_d) <= centers + 25.0 + 1e-9)
 
 
 def test_deterministic_rerun(small_gen):
@@ -117,7 +117,7 @@ def test_streetlight_delta_zero_lights(small_gen):
 
 def test_streetlight_delta_grid_mismatch(small_results):
     curve = small_results["trees"][0]
-    other = replace(curve, theta_deg=tuple(t + 1.0 for t in curve.theta_deg))
+    other = replace(curve, keys=tuple(t + 1.0 for t in curve.keys))
     with pytest.raises(AggregationError):
         streetlight_delta(curve, other)
 
@@ -149,7 +149,7 @@ def test_fixed_altitude_policy(small_gen):
     curve, stats = run_scenarios(URBAN, small_gen, sweep, [FULL])["full"]
     # altitude does not vary with angle, so every column is identical
     assert curve.los[0] == curve.los[1] == curve.los[2]
-    assert max(stats.bin_centers) < 1600.0
+    assert max(stats.keys) < 1600.0
 
 
 def test_city_order_independent(small_gen):
