@@ -12,10 +12,7 @@ from .citygen import (
     Tree,
     derive_building_dims,
     generate_city,
-    layout_from_dict,
-    layout_to_dict,
     sample_height,
-    save_layout,
 )
 from .errors import (
     AggregationError,
@@ -44,7 +41,7 @@ from .montecarlo import (
     streetlight_delta,
     tree_density_sweep,
 )
-from .oracle import classify_link_bruteforce, random_links
+from .oracle import classify_link_bruteforce, obstacle_families, random_links
 from .pathloss import (
     FitResult,
     VegetationParams,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +42,8 @@ TREE_HEIGHT_RANGE = (2.0, 5.0)
 TREE_RADIUS_RANGE = (0.5, 1.5)
 TRUNK_HEIGHT_FRAC = 0.2
 TRUNK_RADIUS_FRAC = 0.1
+# the foliage cone falls from h on the axis to the trunk height at its rim
+CONE_DROP_FRAC = 1.0 - TRUNK_HEIGHT_FRAC
 LIGHT_HEIGHT_RANGE = (2.0, 5.0)
 LIGHT_RADIUS = 0.1
 
@@ -520,81 +521,18 @@ def generate_city(
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def layout_to_dict(layout: CityLayout) -> dict:
-    """Plain-dict form of a layout (all lengths in meters)."""
-    p, c = layout.params, layout.config
-    return {
-        "params": {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma},
-        "config": {
-            "area": c.area,
-            "n_trees": c.n_trees,
-            "n_lights": c.n_lights,
-            "n_gu": c.n_gu,
-            "d_o": c.d_o,
-            "h_gu": c.h_gu,
-            "seed": c.seed,
-        },
-        "buildings": [
-            {"x": b.x, "y": b.y, "w": b.w, "l": b.l, "h": b.h} for b in layout.buildings
-        ],
-        "trees": [
-            {
-                "x": t.x,
-                "y": t.y,
-                "r": t.r,
-                "h": t.h,
-                "r_trunk": t.r_trunk,
-                "h_trunk": t.h_trunk,
-            }
-            for t in layout.trees
-        ],
-        "lights": [{"x": s.x, "y": s.y, "r": s.r, "h": s.h} for s in layout.lights],
-        "users": [{"x": u.x, "y": u.y, "h": u.h} for u in layout.users],
-    }
-
-
-def layout_from_dict(doc: dict) -> CityLayout:
-    """Rebuild a layout from its dict form, validating derived fields."""
-    params = BuiltUpParams(**doc["params"])
-    config = GenConfig(**doc["config"])
-    buildings = tuple(Building(**b) for b in doc["buildings"])
-    trees = []
-    for t in doc["trees"]:
-        tree = Tree(x=t["x"], y=t["y"], r=t["r"], h=t["h"])
-        if not math.isclose(t["r_trunk"], tree.r_trunk, rel_tol=1e-12) or not math.isclose(
-            t["h_trunk"], tree.h_trunk, rel_tol=1e-12
-        ):
-            raise ParameterError("tree trunk fields violate the fixed trunk ratios")
-        trees.append(tree)
-    lights = tuple(Streetlight(**s) for s in doc["lights"])
-    users = tuple(GroundUser(**u) for u in doc["users"])
-    layout = CityLayout(
-        params=params,
-        config=config,
-        buildings=buildings,
-        trees=tuple(trees),
-        lights=lights,
-        users=users,
-    )
-    counts = (len(buildings), len(trees), len(lights), len(users))
-    expected = (
-        building_count(params, config.area),
-        config.n_trees,
-        config.n_lights,
-        config.n_gu,
-    )
-    if counts != expected:
-        raise ParameterError(f"layout counts {counts} do not match config {expected}")
-    return layout
+# JSON form
 
 
 def layout_json(layout: CityLayout) -> str:
-    """Canonical JSON text for a layout (stable byte-for-byte)."""
-    return json.dumps(layout_to_dict(layout), sort_keys=True, separators=(",", ":"))
-
-
-def save_layout(layout: CityLayout, path: str | Path) -> None:
-    Path(path).write_text(layout_json(layout))
+    """Canonical JSON text for a layout (stable byte-for-byte): every field
+    of each record, plus each tree's derived trunk; lengths in meters."""
+    doc = {
+        "params": vars(layout.params),
+        "config": vars(layout.config),
+        "buildings": [vars(b) for b in layout.buildings],
+        "trees": [dict(vars(t), r_trunk=t.r_trunk, h_trunk=t.h_trunk) for t in layout.trees],
+        "lights": [vars(s) for s in layout.lights],
+        "users": [vars(u) for u in layout.users],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

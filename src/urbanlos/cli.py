@@ -24,14 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .citygen import (
-    PRESETS,
-    BuiltUpParams,
-    GenConfig,
-    generate_city,
-    layout_json,
-    save_layout,
-)
+from .citygen import PRESETS, BuiltUpParams, GenConfig, generate_city, layout_json
 from .errors import InfeasibleLayoutError, MissingInputError, ParameterError, UrbanLosError
 from .geometry import LayoutGeometry
 from .montecarlo import SweepConfig, parse_scenario, run_simulation, streetlight_delta
@@ -169,25 +162,26 @@ _KINDS = {
 }
 
 #: Every config key: path -> (default, kind, flag dest that overrides it).
-#: A key whose default is None may also be null.
+#: A key whose default is None may also be null. The gen, sweep and
+#: carrier defaults are those of the dataclasses the keys build.
 CONFIG_SCHEMA = {
     "environment": (None, ENVIRONMENT, "env"),
     "alpha": (None, REAL, "alpha"),
     "beta": (None, REAL, "beta"),
     "gamma": (None, REAL, "gamma"),
-    "gen.area": (1_000_000.0, REAL, "area"),
-    "gen.n_trees": (200, COUNT, "n_trees"),
-    "gen.n_lights": (500, COUNT, "n_lights"),
-    "gen.n_gu": (100, COUNT, "n_gu"),
-    "gen.d_o": (1.5, REAL, None),
-    "gen.h_gu": (1.5, REAL, None),
-    "sweep.n_cities": (30, COUNT, "n_cities"),
-    "sweep.angles": ([float(a) for a in range(1, 91)], REALS, None),
-    "sweep.altitude_policy": ("per-angle", TEXT, None),
-    "sweep.fixed_altitude_m": (100.0, REAL, None),
+    "gen.area": (GenConfig.area, REAL, "area"),
+    "gen.n_trees": (GenConfig.n_trees, COUNT, "n_trees"),
+    "gen.n_lights": (GenConfig.n_lights, COUNT, "n_lights"),
+    "gen.n_gu": (GenConfig.n_gu, COUNT, "n_gu"),
+    "gen.d_o": (GenConfig.d_o, REAL, None),
+    "gen.h_gu": (GenConfig.h_gu, REAL, None),
+    "sweep.n_cities": (SweepConfig.n_cities, COUNT, "n_cities"),
+    "sweep.angles": (list(SweepConfig.angles), REALS, None),
+    "sweep.altitude_policy": (SweepConfig.altitude_policy, TEXT, None),
+    "sweep.fixed_altitude_m": (SweepConfig.fixed_altitude_m, REAL, None),
     "scenarios": (["buildings-only", "trees", "full"], TEXTS, "scenario"),
     "densities": (None, COUNTS, "densities"),
-    "freq_ghz": (28.0, REAL, "freq_ghz"),
+    "freq_ghz": (VegetationParams.f_ghz, REAL, "freq_ghz"),
     "seed": (None, COUNT, "seed"),
 }
 
@@ -271,6 +265,14 @@ def _gen_config(config: dict, need_users: bool = False) -> GenConfig:
     return gen
 
 
+def _check_out(out_root: Path) -> None:
+    """ParameterError unless out_root is a directory or can be made one,
+    checked before the work whose outputs go there."""
+    ancestor = next(p for p in (out_root, *out_root.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise ParameterError(f"--out: {ancestor} is not a directory")
+
+
 def _run_dir(out_root: Path, config: dict) -> tuple[Path, str]:
     digest = config_hash(config)
     run_dir = out_root / digest
@@ -282,13 +284,14 @@ def _run_dir(out_root: Path, config: dict) -> tuple[Path, str]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     config = resolve_config(args, "generate")
     if config["seed"] is None:
         config["seed"] = 0
     params = _built_up_params(config)
     layout = generate_city(params, _gen_config(config))
     run_dir, digest = _run_dir(args.out, config)
-    save_layout(layout, run_dir / "layout.json")
+    (run_dir / "layout.json").write_text(layout_json(layout))
     write_manifest(
         run_dir / "manifest.json",
         {
@@ -309,6 +312,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     config = resolve_config(args, "simulate")
     if config["seed"] is None:
         raise ParameterError("simulate requires --seed (or seed in the config file)")
@@ -439,24 +443,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     _require(run_dir, [f"angles_{s}.csv" for s in scenarios])
     _require(run_dir, [f"density_{k}.csv" for k in densities])
 
+    # every table is read and computed before the first write, so a bad
+    # input leaves the run directory as it was
+    tables = {}  # file name -> (columns, rows)
+
     # P_LoS against 3-D distance, one block per scenario
     rows = []
     for scenario in scenarios:
         stats = read_counts_csv(run_dir / f"distance_{scenario}.csv", DISTANCE_KEY)
         for center, probs, n in zip(stats.keys, stats.p.tolist(), stats.n.tolist()):
             rows.append((scenario, center, *probs, n))
-    write_csv(
-        run_dir / "report_plos_vs_distance.csv",
+    tables["report_plos_vs_distance.csv"] = (
         ["scenario", "bin_center_m", "p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s", "n"],
         rows,
     )
 
     # extra tree-caused NLoS probability against elevation angle
     curve = read_counts_csv(run_dir / "angles_trees.csv", ANGLE_KEY)
-    write_csv(
-        run_dir / "report_tree_nlos_vs_theta.csv",
+    tables["report_tree_nlos_vs_theta.csv"] = (
         ["theta_deg", "p_nlos_t", "n"],
-        zip(curve.keys, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n)),
+        list(zip(curve.keys, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n))),
     )
 
     # density sweep, when the simulate run made one
@@ -466,11 +472,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             curve = read_counts_csv(run_dir / f"density_{density}.csv", ANGLE_KEY)
             for theta, p_los, n in zip(curve.keys, curve.p_los, curve.n):
                 rows.append((density, theta, float(p_los), int(n)))
-        write_csv(
-            run_dir / "report_density.csv",
-            ["density", "theta_deg", "p_los", "n"],
-            rows,
-        )
+        tables["report_density.csv"] = (["density", "theta_deg", "p_los", "n"], rows)
 
     # composite PL against elevation angle at a fixed 100 m ABS altitude
     rows = []
@@ -480,16 +482,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         curve = read_counts_csv(run_dir / f"angles_{scenario}.csv", ANGLE_KEY)
         for theta, d, pl in pl_vs_theta(curve, h_gu_m=h_gu, params=params, seed=seed):
             rows.append((scenario, theta, d, pl))
-    write_csv(
-        run_dir / "report_pl_vs_theta.csv",
-        ["scenario", "theta_deg", "d_m", "pl_db"],
-        rows,
-    )
+    tables["report_pl_vs_theta.csv"] = (["scenario", "theta_deg", "d_m", "pl_db"], rows)
+
+    for name, (columns, rows) in tables.items():
+        write_csv(run_dir / name, columns, rows)
     print(run_dir)
     return EXIT_OK
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.dump_hits and not args.dump_hits.parent.is_dir():
+        raise ParameterError(f"--dump-hits: {args.dump_hits.parent} is not a directory")
     config = resolve_config(args, "oracle-check")
     if config["seed"] is None:
         config["seed"] = 0

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .citygen import CityLayout, FootprintIndex, Tree
+from .citygen import CONE_DROP_FRAC, TRUNK_RADIUS_FRAC, CityLayout, FootprintIndex, Tree
 from .errors import DegenerateLinkError, ParameterError
 
 _U_ONE = 1.0 - 1e-12  # treat crossings this close to the user as at the user
@@ -114,7 +114,7 @@ def tree_height_at(tree: Tree, rho: float) -> float:
     if rho <= tree.r_trunk:
         return tree.h
     if rho <= tree.r:
-        return tree.h * (1.0 - 0.8 * rho / tree.r)
+        return tree.h * (1.0 - CONE_DROP_FRAC * rho / tree.r)
     return 0.0
 
 
@@ -158,8 +158,8 @@ def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
     b = 2.0 * (ex * dx + ey * dy)
     u0 = -b / (2.0 * g2)  # closest approach to the tree axis
     d2 = np.maximum(ex * ex + ey * ey - g2 * u0 * u0, 0.0)  # squared axis distance
-    r_trunk = 0.1 * r_t
-    kappa = 0.8 * h_t / r_t
+    r_trunk = TRUNK_RADIUS_FRAC * r_t
+    kappa = CONE_DROP_FRAC * h_t / r_t
 
     # Trunk cap: constant full height over its chord, so its ends suffice.
     cap = d2 <= r_trunk * r_trunk
@@ -202,7 +202,7 @@ def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
     valid = np.concatenate([cap, cap, every, every, inside_first, cap, cap, inside_second], axis=1)
 
     rho = np.sqrt(np.maximum(g2 * (u - u0) ** 2 + d2, 0.0))
-    prof = np.where(rho <= r_trunk, h_t, h_t * (1.0 - 0.8 * np.minimum(rho, r_t) / r_t))
+    prof = np.where(rho <= r_trunk, h_t, h_t * (1.0 - CONE_DROP_FRAC * np.minimum(rho, r_t) / r_t))
     prof[:, :2] = h_t  # the cap ends
     alt = _required_altitude(prof, h_gu, u)
     # the first valid maximum; a valid -inf still beats an empty slot

@@ -16,11 +16,13 @@ from typing import Iterator
 import numpy as np
 from numpy.random import Generator
 
-from .citygen import CityLayout
+from .citygen import CONE_DROP_FRAC, Building, CityLayout, Streetlight, Tree
 from .errors import DegenerateLinkError
 from .geometry import LayoutGeometry, Link, LinkClass, ObstructionHit, classify_hits
 
 DEFAULT_STEP_M = 0.01
+LINK_ANGLES_DEG = (1.0, 89.9)  # elevation range of random_links
+LINK_ALTITUDE_CAP_M = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -58,89 +60,76 @@ def _segment_distances(
     return np.hypot(cx - (ax + t * dx), cy - (ay + t * dy))
 
 
+def _in_building(b: Building, px: np.ndarray, py: np.ndarray):
+    return (px >= b.x) & (px <= b.x1) & (py >= b.y) & (py <= b.y1), b.h
+
+
+def _in_tree(t: Tree, px: np.ndarray, py: np.ndarray):
+    rho = np.hypot(px - t.x, py - t.y)
+    return rho <= t.r, np.where(rho <= t.r_trunk, t.h, t.h * (1.0 - CONE_DROP_FRAC * rho / t.r))
+
+
+def _in_light(s: Streetlight, px: np.ndarray, py: np.ndarray):
+    return np.hypot(px - s.x, py - s.y) <= s.r, s.h
+
+
+def _discs(obstacles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(np.array([getattr(o, k) for o in obstacles]) for k in ("x", "y", "r"))
+
+
+def obstacle_families(layout: CityLayout) -> list[tuple]:
+    """One row per obstacle family, in precedence order: its kind, the class
+    of a link it blocks, its obstacles, their covering discs (centres x and
+    y, radii), and the point test that gives the step points inside one
+    obstacle's footprint and the obstacle's height there."""
+    bs = layout.buildings
+    building_discs = (
+        np.array([(b.x + b.x1) / 2.0 for b in bs]),
+        np.array([(b.y + b.y1) / 2.0 for b in bs]),
+        np.array([math.hypot(b.w, b.l) / 2.0 for b in bs]),
+    )
+    return [
+        ("building", LinkClass.NLOS_BUILDING, bs, *building_discs, _in_building),
+        ("tree", LinkClass.NLOS_TREE, layout.trees, *_discs(layout.trees), _in_tree),
+        ("streetlight", LinkClass.NLOS_LIGHT, layout.lights, *_discs(layout.lights), _in_light),
+    ]
+
+
 def classify_link_bruteforce(
     link: Link,
-    layout: CityLayout,
+    families: list[tuple],
     step: float = DEFAULT_STEP_M,
 ) -> BruteForceResult:
-    """Rasterized classification of one link.
+    """Rasterized classification of one link; the first family that blocks
+    it names its class.
 
-    Obstacles provably farther from the segment than their own radius are
-    skipped before the point tests, since no step point can fall inside them.
+    Obstacles provably farther from the segment than their covering radius
+    are skipped before the point tests, since no step point can fall inside
+    them.
     """
     px, py, h_line = _step_points(link, step)
-    crossed: dict[str, set[int]] = {"building": set(), "tree": set(), "streetlight": set()}
-    blocked: dict[str, set[int]] = {"building": set(), "tree": set(), "streetlight": set()}
-
-    bs = layout.buildings
-    cx = np.array([(b.x + b.x1) / 2.0 for b in bs])
-    cy = np.array([(b.y + b.y1) / 2.0 for b in bs])
-    half_diag = np.array([math.hypot(b.w, b.l) / 2.0 for b in bs])
-    cand_b = np.nonzero(_segment_distances(link, cx, cy) <= half_diag + 1e-9)[0]
-    for i in cand_b:
-        b = bs[i]
-        inside = (px >= b.x) & (px <= b.x1) & (py >= b.y) & (py <= b.y1)
-        if not inside.any():
-            continue
-        crossed["building"].add(int(i))
-        if (inside & (h_line <= b.h)).any():
-            blocked["building"].add(int(i))
-
-    ts = layout.trees
-    cx = np.array([t.x for t in ts])
-    cy = np.array([t.y for t in ts])
-    rr = np.array([t.r for t in ts])
-    cand_t = np.nonzero(_segment_distances(link, cx, cy) <= rr + 1e-9)[0]
-    for i in cand_t:
-        t = ts[i]
-        rho = np.hypot(px - t.x, py - t.y)
-        inside = rho <= t.r
-        if not inside.any():
-            continue
-        crossed["tree"].add(int(i))
-        profile = np.where(rho <= t.r_trunk, t.h, t.h * (1.0 - 0.8 * rho / t.r))
-        if (inside & (h_line <= profile)).any():
-            blocked["tree"].add(int(i))
-
-    ss = layout.lights
-    cx = np.array([s.x for s in ss])
-    cy = np.array([s.y for s in ss])
-    rr = np.array([s.r for s in ss])
-    cand_s = np.nonzero(_segment_distances(link, cx, cy) <= rr + 1e-9)[0]
-    for i in cand_s:
-        s = ss[i]
-        inside = np.hypot(px - s.x, py - s.y) <= s.r
-        if not inside.any():
-            continue
-        crossed["streetlight"].add(int(i))
-        if (inside & (h_line <= s.h)).any():
-            blocked["streetlight"].add(int(i))
-
-    if blocked["building"]:
-        cls = LinkClass.NLOS_BUILDING
-    elif blocked["tree"]:
-        cls = LinkClass.NLOS_TREE
-    elif blocked["streetlight"]:
-        cls = LinkClass.NLOS_LIGHT
-    else:
-        cls = LinkClass.LOS
-    return BruteForceResult(
-        link_class=cls,
-        blocked={k: frozenset(v) for k, v in blocked.items()},
-        crossed={k: frozenset(v) for k, v in crossed.items()},
-    )
+    link_class = LinkClass.LOS
+    crossed: dict[str, frozenset[int]] = {}
+    blocked: dict[str, frozenset[int]] = {}
+    for kind, blocked_class, obstacles, cx, cy, reach, point_test in families:
+        hit, low = set(), set()
+        for i in np.nonzero(_segment_distances(link, cx, cy) <= reach + 1e-9)[0]:
+            inside, height = point_test(obstacles[i], px, py)
+            if not inside.any():
+                continue
+            hit.add(int(i))
+            if (inside & (h_line <= height)).any():
+                low.add(int(i))
+        crossed[kind], blocked[kind] = frozenset(hit), frozenset(low)
+        if low and link_class is LinkClass.LOS:
+            link_class = blocked_class
+    return BruteForceResult(link_class=link_class, blocked=blocked, crossed=crossed)
 
 
-def random_links(
-    layout: CityLayout,
-    geom: LayoutGeometry,
-    rng: Generator,
-    n: int,
-    angles_deg: tuple[float, float] = (1.0, 89.9),
-    altitude_cap_m: float = 10_000.0,
-) -> list[Link]:
+def random_links(layout: CityLayout, geom: LayoutGeometry, rng: Generator, n: int) -> list[Link]:
     """Sample sweep-like links: a random user, a random open ABS ground
-    position, and an elevation angle uniform over the given range."""
+    position, and an elevation angle uniform over LINK_ANGLES_DEG, the
+    altitude capped at LINK_ALTITUDE_CAP_M."""
     from .citygen import sample_open_point
 
     links = []
@@ -149,8 +138,8 @@ def random_links(
         user = layout.users[int(rng.integers(len(layout.users)))]
         ax, ay = sample_open_point(geom.index, layout.side, rng, what="abs")
         g = math.hypot(user.x - ax, user.y - ay)
-        theta = math.radians(rng.uniform(*angles_deg))
-        h_abs = min(h_gu + g * math.tan(theta), altitude_cap_m)
+        theta = math.radians(rng.uniform(*LINK_ANGLES_DEG))
+        h_abs = min(h_gu + g * math.tan(theta), LINK_ALTITUDE_CAP_M)
         links.append(
             Link(abs_xy=(ax, ay), h_abs=h_abs, gu_xy=(user.x, user.y), h_gu=h_gu)
         )
@@ -165,10 +154,11 @@ def check_links(
     """Run both classifiers on each link; yield the analytic crossings, the
     oracle's result and a mismatch record, or None where the two agree."""
     geom = LayoutGeometry(layout)
+    families = obstacle_families(layout)
     for i, link in enumerate(links):
         hits = geom.crossings(link)
         fast = classify_hits(hits)
-        slow = classify_link_bruteforce(link, layout, step=step)
+        slow = classify_link_bruteforce(link, families, step=step)
         mismatch = None
         if fast is not slow.link_class:
             mismatch = {

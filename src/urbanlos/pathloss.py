@@ -39,6 +39,8 @@ TREE_MEAN_RADIUS_M = 1.0
 VEG_D2_RANGE_M = (4.0, 8.0)
 VEG_DEPTH_RANGE_M = (0.5, 2.0 * TREE_MEAN_RADIUS_M)
 
+PL_THETA_ALTITUDE_M = 100.0  # fixed ABS altitude of the PL-vs-theta table
+
 
 @dataclass(frozen=True)
 class VegetationParams:
@@ -268,21 +270,21 @@ def fit_ab(
 
 def pl_vs_theta(
     curve: ClassCounts,
-    h_abs_m: float = 100.0,
     h_gu_m: float = 1.5,
     params: VegetationParams = VegetationParams(),
     seed: int = 0,
 ) -> list[tuple[float, float, float]]:
-    """(theta, 3-D distance, composite PL) per angle at a fixed altitude.
+    """(theta, 3-D distance, composite PL) per angle at the fixed ABS
+    altitude PL_THETA_ALTITUDE_M.
 
     The distance follows d = (h_abs - h_gu) / sin(theta); theta = 0 has
     no finite distance and is excluded from the table. Vegetation is
     keyed by the angle index.
     """
-    if h_abs_m <= h_gu_m:
+    if PL_THETA_ALTITUDE_M <= h_gu_m:
         raise ParameterError("h_abs must exceed h_gu")
     rows = [
-        (i, (h_abs_m - h_gu_m) / math.sin(math.radians(theta)), i)
+        (i, (PL_THETA_ALTITUDE_M - h_gu_m) / math.sin(math.radians(theta)), i)
         for i, theta in enumerate(curve.keys)
         if theta > 0.0
     ]

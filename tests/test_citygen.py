@@ -1,5 +1,5 @@
 """City generation: dimension math, height statistics, placement invariants,
-determinism, and the JSON round trip."""
+determinism, and the JSON form."""
 
 import json
 import math
@@ -18,9 +18,7 @@ from urbanlos.citygen import (
     derive_building_dims,
     generate_city,
     generate_obstacles,
-    layout_from_dict,
     layout_json,
-    layout_to_dict,
     rayleigh_icdf,
     sample_heights,
 )
@@ -246,28 +244,29 @@ def test_users_on_a_tree_prefix_match_generate_city(n_trees):
         add_users(city, 151, 2)
 
 
-# -- JSON round trip ----------------------------------------------------------
+# -- JSON form ----------------------------------------------------------------
+
+# the record keys of layout.json, as README lists them
+LAYOUT_KEYS = {
+    "params": {"alpha", "beta", "gamma"},
+    "config": {"area", "n_trees", "n_lights", "n_gu", "d_o", "h_gu", "seed"},
+    "buildings": {"x", "y", "w", "l", "h"},
+    "trees": {"x", "y", "r", "h", "r_trunk", "h_trunk"},
+    "lights": {"x", "y", "r", "h"},
+    "users": {"x", "y", "h"},
+}
 
 
-def test_layout_json_roundtrip(urban_layout):
+def test_layout_json_writes_every_field(urban_layout):
     doc = json.loads(layout_json(urban_layout))
-    rebuilt = layout_from_dict(doc)
-    assert rebuilt == urban_layout
-    assert layout_json(rebuilt) == layout_json(urban_layout)
-
-
-def test_layout_dict_rejects_bad_trunk(urban_layout):
-    doc = layout_to_dict(urban_layout)
-    doc["trees"][0]["r_trunk"] = 0.5
-    with pytest.raises(ParameterError):
-        layout_from_dict(doc)
-
-
-def test_layout_dict_rejects_count_mismatch(urban_layout):
-    doc = layout_to_dict(urban_layout)
-    doc["users"] = doc["users"][:-1]
-    with pytest.raises(ParameterError):
-        layout_from_dict(doc)
+    assert set(doc) == set(LAYOUT_KEYS)
+    for section in ("params", "config"):
+        assert set(doc[section]) == LAYOUT_KEYS[section]
+    for section in ("buildings", "trees", "lights", "users"):
+        assert doc[section]
+        assert all(set(record) == LAYOUT_KEYS[section] for record in doc[section])
+    for tree in doc["trees"]:
+        assert tree["r_trunk"] == 0.1 * tree["r"] and tree["h_trunk"] == 0.2 * tree["h"]
 
 
 # -- infeasible configurations ------------------------------------------------

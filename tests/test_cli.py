@@ -348,8 +348,12 @@ def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, nam
         cells[at] = CORRUPTIONS[kind](cells[at])  # the column's cell in the first row
     lines[1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+    for report in run.glob("report_*.csv"):  # as a run not yet reported
+        report.unlink()
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
     assert main([command, "--run", str(run)]) == 1
     assert name in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before  # nothing written
 
 
 def _count_calls(monkeypatch, owner, names) -> Counter:
@@ -593,6 +597,23 @@ def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
     assert main(args + ["--dump-hits", str(tmp_path / "hits.json"), "--out", str(tmp_path)]) == 0
     assert calls["classify_link_bruteforce"] == 50
     assert kernel["_critical_points"] == 50  # the analytic side, once per link too
+
+
+@pytest.mark.parametrize(
+    "args, flag, target",
+    [
+        (["oracle-check", "--n-links", "3"], "--dump-hits", "missing/hits.json"),
+        (["simulate", "--n-cities", "1", "--n-gu", "2"], "--out", "file/runs"),
+    ],
+    ids=["dump-hits-in-missing-dir", "out-under-file"],
+)
+def test_output_path_checked_before_work(tmp_path, capsys, monkeypatch, args, flag, target):
+    (tmp_path / "file").write_text("")
+    calls = _count_calls(monkeypatch, citygen, ["generate_obstacles"])
+    assert main(args + ["--env", "urban", "--seed", "1", flag, str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
+    assert not calls
 
 
 @pytest.mark.parametrize(

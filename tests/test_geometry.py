@@ -30,7 +30,7 @@ from urbanlos.geometry import (
     blockage_height,
     tree_height_at,
 )
-from urbanlos.oracle import check_links, classify_link_bruteforce, random_links
+from urbanlos.oracle import check_links, classify_link_bruteforce, obstacle_families, random_links
 
 URBAN = PRESETS["urban"]
 
@@ -306,7 +306,7 @@ def test_building_takes_precedence_over_tree():
         trees=[Tree(x=3.0, y=0.0, r=1.0, h=5.0)],
     )
     link = Link(abs_xy=(100.0, 0.0), h_abs=10.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    brute = classify_link_bruteforce(link, layout)
+    brute = classify_link_bruteforce(link, obstacle_families(layout))
     assert brute.blocked["tree"] and brute.blocked["building"]
     assert LayoutGeometry(layout).classify(link) is LinkClass.NLOS_BUILDING
 
@@ -387,10 +387,11 @@ def test_oracle_agreement(env):
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):
     rng = default_rng(32)
     links = random_links(urban_layout, urban_geometry, rng, 150)
+    families = obstacle_families(urban_layout)
     for link in links:
         analytic = {"building": set(), "tree": set(), "streetlight": set()}
         for hit in urban_geometry.crossings(link):
             analytic[hit.kind].add(hit.index)
-        brute = classify_link_bruteforce(link, urban_layout)
+        brute = classify_link_bruteforce(link, families)
         for kind in analytic:
             assert analytic[kind] == set(brute.crossed[kind]), kind
