@@ -3,7 +3,8 @@
 Each run writes into a directory keyed by the hash of its fully resolved
 configuration, next to a manifest that reproduces the run byte-for-byte.
 Configuration comes from defaults, then an optional YAML/JSON config
-file (a previous manifest works too), then explicit flags, which win.
+file or a previous manifest, then explicit flags, which win. A manifest is
+accepted only when its config resolves to its own config_hash.
 
 Exit codes: 0 success, 1 validation error, 2 infeasible generation,
 3 missing inputs.
@@ -18,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +27,24 @@ import yaml
 from .citygen import PRESETS, BuiltUpParams, GenConfig, generate_city, layout_json
 from .errors import InfeasibleLayoutError, MissingInputError, ParameterError, UrbanLosError
 from .geometry import LayoutGeometry
-from .montecarlo import SweepConfig, parse_scenario, run_simulation, streetlight_delta
-from .oracle import check_links, random_links
+from .montecarlo import (
+    BUILDINGS_ONLY,
+    FULL,
+    WITH_TREES,
+    SweepConfig,
+    parse_scenario,
+    run_simulation,
+    streetlight_delta,
+)
+from .oracle import DEFAULT_STEP_M, check_links, random_links
 from .outputs import (
     ANGLE_KEY,
     DISTANCE_KEY,
     FITS_CSV_COLUMNS,
+    P_COLUMNS,
     config_hash,
     layouts_hash,
     read_counts_csv,
-    read_manifest,
     write_counts_csv,
     write_csv,
     write_delta_csv,
@@ -66,7 +74,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-lights", type=int, dest="n_lights")
     p.add_argument("--n-gu", type=int, dest="n_gu")
     p.add_argument("--seed", type=int, help="master RNG seed")
-    p.add_argument("--out", type=Path, default=Path("runs"), help="output root directory")
 
 
 # An empty list flag counts as not given.
@@ -98,9 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate one city layout as JSON")
     _add_param_flags(p)
+    p.add_argument("--out", type=Path, default=Path("runs"), help="output root directory")
 
     p = sub.add_parser("simulate", help="run the elevation-angle sweep")
     _add_param_flags(p)
+    p.add_argument("--out", type=Path, default=Path("runs"), help="output root directory")
     p.add_argument("--n-cities", type=int, dest="n_cities")
     p.add_argument(
         "--scenario",
@@ -124,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="compare the classifier against rasterization")
     _add_param_flags(p)
     p.add_argument("--n-links", type=positive_integer, dest="n_links", default=1000)
-    p.add_argument("--step", type=positive_real, default=0.01, help="rasterization step in m")
+    p.add_argument("--step", type=positive_real, default=DEFAULT_STEP_M, help="rasterization step in m")
     p.add_argument("--dump-hits", type=Path, dest="dump_hits", help="write per-link hit lists as JSON")
     return parser
 
@@ -179,7 +188,7 @@ CONFIG_SCHEMA = {
     "sweep.angles": (list(SweepConfig.angles), REALS, None),
     "sweep.altitude_policy": (SweepConfig.altitude_policy, TEXT, None),
     "sweep.fixed_altitude_m": (SweepConfig.fixed_altitude_m, REAL, None),
-    "scenarios": (["buildings-only", "trees", "full"], TEXTS, "scenario"),
+    "scenarios": ([s.name for s in (BUILDINGS_ONLY, WITH_TREES, FULL)], TEXTS, "scenario"),
     "densities": (None, COUNTS, "densities"),
     "freq_ghz": (VegetationParams.f_ghz, REAL, "freq_ghz"),
     "seed": (None, COUNT, "seed"),
@@ -211,27 +220,51 @@ def _overlay(config: dict, doc: dict, where: str = "") -> None:
         config[key] = value
 
 
+def read_config(path: Path | None) -> dict:
+    """The config a config file or manifest at path lays over the
+    CONFIG_SCHEMA defaults (the defaults alone for None). A manifest, a
+    mapping with a config_hash, keeps the kind it records and must hash to
+    its config_hash; a config file's kind is ignored. Errors name the file."""
+    config = {}
+    for key, (default, _, _) in CONFIG_SCHEMA.items():
+        _put(config, key, copy.deepcopy(default))
+    if path is None:
+        return config
+    try:
+        text = path.read_text(encoding="utf-8")
+        # YAML 1.1 reads JSON's exponent form (1e-05) as a string
+        doc = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+    except OSError as exc:
+        raise MissingInputError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as exc:
+        raise ParameterError(f"config file {path} does not parse: {exc}") from None
+    manifest = isinstance(doc, dict) and "config_hash" in doc
+    if manifest:
+        recorded, doc = doc["config_hash"], doc.get("config")
+    if not isinstance(doc, dict):
+        raise ParameterError(f"config file {path} must hold a mapping")
+    kind = doc.pop("kind", None)
+    try:
+        _overlay(config, doc)
+    except ParameterError as exc:
+        raise ParameterError(f"config file {path}: {exc}") from None
+    if manifest:
+        config["kind"] = kind
+        if config_hash(config) != recorded:
+            raise ParameterError(
+                f"manifest {path} records config_hash {recorded!r}, "
+                f"but its config resolves to {config_hash(config)!r}"
+            )
+    return config
+
+
 def resolve_config(args: argparse.Namespace, kind: str) -> dict:
-    config, flags = {}, {}
-    for path, (default, _, flag) in CONFIG_SCHEMA.items():
-        _put(config, path, copy.deepcopy(default))
+    """read_config of --config with the flags laid over it; flags win over
+    a manifest too, as a new config of this kind."""
+    config, flags = read_config(args.config), {}
+    for path, (_, _, flag) in CONFIG_SCHEMA.items():
         if flag and getattr(args, flag, None) is not None:
             _put(flags, path, getattr(args, flag))
-    if getattr(args, "config", None):
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-            # YAML 1.1 reads JSON's exponent form (1e-05) as a string
-            doc = json.loads(text) if args.config.suffix == ".json" else yaml.safe_load(text)
-        except OSError as exc:
-            raise MissingInputError(f"cannot read config file {args.config}: {exc.strerror}") from None
-        except (UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as exc:
-            raise ParameterError(f"config file {args.config} does not parse: {exc}") from None
-        if isinstance(doc, dict) and "config" in doc and "config_hash" in doc:
-            doc = doc["config"]  # a manifest was passed
-        if not isinstance(doc, dict):
-            raise ParameterError(f"config file {args.config} must hold a mapping")
-        doc.pop("kind", None)
-        _overlay(config, doc)
     _overlay(config, flags)
     config["kind"] = kind
     return config
@@ -265,39 +298,34 @@ def _gen_config(config: dict, need_users: bool = False) -> GenConfig:
     return gen
 
 
-def _check_out(out_root: Path) -> None:
-    """ParameterError unless out_root is a directory or can be made one,
-    checked before the work whose outputs go there."""
-    ancestor = next(p for p in (out_root, *out_root.parents) if p.exists())
+def _run_dir(out_root: Path, config: dict) -> Path:
+    """out_root/<config hash>; ParameterError unless it is a directory or
+    can be made one, checked before the work whose outputs go there."""
+    run_dir = out_root / config_hash(config)
+    ancestor = next(p for p in (run_dir, *run_dir.parents) if p.exists())
     if not ancestor.is_dir():
         raise ParameterError(f"--out: {ancestor} is not a directory")
-
-
-def _run_dir(out_root: Path, config: dict) -> tuple[Path, str]:
-    digest = config_hash(config)
-    run_dir = out_root / digest
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir, digest
+    return run_dir
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     config = resolve_config(args, "generate")
     if config["seed"] is None:
         config["seed"] = 0
+    run_dir = _run_dir(args.out, config)
     params = _built_up_params(config)
     layout = generate_city(params, _gen_config(config))
-    run_dir, digest = _run_dir(args.out, config)
+    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "layout.json").write_text(layout_json(layout))
     write_manifest(
         run_dir / "manifest.json",
         {
             "kind": "generate",
             "config": config,
-            "config_hash": digest,
+            "config_hash": run_dir.name,
             "layout_hash": layouts_hash([layout]),
             "counts": {
                 "buildings": len(layout.buildings),
@@ -312,10 +340,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     config = resolve_config(args, "simulate")
     if config["seed"] is None:
         raise ParameterError("simulate requires --seed (or seed in the config file)")
+    run_dir = _run_dir(args.out, config)
     params = _built_up_params(config)
     gen = _gen_config(config, need_users=True)
     sweep = SweepConfig(**_fields(config, "sweep"))
@@ -333,7 +361,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config["densities"] or (),
         on_layout=lambda layout: layout_digest.update(layout_json(layout).encode()),
     )
-    run_dir, digest = _run_dir(args.out, config)  # only once the run has succeeded
+    run_dir.mkdir(parents=True, exist_ok=True)  # only once the run has succeeded
     for scenario in scenarios:
         curve, stats = results[scenario.name]
         write_counts_csv(run_dir / f"angles_{scenario.name}.csv", ANGLE_KEY, curve)
@@ -355,7 +383,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {
             "kind": "simulate",
             "config": config,
-            "config_hash": digest,
+            "config_hash": run_dir.name,
             "layout_hash": layout_digest.hexdigest(),
             "n_samples": sweep.n_cities * gen.n_gu * len(sweep.angles),
             "scenarios": [s.name for s in scenarios],
@@ -372,47 +400,25 @@ def _require(run_dir: Path, names: list[str]) -> None:
         raise MissingInputError("missing inputs: " + ", ".join(missing))
 
 
-_UNSET = object()
-
-
-def _run_manifest(run_dir: Path) -> tuple[dict, dict]:
-    """(manifest, its config) of a simulate run; ParameterError unless the
-    manifest parses to a mapping with a scenario list and a config mapping
-    that holds every CONFIG_SCHEMA key, each of its kind, and a seed."""
+def _simulate_run(run_dir: Path) -> tuple[dict, list[str]]:
+    """(config, scenario names) of a simulate run, read from its manifest
+    by read_config."""
     path = run_dir / "manifest.json"
     _require(run_dir, [path.name])
-    try:
-        manifest = read_manifest(path)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"{path} does not parse: {exc}") from None
-    if not (
-        isinstance(manifest, dict)
-        and isinstance(manifest.get("config"), dict)
-        and isinstance(manifest.get("scenarios"), list)
-    ):
-        raise ParameterError(f"{path} must be a mapping with a config mapping and a scenarios list")
-    config = {}
-    for key in CONFIG_SCHEMA:
-        _put(config, key, _UNSET)
-    try:
-        _overlay(config, {k: v for k, v in manifest["config"].items() if k != "kind"})
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-    # simulate writes every key, and only with a seed
-    missing = [key for key in CONFIG_SCHEMA if reduce(dict.get, key.split("."), config) is _UNSET]
-    if missing or config["seed"] is None:
-        raise ParameterError(f"{path}: config has no value for {', '.join(missing or ['seed'])}")
-    return manifest, config
+    config = read_config(path)
+    if config.get("kind") != "simulate":
+        raise ParameterError(f"{path} is not the manifest of a simulate run")
+    return config, [parse_scenario(s).name for s in config["scenarios"]]
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     run_dir = args.run
-    manifest, config = _run_manifest(run_dir)
+    config, names = _simulate_run(run_dir)
     env = config["environment"] or "custom"
     f_ghz = args.freq_ghz if args.freq_ghz is not None else config["freq_ghz"]
     params = VegetationParams(f_ghz=f_ghz)
 
-    scenarios = [s for s in ("buildings-only", "trees") if s in manifest["scenarios"]]
+    scenarios = [s.name for s in (BUILDINGS_ONLY, WITH_TREES) if s.name in names]
     if not scenarios:
         raise MissingInputError(
             "fit requires buildings-only and/or trees scenario outputs"
@@ -431,12 +437,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = args.run
-    manifest, config = _run_manifest(run_dir)
+    config, scenarios = _simulate_run(run_dir)
     _require(run_dir, ["fits.csv"])
     seed, h_gu = config["seed"], config["gen"]["h_gu"]
     params = VegetationParams(f_ghz=config["freq_ghz"])
-    scenarios = manifest["scenarios"]
-    if "trees" not in scenarios:
+    if WITH_TREES.name not in scenarios:
         raise MissingInputError("report requires the trees scenario for the tree-NLoS table")
     densities = sorted(set(config["densities"] or ()))  # one file per distinct count
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
@@ -453,13 +458,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         stats = read_counts_csv(run_dir / f"distance_{scenario}.csv", DISTANCE_KEY)
         for center, probs, n in zip(stats.keys, stats.p.tolist(), stats.n.tolist()):
             rows.append((scenario, center, *probs, n))
-    tables["report_plos_vs_distance.csv"] = (
-        ["scenario", "bin_center_m", "p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s", "n"],
-        rows,
-    )
+    tables["report_plos_vs_distance.csv"] = (["scenario", DISTANCE_KEY, *P_COLUMNS, "n"], rows)
 
     # extra tree-caused NLoS probability against elevation angle
-    curve = read_counts_csv(run_dir / "angles_trees.csv", ANGLE_KEY)
+    curve = read_counts_csv(run_dir / f"angles_{WITH_TREES.name}.csv", ANGLE_KEY)
     tables["report_tree_nlos_vs_theta.csv"] = (
         ["theta_deg", "p_nlos_t", "n"],
         list(zip(curve.keys, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n))),
@@ -477,7 +479,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # composite PL against elevation angle at a fixed 100 m ABS altitude
     rows = []
     for scenario in scenarios:
-        if scenario not in ("buildings-only", "trees"):
+        if scenario not in (BUILDINGS_ONLY.name, WITH_TREES.name):
             continue
         curve = read_counts_csv(run_dir / f"angles_{scenario}.csv", ANGLE_KEY)
         for theta, d, pl in pl_vs_theta(curve, h_gu_m=h_gu, params=params, seed=seed):

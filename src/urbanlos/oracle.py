@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import Generator
 
-from .citygen import CONE_DROP_FRAC, Building, CityLayout, Streetlight, Tree
+from .citygen import CONE_DROP_FRAC, Building, CityLayout, Streetlight, Tree, sample_open_point
 from .errors import DegenerateLinkError
 from .geometry import LayoutGeometry, Link, LinkClass, ObstructionHit, classify_hits
 
@@ -130,8 +130,6 @@ def random_links(layout: CityLayout, geom: LayoutGeometry, rng: Generator, n: in
     """Sample sweep-like links: a random user, a random open ABS ground
     position, and an elevation angle uniform over LINK_ANGLES_DEG, the
     altitude capped at LINK_ALTITUDE_CAP_M."""
-    from .citygen import sample_open_point
-
     links = []
     h_gu = layout.config.h_gu
     for _ in range(n):

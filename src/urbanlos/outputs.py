@@ -118,10 +118,6 @@ def write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def read_manifest(path: Path) -> dict:
-    return json.loads(path.read_text())
-
-
 def read_csv_dicts(path: Path) -> list[dict[str, str]]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -1,9 +1,17 @@
-"""Shared fixtures: small layouts and geometry wrappers reused across tests."""
+"""Shared fixtures: small layouts and geometry wrappers reused across tests.
+
+Hypothesis runs under one derandomized profile with no example database,
+so every run of the suite draws the same examples.
+"""
 
 import pytest
+from hypothesis import settings
 
 from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.geometry import LayoutGeometry
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

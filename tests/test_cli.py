@@ -15,7 +15,7 @@ from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
 from urbanlos.geometry import LayoutGeometry
 from urbanlos.montecarlo import SweepConfig, tree_density_sweep
-from urbanlos.outputs import ANGLE_KEY, layouts_hash, read_csv_dicts, read_manifest, write_counts_csv
+from urbanlos.outputs import ANGLE_KEY, layouts_hash, read_csv_dicts, write_counts_csv
 
 SIM_ARGS = [
     "simulate",
@@ -407,7 +407,7 @@ def test_shared_build_matches_separate_builds(plain_run, tmp_path, densities):
     gen = GenConfig(n_trees=30, n_lights=40, n_gu=10, seed=5)  # as SIM_ARGS
     sweep = SweepConfig(n_cities=2)
     expected = layouts_hash(generate_city(PRESETS["urban"], gen, i) for i in range(sweep.n_cities))
-    assert read_manifest(run / "manifest.json")["layout_hash"] == expected
+    assert json.loads((run / "manifest.json").read_text())["layout_hash"] == expected
     for path in plain_run.glob("*.csv"):
         assert (run / path.name).read_bytes() == path.read_bytes(), path.name
     curves = tree_density_sweep(PRESETS["urban"], gen, sweep, densities) if densities else {}
@@ -474,6 +474,19 @@ def test_report_missing_prerequisites(tmp_path, capsys):
     assert "fits.csv" in capsys.readouterr().err
 
 
+def test_fit_and_report_take_scenario_aliases(tmp_path):
+    outputs = {}
+    for spelling in ("buildings-only,trees", "buildings,+trees"):
+        root = tmp_path / str(len(outputs))
+        assert main(SIM_ARGS + ["--scenario", spelling, "--out", str(root)]) == 0
+        run = _run_dir(root)
+        assert main(["fit", "--run", str(run)]) == 0
+        assert main(["report", "--run", str(run)]) == 0
+        outputs[spelling] = {p.name: p.read_bytes() for p in run.glob("*.csv")}
+    assert "report_pl_vs_theta.csv" in outputs["buildings,+trees"]
+    assert outputs["buildings,+trees"] == outputs["buildings-only,trees"]
+
+
 def test_report_checks_trees_scenario_before_writing(tmp_path, capsys):
     assert main(SIM_ARGS + ["--scenario", "buildings-only,full", "--out", str(tmp_path)]) == 0
     run = _run_dir(tmp_path)
@@ -498,6 +511,10 @@ CORRUPT_MANIFESTS = {
     "no-gen": lambda config: config.pop("gen"),
     "h_gu-text": lambda config: config["gen"].update(h_gu="abc"),
     "densities-count": lambda config: config.update(densities=5),
+    # valid values that are not the run's: the config no longer hashes to
+    # the run's config_hash
+    "seed-edited": lambda config: config.update(seed=6),
+    "h_gu-edited": lambda config: config["gen"].update(h_gu=3.0),
 }
 
 
@@ -508,7 +525,7 @@ def test_corrupt_manifest_exit(sim_run, tmp_path, capsys, command, kind):
     shutil.copytree(sim_run, run)
     corrupt = CORRUPT_MANIFESTS[kind]
     if callable(corrupt):
-        manifest = read_manifest(run / "manifest.json")
+        manifest = json.loads((run / "manifest.json").read_text())
         corrupt(manifest["config"])
         corrupt = json.dumps(manifest).encode()
     (run / "manifest.json").write_bytes(corrupt)
@@ -565,6 +582,46 @@ def test_manifest_reproduces_run(sim_run, tmp_path):
         assert (rerun / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_edited_manifest_does_not_replay(sim_run, tmp_path, capsys):
+    manifest = json.loads((sim_run / "manifest.json").read_text())
+    del manifest["config"]["gen"]["n_gu"]  # would replay with the default 100 users
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(path) in err and sim_run.name in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_flags_win_over_manifest(sim_run, tmp_path):
+    root = tmp_path / "runs"
+    args = ["simulate", "--config", str(sim_run / "manifest.json"), "--n-cities", "1"]
+    assert main(args + ["--out", str(root)]) == 0
+    rerun = _run_dir(root)
+    assert rerun.name != sim_run.name
+    expected = json.loads((sim_run / "manifest.json").read_text())["config"]
+    expected["sweep"]["n_cities"] = 1
+    assert json.loads((rerun / "manifest.json").read_text())["config"] == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["generate", "--n-gu", "2"], ["simulate", "--n-cities", "1", "--n-gu", "2"]],
+    ids=["generate", "simulate"],
+)
+def test_run_directory_taken_by_file(tmp_path, capsys, monkeypatch, args):
+    args = args + ["--env", "urban", "--seed", "1", "--out", str(tmp_path)]
+    assert main(args) == 0
+    run = _run_dir(tmp_path)
+    shutil.rmtree(run)
+    run.write_text("")
+    calls = _count_calls(monkeypatch, citygen, ["generate_obstacles"])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(run) in err
+    assert not calls
+
+
 def test_oracle_check(tmp_path, capsys):
     dump = tmp_path / "hits.json"
     code = main(
@@ -578,8 +635,6 @@ def test_oracle_check(tmp_path, capsys):
             "25",
             "--dump-hits",
             str(dump),
-            "--out",
-            str(tmp_path),
         ]
     )
     assert code == 0
@@ -594,7 +649,7 @@ def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, oracle, ["classify_link_bruteforce"])
     kernel = _count_calls(monkeypatch, LayoutGeometry, ["_critical_points"])
     args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
-    assert main(args + ["--dump-hits", str(tmp_path / "hits.json"), "--out", str(tmp_path)]) == 0
+    assert main(args + ["--dump-hits", str(tmp_path / "hits.json")]) == 0
     assert calls["classify_link_bruteforce"] == 50
     assert kernel["_critical_points"] == 50  # the analytic side, once per link too
 
@@ -625,20 +680,21 @@ def test_output_path_checked_before_work(tmp_path, capsys, monkeypatch, args, fl
         ["--step", "inf"],
         ["--n-links", "-3"],
         ["--n-links", "0"],
+        ["--out", "x"],
     ],
     ids=lambda flags: " ".join(flags),
 )
-def test_oracle_check_rejects_bad_flags(tmp_path, capsys, flags):
+def test_oracle_check_rejects_bad_flags(capsys, flags):
     args = ["oracle-check", "--env", "urban", "--seed", "1", "--n-links", "3", *flags]
-    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert "error:" in err and flags[0] in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
-def test_commands_drawing_links_need_users(tmp_path, capsys, command):
-    args = [command, "--env", "urban", "--seed", "1", "--n-gu", "0", "--out", str(tmp_path)]
-    assert main(args) == 1
+def test_commands_drawing_links_need_users(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # simulate's default --out is under it
+    assert main([command, "--env", "urban", "--seed", "1", "--n-gu", "0"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "n_gu" in err
     assert not list(tmp_path.iterdir())

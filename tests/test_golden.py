@@ -116,7 +116,7 @@ def test_pathloss_golden():
 def test_oracle_hit_dump_golden(tmp_path):
     dump = tmp_path / "hits.json"
     args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
-    assert main(args + ["--dump-hits", str(dump), "--out", str(tmp_path)]) == 0
+    assert main(args + ["--dump-hits", str(dump)]) == 0
     assert _sha(dump) == HITS_SHA
 
 
