@@ -8,12 +8,14 @@ and one ABS ground position are drawn; for each h_gu the digest takes the
 five batch_critical_altitudes arrays over all users, then the crossings,
 class and critical altitudes of the links from the ABS at 20 m to the
 first 300 users. A refactor of geometry.py that keeps this digest keeps
-every float the kernel returns.
+every float the kernel returns. It exits 1 when the digest differs from
+PINNED.
 
 Usage: PYTHONPATH=src python scripts/kernel_digest.py
 """
 
 import hashlib
+import sys
 
 import numpy as np
 
@@ -26,9 +28,10 @@ H_GU = (0.0, 1.5, 3.0, 4.5)
 N_USERS = 1500
 N_LINKS = 300
 H_ABS = 20.0
+PINNED = "53928153e69c51a69ce8bf9c0fbfb582069050be7b911f92a3ef283bfa176275"
 
 
-def main() -> None:
+def main() -> int:
     digest = hashlib.sha256()
     tree_pairs = 0
     for env in ENVIRONMENTS:
@@ -49,7 +52,11 @@ def main() -> None:
                         digest.update(repr(fields).encode())
                     digest.update(repr((geom.classify(link).value, geom.critical_altitudes(link))).encode())
     print(f"{digest.hexdigest()}  ({tree_pairs} crossed (link, tree) pairs)")
+    if digest.hexdigest() != PINNED:
+        print(f"differs from the pinned {PINNED}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

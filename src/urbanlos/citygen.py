@@ -102,6 +102,8 @@ class GenConfig:
             raise ParameterError(f"d_o must be > 0, got {self.d_o}")
         if self.h_gu < 0.0:
             raise ParameterError(f"h_gu must be >= 0, got {self.h_gu}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def side(self) -> float:
@@ -240,13 +242,6 @@ def rayleigh_icdf(gamma: float, u: float) -> float:
 def sample_height(gamma: float, rng: Generator) -> float:
     """One Rayleigh-distributed building height."""
     return rayleigh_icdf(gamma, rng.random())
-
-
-def sample_heights(gamma: float, rng: Generator, n: int) -> np.ndarray:
-    """Vector of n Rayleigh-distributed heights."""
-    if gamma <= 0.0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
-    return gamma * np.sqrt(-2.0 * np.log1p(-rng.random(n)))
 
 
 def _jitter_center(

@@ -16,7 +16,6 @@ import argparse
 import copy
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,12 +28,12 @@ from .errors import InfeasibleLayoutError, MissingInputError, ParameterError, Ur
 from .geometry import LayoutGeometry
 from .montecarlo import (
     BUILDINGS_ONLY,
-    FULL,
+    SCENARIOS,
     WITH_TREES,
     SweepConfig,
+    mean_abs_delta_p_los,
     parse_scenario,
     run_simulation,
-    streetlight_delta,
 )
 from .oracle import DEFAULT_STEP_M, check_links, random_links
 from .outputs import (
@@ -92,13 +91,6 @@ def positive_integer(text: str) -> int:
     return value
 
 
-def positive_real(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="urbanlos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit A-B path-loss models from simulate outputs")
     p.add_argument("--run", type=Path, required=True, help="simulate run directory")
-    p.add_argument("--freq-ghz", type=float, dest="freq_ghz")
 
     p = sub.add_parser("report", help="emit plot-ready CSV bundle from a run")
     p.add_argument("--run", type=Path, required=True, help="simulate run directory")
@@ -133,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="compare the classifier against rasterization")
     _add_param_flags(p)
     p.add_argument("--n-links", type=positive_integer, dest="n_links", default=1000)
-    p.add_argument("--step", type=positive_real, default=DEFAULT_STEP_M, help="rasterization step in m")
     p.add_argument("--dump-hits", type=Path, dest="dump_hits", help="write per-link hit lists as JSON")
     return parser
 
@@ -188,7 +178,7 @@ CONFIG_SCHEMA = {
     "sweep.angles": (list(SweepConfig.angles), REALS, None),
     "sweep.altitude_policy": (SweepConfig.altitude_policy, TEXT, None),
     "sweep.fixed_altitude_m": (SweepConfig.fixed_altitude_m, REAL, None),
-    "scenarios": ([s.name for s in (BUILDINGS_ONLY, WITH_TREES, FULL)], TEXTS, "scenario"),
+    "scenarios": (list(SCENARIOS), TEXTS, "scenario"),
     "densities": (None, COUNTS, "densities"),
     "freq_ghz": (VegetationParams.f_ghz, REAL, "freq_ghz"),
     "seed": (None, COUNT, "seed"),
@@ -369,7 +359,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     delta = None
     if len(scenarios) >= 2:
         a, b = scenarios[0], scenarios[1]
-        delta = streetlight_delta(results[a.name][0], results[b.name][0])
+        delta = mean_abs_delta_p_los(results[a.name][0], results[b.name][0])
         write_delta_csv(
             run_dir / f"delta_{a.name}_vs_{b.name}.csv",
             results[a.name][0],
@@ -415,8 +405,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     run_dir = args.run
     config, names = _simulate_run(run_dir)
     env = config["environment"] or "custom"
-    f_ghz = args.freq_ghz if args.freq_ghz is not None else config["freq_ghz"]
-    params = VegetationParams(f_ghz=f_ghz)
+    params = VegetationParams(f_ghz=config["freq_ghz"])
 
     scenarios = [s.name for s in (BUILDINGS_ONLY, WITH_TREES) if s.name in names]
     if not scenarios:
@@ -503,7 +492,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(config["seed"])
     links = random_links(layout, geom, rng, args.n_links)
     mismatches, dump = [], []
-    for link, (hits, brute, mismatch) in zip(links, check_links(layout, links, step=args.step)):
+    for link, (hits, brute, mismatch) in zip(links, check_links(layout, links)):
         if mismatch is not None:
             mismatches.append(mismatch)
         if args.dump_hits:
@@ -519,7 +508,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             )
     if args.dump_hits:
         args.dump_hits.write_text(json.dumps(dump, indent=2) + "\n")
-    print(f"{len(links)} links, {len(mismatches)} disagreements (step {args.step} m)")
+    print(f"{len(links)} links, {len(mismatches)} disagreements (step {DEFAULT_STEP_M} m)")
     if mismatches:
         for m in mismatches[:10]:
             print(f"  link {m['link']}: analytic={m['analytic']} bruteforce={m['bruteforce']}")

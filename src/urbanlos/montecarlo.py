@@ -52,36 +52,26 @@ LOS, NLOS_B, NLOS_T, NLOS_S = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class Scenario:
-    """Which obstacle families participate in classification."""
+    """One classification view: the name its outputs go under, how many of
+    the city's trees block (None = all), and whether lights block."""
 
     name: str
-    trees: bool
+    tree_limit: int | None
     lights: bool
 
 
-BUILDINGS_ONLY = Scenario("buildings-only", trees=False, lights=False)
-WITH_TREES = Scenario("trees", trees=True, lights=False)
-FULL = Scenario("full", trees=True, lights=True)
+BUILDINGS_ONLY = Scenario("buildings-only", tree_limit=0, lights=False)
+WITH_TREES = Scenario("trees", tree_limit=None, lights=False)
+FULL = Scenario("full", tree_limit=None, lights=True)
 
-_SCENARIO_ALIASES = {
-    "buildings-only": BUILDINGS_ONLY,
-    "buildings_only": BUILDINGS_ONLY,
-    "buildings": BUILDINGS_ONLY,
-    "trees": WITH_TREES,
-    "+trees": WITH_TREES,
-    "full": FULL,
-    "+trees+lights": FULL,
-    "all": FULL,
-}
+SCENARIOS = {s.name: s for s in (BUILDINGS_ONLY, WITH_TREES, FULL)}
 
 
 def parse_scenario(name: str) -> Scenario:
     try:
-        return _SCENARIO_ALIASES[name.strip().lower()]
+        return SCENARIOS[name]
     except KeyError:
-        raise ParameterError(
-            f"unknown scenario {name!r}; expected one of {sorted(set(_SCENARIO_ALIASES))}"
-        ) from None
+        raise ParameterError(f"unknown scenario {name!r}; expected one of {list(SCENARIOS)}") from None
 
 
 @dataclass(frozen=True)
@@ -166,14 +156,6 @@ def class_counts(keys, counts, mean_d=None) -> ClassCounts:
     )
 
 
-@dataclass(frozen=True)
-class _Variant:
-    """One classification view: tree prefix size (None = all) and lights."""
-
-    tree_limit: int | None
-    lights: bool
-
-
 def _classify_matrix(
     h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt_s: np.ndarray
 ) -> np.ndarray:
@@ -187,11 +169,11 @@ def _classify_matrix(
 def _city_worker(
     layout: CityLayout,
     sweep: SweepConfig,
-    variants: Sequence[_Variant],
+    scenarios: Sequence[Scenario],
     city_index: int,
     n_bins: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts for one city: (variants, angles, 4), (variants, bins, 4), d sums."""
+    """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d sums."""
     gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
@@ -221,11 +203,11 @@ def _city_worker(
 
     # one bincount per view, keyed 4 * angle + class and 4 * bin + class
     angle_key = 4 * np.arange(angles.size)
-    angle_counts = np.zeros((len(variants), angles.size, 4), dtype=np.int64)
-    dist_counts = np.zeros((len(variants), n_bins, 4), dtype=np.int64)
-    for vi, variant in enumerate(variants):
-        alt_t = tree_altitudes(variant.tree_limit)
-        cls = _classify_matrix(h_abs, alt_b, alt_t, alt_s if variant.lights else no_lights)
+    angle_counts = np.zeros((len(scenarios), angles.size, 4), dtype=np.int64)
+    dist_counts = np.zeros((len(scenarios), n_bins, 4), dtype=np.int64)
+    for vi, scenario in enumerate(scenarios):
+        alt_t = tree_altitudes(scenario.tree_limit)
+        cls = _classify_matrix(h_abs, alt_b, alt_t, alt_s if scenario.lights else no_lights)
         angle_counts[vi] = np.bincount((angle_key + cls).ravel(), minlength=4 * angles.size).reshape(-1, 4)
         dist_counts[vi] = np.bincount((4 * bins + cls).ravel(), minlength=4 * n_bins).reshape(-1, 4)
     d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)
@@ -236,10 +218,10 @@ def _run_passes(
     params: BuiltUpParams,
     gen: GenConfig,
     sweep: SweepConfig,
-    passes: Sequence[tuple[int, Sequence[_Variant]]],
+    passes: Sequence[tuple[int, Sequence[Scenario]]],
     on_layout: Callable[[CityLayout], None] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Summed counts of each (tree count, variants) pass over one build
+    """Summed counts of each (tree count, scenarios) pass over one build
     per city.
 
     Each city's buildings, trees and lights are placed once, with the
@@ -254,20 +236,20 @@ def _run_passes(
     n_angles = len(sweep.angles)
     totals = [
         (
-            np.zeros((len(variants), n_angles, 4), dtype=np.int64),
-            np.zeros((len(variants), n_bins, 4), dtype=np.int64),
+            np.zeros((len(scenarios), n_angles, 4), dtype=np.int64),
+            np.zeros((len(scenarios), n_bins, 4), dtype=np.int64),
             np.zeros(n_bins),
         )
-        for _, variants in passes
+        for _, scenarios in passes
     ]
     most_trees = replace(gen, n_trees=max(n_trees for n_trees, _ in passes))
     for city_index in range(sweep.n_cities):
         city = generate_obstacles(params, most_trees, city_index)
-        for k, ((n_trees, variants), total) in enumerate(zip(passes, totals)):
+        for k, ((n_trees, scenarios), total) in enumerate(zip(passes, totals)):
             layout = add_users(city, n_trees, city_index)
             if k == 0 and on_layout is not None:
                 on_layout(layout)
-            for acc, c in zip(total, _city_worker(layout, sweep, variants, city_index, n_bins)):
+            for acc, c in zip(total, _city_worker(layout, sweep, scenarios, city_index, n_bins)):
                 acc += c
     return totals
 
@@ -297,13 +279,14 @@ def run_simulation(
         raise ParameterError("densities must be sorted ascending")
     if any(d < 0 for d in densities):
         raise ParameterError("densities must be >= 0")
+    names = [s.name for s in scenarios]
+    if len(set(names)) < len(names):
+        raise ParameterError(f"each scenario may be given once, got {names}")
     passes = []
     if scenarios:
-        variants = [_Variant(tree_limit=None if s.trees else 0, lights=s.lights) for s in scenarios]
-        passes.append((gen.n_trees, variants))
+        passes.append((gen.n_trees, scenarios))
     if densities:
-        variants = [_Variant(tree_limit=int(k), lights=False) for k in densities]
-        passes.append((int(max(densities)), variants))
+        passes.append((int(max(densities)), [Scenario(f"density_{k}", int(k), False) for k in densities]))
     totals = _run_passes(params, gen, sweep, passes, on_layout)
     results = {}
     if scenarios:
@@ -345,7 +328,7 @@ def tree_density_sweep(
     return run_simulation(params, gen, sweep, (), densities)[1]
 
 
-def streetlight_delta(curve_a: ClassCounts, curve_b: ClassCounts) -> float:
+def mean_abs_delta_p_los(curve_a: ClassCounts, curve_b: ClassCounts) -> float:
     """Mean absolute P_LoS difference over the shared angle grid."""
     if curve_a.keys != curve_b.keys:
         raise AggregationError("curves are on different angle grids")

@@ -145,18 +145,17 @@ def random_links(layout: CityLayout, geom: LayoutGeometry, rng: Generator, n: in
 
 
 def check_links(
-    layout: CityLayout,
-    links: list[Link],
-    step: float = DEFAULT_STEP_M,
+    layout: CityLayout, links: list[Link]
 ) -> Iterator[tuple[list[ObstructionHit], BruteForceResult, dict | None]]:
-    """Run both classifiers on each link; yield the analytic crossings, the
-    oracle's result and a mismatch record, or None where the two agree."""
+    """Run both classifiers on each link, the oracle at DEFAULT_STEP_M;
+    yield the analytic crossings, the oracle's result and a mismatch
+    record, or None where the two agree."""
     geom = LayoutGeometry(layout)
     families = obstacle_families(layout)
     for i, link in enumerate(links):
         hits = geom.crossings(link)
         fast = classify_hits(hits)
-        slow = classify_link_bruteforce(link, families, step=step)
+        slow = classify_link_bruteforce(link, families)
         mismatch = None
         if fast is not slow.link_class:
             mismatch = {

@@ -32,6 +32,16 @@ FSPL_SLOPE = 20.0
 NLOS_B_INTERCEPT_DB = 72.0
 NLOS_B_SLOPE = 29.2
 
+# In-leaf constants of the ITU-R P.833 non-zero-gradient foliage model:
+# initial slope a*f, final slope b/f^c, and the saturation constant from
+# k0, the wet-leaf factor rf and the illumination scale a0 (m^2).
+FOLIAGE_A = 0.2
+FOLIAGE_B = 1.27
+FOLIAGE_C = 0.63
+FOLIAGE_K0_DB = 6.57
+FOLIAGE_RF = 0.0002
+FOLIAGE_A0_M2 = 10.0
+
 # Stream id for per-bin vegetation geometry draws.
 _VEG_STREAM = 101
 
@@ -44,21 +54,13 @@ PL_THETA_ALTITUDE_M = 100.0  # fixed ABS altitude of the PL-vs-theta table
 
 @dataclass(frozen=True)
 class VegetationParams:
-    """Leaf-scenario foliage attenuation constants plus carrier frequency."""
+    """Carrier frequency of the foliage term."""
 
-    a: float = 0.2
-    b: float = 1.27
-    c: float = 0.63
-    k0: float = 6.57
-    rf: float = 0.0002
-    a0: float = 10.0
     f_ghz: float = 28.0
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "k0", "rf", "a0", "f_ghz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.f_ghz) and self.f_ghz > 0.0):
+            raise ParameterError(f"f_ghz must be finite and > 0, got {self.f_ghz}")
 
     @property
     def wavelength_m(self) -> float:
@@ -130,14 +132,14 @@ def veg_attenuation(geom: VegGeometry, params: VegetationParams) -> float:
     MHz; a nonpositive constant means the units are misconfigured.
     """
     f = params.f_ghz
-    r0 = params.a * f
-    r_inf = params.b / f**params.c
+    r0 = FOLIAGE_A * f
+    r_inf = FOLIAGE_B / f**FOLIAGE_C
     r_f = fresnel_radius(params.wavelength_m, geom.d1, geom.d2)
     a_min = min_illumination_area(r_f, geom.r_t)
-    k = params.k0 - 10.0 * math.log10(
-        params.a0
-        * (1.0 - math.exp(-a_min / params.a0))
-        * (1.0 - math.exp(-params.rf * f * 1000.0))
+    k = FOLIAGE_K0_DB - 10.0 * math.log10(
+        FOLIAGE_A0_M2
+        * (1.0 - math.exp(-a_min / FOLIAGE_A0_M2))
+        * (1.0 - math.exp(-FOLIAGE_RF * f * 1000.0))
     )
     if k <= 0.0:
         raise ParameterError(

@@ -20,8 +20,8 @@ from urbanlos.montecarlo import (
     FULL,
     WITH_TREES,
     SweepConfig,
+    mean_abs_delta_p_los,
     run_scenarios,
-    streetlight_delta,
 )
 from urbanlos.oracle import check_links, random_links
 from urbanlos.outputs import ANGLE_KEY, write_counts_csv
@@ -133,7 +133,7 @@ def test_median_tree_loss(env_results):
 
 def test_streetlight_negligibility(env_results):
     """500 streetlights shift mean P_LoS by at most 0.03."""
-    delta = streetlight_delta(
+    delta = mean_abs_delta_p_los(
         env_results["urban"]["trees"][0], env_results["urban"]["full"][0]
     )
     ok = delta <= 0.03

@@ -384,6 +384,31 @@ def test_oracle_agreement(env):
     assert [m for *_, m in check_links(layout, links) if m is not None] == []
 
 
+# (seed, link index) of oracle-check --env high_rise --seed <seed> links
+# that dip under a roof for less than the 1 cm oracle step
+SUB_STEP_LINKS = [(101, 146), (72012, 123)]
+
+
+def _sub_step_link(seed: int, index: int):
+    layout = generate_city(PRESETS["high_rise"], GenConfig(seed=seed))
+    geom = LayoutGeometry(layout)
+    return layout, geom, random_links(layout, geom, default_rng(seed), index + 1)[index]
+
+
+@pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
+def test_oracle_sees_sub_step_dip_at_fine_step(seed, index):
+    layout, geom, link = _sub_step_link(seed, index)
+    brute = classify_link_bruteforce(link, obstacle_families(layout), step=1e-4)
+    assert geom.classify(link) is brute.link_class is LinkClass.NLOS_BUILDING
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 1 cm oracle misses a sub-step roof dip")
+@pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
+def test_oracle_sees_sub_step_dip_at_default_step(seed, index):
+    layout, _, link = _sub_step_link(seed, index)
+    assert [m for *_, m in check_links(layout, [link])] == [None]
+
+
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):
     rng = default_rng(32)
     links = random_links(urban_layout, urban_geometry, rng, 150)

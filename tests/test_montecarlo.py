@@ -11,11 +11,12 @@ from urbanlos.montecarlo import (
     BUILDINGS_ONLY,
     DISTANCE_BIN_M,
     FULL,
+    SCENARIOS,
     WITH_TREES,
     SweepConfig,
+    mean_abs_delta_p_los,
     parse_scenario,
     run_scenarios,
-    streetlight_delta,
     tree_density_sweep,
 )
 
@@ -53,11 +54,12 @@ def test_sweep_config_validation():
 
 
 def test_parse_scenario_aliases():
-    assert parse_scenario("buildings-only") is BUILDINGS_ONLY
-    assert parse_scenario("+trees") is WITH_TREES
-    assert parse_scenario("+trees+lights") is FULL
-    with pytest.raises(ParameterError):
-        parse_scenario("nope")
+    """Each scenario has one exact name; no other spelling is accepted."""
+    assert list(SCENARIOS) == ["buildings-only", "trees", "full"]
+    assert [parse_scenario(name) for name in SCENARIOS] == [BUILDINGS_ONLY, WITH_TREES, FULL]
+    for name in ("nope", "+trees", "buildings", "TREES", " trees"):
+        with pytest.raises(ParameterError, match="buildings-only"):
+            parse_scenario(name)
 
 
 def test_partition_and_totals(small_results, small_gen):
@@ -106,20 +108,20 @@ def test_top_angle_is_los_maximum(small_results):
 
 def test_streetlight_delta_identity(small_results):
     curve = small_results["trees"][0]
-    assert streetlight_delta(curve, curve) == 0.0
+    assert mean_abs_delta_p_los(curve, curve) == 0.0
 
 
 def test_streetlight_delta_zero_lights(small_gen):
     gen = replace(small_gen, n_lights=0)
     res = run_scenarios(URBAN, gen, SMALL_SWEEP, [WITH_TREES, FULL])
-    assert streetlight_delta(res["trees"][0], res["full"][0]) == 0.0
+    assert mean_abs_delta_p_los(res["trees"][0], res["full"][0]) == 0.0
 
 
 def test_streetlight_delta_grid_mismatch(small_results):
     curve = small_results["trees"][0]
     other = replace(curve, keys=tuple(t + 1.0 for t in curve.keys))
     with pytest.raises(AggregationError):
-        streetlight_delta(curve, other)
+        mean_abs_delta_p_los(curve, other)
 
 
 def test_density_zero_matches_buildings_only(small_gen, small_results):
@@ -154,11 +156,10 @@ def test_fixed_altitude_policy(small_gen):
 
 def test_city_order_independent(small_gen):
     from urbanlos.citygen import generate_city
-    from urbanlos.montecarlo import _city_worker, _Variant
+    from urbanlos.montecarlo import _city_worker
 
-    variants = [_Variant(tree_limit=None, lights=True)]
     per_city = [
-        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, variants, idx, n_bins=2832)
+        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, [FULL], idx, n_bins=2832)
         for idx in range(SMALL_SWEEP.n_cities)
     ]
     forward = sum(ac.sum() for ac, _, _ in per_city)
