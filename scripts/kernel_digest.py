@@ -9,13 +9,15 @@ five batch_critical_altitudes arrays over all users, then the crossings,
 class and critical altitudes of the links from the ABS at 20 m to the
 first 300 users. A refactor of geometry.py that keeps this digest keeps
 every float the kernel returns. It exits 1 when the digest differs from
-PINNED.
+PINNED. Standard error gets the seconds spent in the batch calls and in
+the single-link calls (crossings, classify, critical_altitudes).
 
 Usage: PYTHONPATH=src python scripts/kernel_digest.py
 """
 
 import hashlib
 import sys
+import time
 
 import numpy as np
 
@@ -34,6 +36,7 @@ PINNED = "53928153e69c51a69ce8bf9c0fbfb582069050be7b911f92a3ef283bfa176275"
 def main() -> int:
     digest = hashlib.sha256()
     tree_pairs = 0
+    batch_s = single_s = 0.0
     for env in ENVIRONMENTS:
         for seed in SEEDS:
             layout = generate_city(PRESETS[env], GenConfig(n_gu=N_USERS, seed=seed))
@@ -41,17 +44,24 @@ def main() -> int:
             ax, ay = sample_open_point(geom.index, layout.side, city_rng(seed, 0, STREAM_ABS))
             gu = np.array([[u.x, u.y] for u in layout.users])
             for h_gu in H_GU:
+                start = time.perf_counter()
                 arrays = geom.batch_critical_altitudes((ax, ay), gu, h_gu)
+                batch_s += time.perf_counter() - start
                 tree_pairs += arrays[2].size
                 for arr in arrays:
                     digest.update(arr.tobytes())
                 for user in layout.users[:N_LINKS]:
                     link = Link((ax, ay), H_ABS, (user.x, user.y), h_gu)
-                    for h in geom.crossings(link):
+                    start = time.perf_counter()
+                    hits = geom.crossings(link)
+                    views = (geom.classify(link).value, geom.critical_altitudes(link))
+                    single_s += time.perf_counter() - start
+                    for h in hits:
                         fields = (h.kind, h.index, h.r_i, h.obstacle_height, h.blockage_height, h.blocks)
                         digest.update(repr(fields).encode())
-                    digest.update(repr((geom.classify(link).value, geom.critical_altitudes(link))).encode())
+                    digest.update(repr(views).encode())
     print(f"{digest.hexdigest()}  ({tree_pairs} crossed (link, tree) pairs)")
+    print(f"batch calls {batch_s:.3f} s, single-link calls {single_s:.3f} s", file=sys.stderr)
     if digest.hexdigest() != PINNED:
         print(f"differs from the pinned {PINNED}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,10 @@ STREAM_USERS = 3
 STREAM_ABS = 4
 
 RETRY_LIMIT = 10_000
+
+# CellGrid widens every box by this, so that rounding in a cell lookup or
+# a segment walk never drops a footprint an exact test would find.
+GRID_PAD = 1e-6  # m
 
 SHAPE_FACTOR_LOW = 0.5
 SHAPE_FACTOR_HIGH = 1.5
@@ -256,6 +261,71 @@ def _jitter_center(
     return min(max(c, dim / 2.0), side - dim / 2.0)
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run, rank) of every element of consecutive runs, run k holding counts[k]."""
+    run = np.arange(len(counts)).repeat(counts)
+    return run, np.arange(run.size) - (counts.cumsum() - counts).repeat(counts)
+
+
+class CellGrid:
+    """Uniform gdim x gdim cell table over the city square, each item in every
+    cell its box, widened by GRID_PAD, meets. Cell (i, j), i along x, is
+    number i * gdim + j, so a column's cells are consecutive; points beyond
+    the city fall into the border cells."""
+
+    def __init__(self, side: float, gdim: int, boxes: np.ndarray):
+        """boxes: (N, 4) rows (x0, y0, x1, y1), registered as items 0..N-1."""
+        self.gdim, self.scale, self.n_items = gdim, gdim / side, len(boxes)
+        walls = np.concatenate(([-np.inf], np.arange(1, gdim) / self.scale, [np.inf]))
+        self.west, self.east = walls[:-1] - GRID_PAD, walls[1:] + GRID_PAD  # each column's padded x range
+        i0, j0 = self.cells_of(boxes[:, :2].T - GRID_PAD)
+        i1, j1 = self.cells_of(boxes[:, 2:].T + GRID_PAD)
+        item, k = _ragged((i1 - i0 + 1) * (j1 - j0 + 1))
+        rows = (j1 - j0 + 1)[item]
+        cell = (i0[item] + k // rows) * gdim + j0[item] + k % rows
+        order = np.argsort(cell, kind="stable")
+        # the segment table: cell c holds items[start[c]:start[c + 1]]
+        self.items, self.start = item[order], np.searchsorted(cell[order], np.arange(gdim * gdim + 1))
+        flat, bounds = self.items.tolist(), self.start.tolist()
+        self.cells = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def cells_of(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(v * self.scale, 0.0), self.gdim - 1).astype(np.intp)
+
+    def under(self, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
+        """The cells that the box [x0, x1] x [y0, y1] meets."""
+        g, s, top = self.gdim, self.scale, self.gdim - 1
+        i0, j0, i1, j1 = (int(min(max(v * s, 0.0), top)) for v in (x0, y0, x1, y1))
+        return [c for i in range(i0, i1 + 1) for c in self.cells[i * g + j0 : i * g + j1 + 1]]
+
+    def add(self, item: int, x0: float, y0: float, x1: float, y1: float) -> None:
+        """Register one more item in the cells under (not for segment_pairs)."""
+        for cell in self.under(x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
+            cell.append(item)
+
+    def segment_pairs(self, ax: float, ay: float, bx, by) -> tuple[np.ndarray, np.ndarray]:
+        """(row, item) of the items in the cells that the segment from
+        (ax, ay) to (bx[row], by[row]) meets, widened by GRID_PAD, each
+        pair once and row-major. In each column the segment spans, its y
+        range between the column's padded walls picks one run of cells."""
+        c0 = self.cells_of(np.minimum(bx, ax) - GRID_PAD)
+        link, k = _ragged(self.cells_of(np.maximum(bx, ax) + GRID_PAD) - c0 + 1)
+        col = c0[link] + k
+        dx, dy = bx[link] - ax, by[link] - ay
+        with np.errstate(all="ignore"):  # a vertical or near-vertical link
+            ta, tb = (self.west[col] - ax) / dx, (self.east[col] - ax) / dx
+        t0 = np.where(dx == 0.0, 0.0, np.maximum(np.minimum(ta, tb), 0.0))
+        t1 = np.where(dx == 0.0, 1.0, np.minimum(np.maximum(ta, tb), 1.0))
+        y0, y1 = ay + t0 * dy, ay + t1 * dy
+        lo = self.start[col * self.gdim + self.cells_of(np.minimum(y0, y1) - GRID_PAD)]
+        hi = self.start[col * self.gdim + self.cells_of(np.maximum(y0, y1) + GRID_PAD) + 1]
+        run, k = _ragged(hi - lo)
+        key = np.sort(link[run] * (self.n_items + 1) + self.items[lo[run] + k])
+        new = np.empty(key.size, bool)  # the first of each run of equal keys
+        new[:1], new[1:] = True, key[1:] != key[:-1]
+        return np.divmod(key[new], self.n_items + 1)
+
+
 def place_buildings(
     params: BuiltUpParams, config: GenConfig, rng: Generator
 ) -> tuple[Building, ...]:
@@ -277,7 +347,7 @@ def place_buildings(
     block = side / gdim
     blocks = rng.permutation(gdim * gdim)[:n]
 
-    rects = np.empty((n, 4))  # (x0, y0, x1, y1) of the buildings placed so far
+    grid = CellGrid(side, gdim, np.empty((0, 4)))  # the buildings placed so far
     buildings: list[Building] = []
     for i, blk in enumerate(blocks):
         bx = float(blk % gdim) * block
@@ -298,12 +368,12 @@ def place_buildings(
                 cy = rng.uniform(l / 2.0, side - l / 2.0)
             x0, y0 = cx - w / 2.0, cy - l / 2.0
             x1, y1 = x0 + w, y0 + l
-            a = rects[:i]
             # Strict interior overlap; shared edges are allowed.
-            if np.any((x0 < a[:, 2]) & (x1 > a[:, 0]) & (y0 < a[:, 3]) & (y1 > a[:, 1])):
+            near = (buildings[k] for k in chain.from_iterable(grid.under(x0, y0, x1, y1)))
+            if any(x0 < b.x1 and x1 > b.x and y0 < b.y1 and y1 > b.y for b in near):
                 continue
             h = sample_height(params.gamma, rng)
-            rects[i] = (x0, y0, x1, y1)
+            grid.add(i, x0, y0, x1, y1)
             buildings.append(Building(x=x0, y=y0, w=w, l=l, h=h))
             placed = True
             break
@@ -331,7 +401,7 @@ def _sidewalk_point(
 
 
 def _place_on_sidewalks(
-    buildings: Sequence[Building],
+    index: FootprintIndex,
     config: GenConfig,
     rng: Generator,
     count: int,
@@ -344,14 +414,13 @@ def _place_on_sidewalks(
     candidate from further draws of the same generator.
     """
     placed = []
-    index = FootprintIndex(buildings, (), ())
     for i in range(count):
-        if not buildings:
+        if not index.buildings:
             raise InfeasibleLayoutError(
                 f"could not place {what} {i}: no building edges available"
             )
         for _ in range(RETRY_LIMIT):
-            cx, cy = _sidewalk_point(rng, buildings, config.d_o)
+            cx, cy = _sidewalk_point(rng, index.buildings, config.d_o)
             obstacle = draw(cx, cy)
             if index.disc_is_free(cx, cy, obstacle.r, config.side):
                 placed.append(obstacle)
@@ -363,63 +432,55 @@ def _place_on_sidewalks(
     return tuple(placed)
 
 
-def place_trees(
-    buildings: Sequence[Building], config: GenConfig, rng: Generator
-) -> tuple[Tree, ...]:
+def place_trees(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[Tree, ...]:
     """Place n_trees sidewalk trees; discs may not intersect any building."""
 
     def draw(x: float, y: float) -> Tree:  # height, then radius
         h = rng.uniform(*TREE_HEIGHT_RANGE)
         return Tree(x=x, y=y, r=rng.uniform(*TREE_RADIUS_RANGE), h=h)
 
-    return _place_on_sidewalks(buildings, config, rng, config.n_trees, "tree", draw)
+    return _place_on_sidewalks(index, config, rng, config.n_trees, "tree", draw)
 
 
-def place_lights(
-    buildings: Sequence[Building], config: GenConfig, rng: Generator
-) -> tuple[Streetlight, ...]:
+def place_lights(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[Streetlight, ...]:
     """Place n_lights streetlights; same sidewalk rule as trees."""
 
     def draw(x: float, y: float) -> Streetlight:
         return Streetlight(x=x, y=y, h=rng.uniform(*LIGHT_HEIGHT_RANGE))
 
-    return _place_on_sidewalks(buildings, config, rng, config.n_lights, "streetlight", draw)
+    return _place_on_sidewalks(index, config, rng, config.n_lights, "streetlight", draw)
 
 
 class FootprintIndex:
-    """Footprint arrays of a layout with vectorized point and disc tests."""
+    """Footprint arrays of a layout for the link kernel, and point and disc
+    tests that read only the cells under the query. The grid's items are
+    the buildings, then the trees, then the lights."""
 
     def __init__(
-        self,
-        buildings: Sequence[Building],
-        trees: Sequence[Tree],
-        lights: Sequence[Streetlight],
+        self, buildings: Sequence[Building], trees: Sequence[Tree], lights: Sequence[Streetlight], side: float
     ):
-        self.bx0 = np.array([b.x for b in buildings])
-        self.by0 = np.array([b.y for b in buildings])
-        self.bx1 = np.array([b.x1 for b in buildings])
-        self.by1 = np.array([b.y1 for b in buildings])
-        self.tx = np.array([t.x for t in trees])
-        self.ty = np.array([t.y for t in trees])
-        self.tr = np.array([t.r for t in trees])
-        self.lx = np.array([s.x for s in lights])
-        self.ly = np.array([s.y for s in lights])
-        self.lr = np.array([s.r for s in lights])
+        self.buildings, self.trees, self.lights = buildings, trees, lights
+        rects = np.array([(b.x, b.y, b.x1, b.y1) for b in buildings]).reshape(-1, 4)
+        discs = np.array([(o.x, o.y, o.r) for o in (*trees, *lights)]).reshape(-1, 3)
+        self.bx0, self.by0, self.bx1, self.by1 = rects.T
+        self.cx, self.cy, self.cr = discs.T  # the trees, then the lights
+        disc_boxes = np.hstack([discs[:, :2] - discs[:, 2:], discs[:, :2] + discs[:, 2:]])
+        self.grid = CellGrid(side, math.ceil(math.sqrt(len(rects))) or 1, np.vstack([rects, disc_boxes]))
+        self.rects, self.discs = rects.tolist(), discs.tolist()
 
     def blocked(self, x: float, y: float) -> bool:
         """True if (x, y) lies inside any footprint (closed sets)."""
-        if self.bx0.size and np.any(
-            (x >= self.bx0) & (x <= self.bx1) & (y >= self.by0) & (y <= self.by1)
-        ):
-            return True
-        if self.tx.size and np.any(
-            (x - self.tx) ** 2 + (y - self.ty) ** 2 <= self.tr**2
-        ):
-            return True
-        if self.lx.size and np.any(
-            (x - self.lx) ** 2 + (y - self.ly) ** 2 <= self.lr**2
-        ):
-            return True
+        nb = len(self.rects)
+        for k in chain.from_iterable(self.grid.under(x, y, x, y)):
+            if k < nb:
+                x0, y0, x1, y1 = self.rects[k]
+                if x0 <= x <= x1 and y0 <= y <= y1:
+                    return True
+            else:
+                cx, cy, r = self.discs[k - nb]
+                dx, dy = x - cx, y - cy
+                if dx * dx + dy * dy <= r * r:
+                    return True
         return False
 
     def disc_is_free(self, cx: float, cy: float, r: float, side: float) -> bool:
@@ -427,9 +488,13 @@ class FootprintIndex:
         interior; tree and light footprints are not tested."""
         if cx - r < 0.0 or cy - r < 0.0 or cx + r > side or cy + r > side:
             return False
-        dx = np.maximum(np.maximum(self.bx0 - cx, 0.0), cx - self.bx1)
-        dy = np.maximum(np.maximum(self.by0 - cy, 0.0), cy - self.by1)
-        return not np.any(dx * dx + dy * dy < r * r)
+        for k in chain.from_iterable(self.grid.under(cx - r, cy - r, cx + r, cy + r)):
+            if k < len(self.rects):
+                x0, y0, x1, y1 = self.rects[k]
+                dx, dy = max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1)
+                if dx * dx + dy * dy < r * r:
+                    return False
+        return True
 
 
 def sample_open_point(
@@ -444,22 +509,15 @@ def sample_open_point(
     raise InfeasibleLayoutError(f"could not place {what} after {RETRY_LIMIT} attempts")
 
 
-def place_users(
-    buildings: Sequence[Building],
-    trees: Sequence[Tree],
-    lights: Sequence[Streetlight],
-    config: GenConfig,
-    rng: Generator,
-) -> tuple[GroundUser, ...]:
-    """Place n_gu users uniformly over open space."""
-    free = config.area - sum(b.area for b in buildings)
-    free -= sum(math.pi * t.r**2 for t in trees)
-    free -= sum(math.pi * s.r**2 for s in lights)
+def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[GroundUser, ...]:
+    """Place n_gu users uniformly over the open space of index."""
+    free = config.area - sum(b.area for b in index.buildings)
+    free -= sum(math.pi * t.r**2 for t in index.trees)
+    free -= sum(math.pi * s.r**2 for s in index.lights)
     if config.n_gu > 0 and free < MIN_FREE_AREA_FRAC * config.area:
         raise InfeasibleLayoutError(
             f"free area {free:.0f} m^2 is below {MIN_FREE_AREA_FRAC:.0%} of the city"
         )
-    index = FootprintIndex(buildings, trees, lights)
     users = []
     for i in range(config.n_gu):
         x, y = sample_open_point(index, config.side, rng, what=f"user {i}")
@@ -478,8 +536,9 @@ def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int
     buildings = place_buildings(
         params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS)
     )
-    trees = place_trees(buildings, config, city_rng(config.seed, city_index, STREAM_TREES))
-    lights = place_lights(buildings, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
+    index = FootprintIndex(buildings, (), (), config.side)
+    trees = place_trees(index, config, city_rng(config.seed, city_index, STREAM_TREES))
+    lights = place_lights(index, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
     return CityLayout(
         params=params,
         config=config,
@@ -490,17 +549,19 @@ def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int
     )
 
 
-def add_users(city: CityLayout, n_trees: int, city_index: int) -> CityLayout:
+def add_users(
+    city: CityLayout, n_trees: int, city_index: int, index: FootprintIndex | None = None
+) -> CityLayout:
     """The user half of :func:`generate_city`: city cut to its first
     n_trees trees, as if generated with n_trees, and its users placed
-    around them."""
+    around them. index, when given, is the cut city's FootprintIndex,
+    which the caller keeps for its link geometry."""
     if not 0 <= n_trees <= len(city.trees):
         raise ParameterError(f"n_trees must be in [0, {len(city.trees)}], got {n_trees}")
     config = replace(city.config, n_trees=n_trees)
     trees = city.trees[:n_trees]
-    users = place_users(
-        city.buildings, trees, city.lights, config, city_rng(config.seed, city_index, STREAM_USERS)
-    )
+    index = index or FootprintIndex(city.buildings, trees, city.lights, config.side)
+    users = place_users(index, config, city_rng(config.seed, city_index, STREAM_USERS))
     return replace(city, config=config, trees=trees, users=users)
 
 

@@ -17,7 +17,6 @@ import copy
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -492,7 +491,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(config["seed"])
     links = random_links(layout, geom, rng, args.n_links)
     mismatches, dump = [], []
-    for link, (hits, brute, mismatch) in zip(links, check_links(layout, links)):
+    for link, (hits, brute, mismatch) in zip(links, check_links(geom, links)):
         if mismatch is not None:
             mismatches.append(mismatch)
         if args.dump_hits:
@@ -501,7 +500,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                     "abs_xy": list(link.abs_xy),
                     "gu_xy": list(link.gu_xy),
                     "h_abs": link.h_abs,
-                    "analytic_hits": [asdict(h) for h in hits],
+                    "analytic_hits": [vars(h) for h in hits],
                     "bruteforce_crossed": {k: sorted(v) for k, v in brute.crossed.items()},
                     "bruteforce_blocked": {k: sorted(v) for k, v in brute.blocked.items()},
                 }

@@ -21,14 +21,15 @@ interior stationary point with a closed-form quadratic solution, or the
 point nearest the tree axis.
 
 One array pass, LayoutGeometry._critical_points, derives every critical
-point for L links sharing an ABS position. Every family takes one form:
-flat parallel arrays over the crossed (link, obstacle) pairs only, as
-_rect_chords and _disc_chords hand them out. One _required_altitude rule
-serves all three families, and _tree_critical evaluates the tree
-candidate set for all crossed (link, tree) pairs at once. The batch view
-reduces the pairs to per-link maxima with link_maxima; the single-link
-views read the same pairs, and classify is the family precedence over
-the blocking flags of crossings, so one link costs one pass.
+point for L links sharing an ABS position, as flat parallel arrays over
+the crossed (link, obstacle) pairs of each family: _rect_chords and
+_disc_chords test only the pairs the layout's cell grid hands out. One
+_required_altitude rule serves all three families, and _tree_critical
+evaluates the tree candidate set for all crossed (link, tree) pairs at
+once. The batch view reduces the pairs to per-link maxima with
+link_maxima; the single-link views read the same pairs, and classify is
+the family precedence over the blocking flags of crossings, so one link
+costs one pass.
 """
 
 from __future__ import annotations
@@ -129,19 +130,46 @@ def _required_altitude(h, h_gu: float, u):
     return np.where(u >= _U_ONE, np.where(h > h_gu, np.inf, -np.inf), alt)
 
 
-def _pairs(crossed: np.ndarray, u_in: np.ndarray, u_out: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Flat (link row, obstacle index, u_in, u_out) of the crossed entries
-    of (L, N) chord arrays, row-major."""
-    row, col = np.nonzero(crossed)
-    return row, col, u_in[row, col], u_out[row, col]
-
-
 def link_maxima(n_links: int, row: np.ndarray, alt: np.ndarray) -> np.ndarray:
     """(n_links,) maximum pair altitude per link row; -inf where a link has
     no pair."""
     out = np.full(n_links, -np.inf)
     np.maximum.at(out, row, alt)
     return out
+
+
+def _slab(a: float, d, lo, hi):
+    """Liang-Barsky fractions (t_min, t_max) of links from a with step d
+    through the slabs [lo, hi] of one axis, entries per pair."""
+    t1, t2 = (lo - a) / d, (hi - a) / d
+    zero, inside = np.abs(d) < 1e-300, (a >= lo) & (a <= hi)
+    t_min = np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    return t_min, np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+
+
+def _rect_chords(ax: float, ay: float, dx, dy, g2, x0, y0, x1, y1):
+    """Chords of P (link, building) pairs, entries per pair but the ABS
+    position (g2 unused). Returns (crossed, u_in, u_out), each (P,)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (txmin, txmax), (tymin, tymax) = _slab(ax, dx, x0, x1), _slab(ay, dy, y0, y1)
+    u_in = np.maximum(np.maximum(txmin, tymin), 0.0)
+    u_out = np.minimum(np.minimum(txmax, tymax), 1.0)
+    return u_in <= u_out, u_in, u_out
+
+
+def _disc_chords(ax: float, ay: float, dx, dy, g2, cx, cy, r):
+    """Chords of P (link, disc) pairs, entries per pair but the ABS
+    position. Returns (crossed, u_in, u_out), each (P,)."""
+    ex = ax - cx
+    ey = ay - cy
+    b = 2.0 * (ex * dx + ey * dy)
+    c = ex * ex + ey * ey - r**2
+    disc = b * b - 4.0 * g2 * c
+    ok = disc >= 0.0
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    u1 = np.maximum((-b - sq) / (2.0 * g2), 0.0)
+    u2 = np.minimum((-b + sq) / (2.0 * g2), 1.0)
+    return ok & (u1 <= u2), u1, u2
 
 
 def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
@@ -214,64 +242,14 @@ def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
 class LayoutGeometry:
     """Crossing and blockage analysis against one fixed layout."""
 
-    def __init__(self, layout: CityLayout):
+    def __init__(self, layout: CityLayout, index: FootprintIndex | None = None):
+        """index, when given, is the caller's FootprintIndex of layout."""
         self.layout = layout
-        self.index = FootprintIndex(layout.buildings, layout.trees, layout.lights)
-        self.bh = np.array([b.h for b in layout.buildings])
-        self.th = np.array([t.h for t in layout.trees])
-        self.lh = np.array([s.h for s in layout.lights])
+        self.index = index or FootprintIndex(layout.buildings, layout.trees, layout.lights, layout.side)
+        families = (layout.buildings, layout.trees, layout.lights)
+        self.bh, self.th, self.lh = (np.array([o.h for o in family]) for family in families)
 
     # -- batched crossing analysis -------------------------------------
-
-    def _rect_chords(
-        self, ax: float, ay: float, dx: np.ndarray, dy: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Liang-Barsky slab clipping of L links against all rectangles.
-
-        dx, dy have shape (L, 1). Returns the crossed pairs as flat arrays
-        (link row, building index, u_in, u_out), row-major.
-        """
-        idx = self.index
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1x = (idx.bx0[None, :] - ax) / dx
-            t2x = (idx.bx1[None, :] - ax) / dx
-            t1y = (idx.by0[None, :] - ay) / dy
-            t2y = (idx.by1[None, :] - ay) / dy
-        zx = np.abs(dx) < 1e-300
-        zy = np.abs(dy) < 1e-300
-        in_x = (ax >= idx.bx0[None, :]) & (ax <= idx.bx1[None, :])
-        in_y = (ay >= idx.by0[None, :]) & (ay <= idx.by1[None, :])
-        txmin = np.where(zx, np.where(in_x, -np.inf, np.inf), np.minimum(t1x, t2x))
-        txmax = np.where(zx, np.where(in_x, np.inf, -np.inf), np.maximum(t1x, t2x))
-        tymin = np.where(zy, np.where(in_y, -np.inf, np.inf), np.minimum(t1y, t2y))
-        tymax = np.where(zy, np.where(in_y, np.inf, -np.inf), np.maximum(t1y, t2y))
-        u_in = np.maximum(np.maximum(txmin, tymin), 0.0)
-        u_out = np.minimum(np.minimum(txmax, tymax), 1.0)
-        return _pairs(u_in <= u_out, u_in, u_out)
-
-    @staticmethod
-    def _disc_chords(
-        ax: float,
-        ay: float,
-        dx: np.ndarray,
-        dy: np.ndarray,
-        g2: np.ndarray,
-        cx: np.ndarray,
-        cy: np.ndarray,
-        r: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Chords of L links through N discs, as flat arrays (link row,
-        disc index, u_in, u_out) over the crossed pairs, row-major."""
-        ex = ax - cx[None, :]
-        ey = ay - cy[None, :]
-        b = 2.0 * (ex * dx + ey * dy)
-        c = ex * ex + ey * ey - r[None, :] ** 2
-        disc = b * b - 4.0 * g2 * c
-        ok = disc >= 0.0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        u1 = np.maximum((-b - sq) / (2.0 * g2), 0.0)
-        u2 = np.minimum((-b + sq) / (2.0 * g2), 1.0)
-        return _pairs(ok & (u1 <= u2), u1, u2)
 
     def _critical_points(
         self, abs_xy: tuple[float, float], gu_xy: np.ndarray, h_gu: float
@@ -287,12 +265,19 @@ class LayoutGeometry:
         crossed pairs only, row-major.
         """
         ax, ay = abs_xy
-        dx = gu_xy[:, 0:1] - ax
-        dy = gu_xy[:, 1:2] - ay
+        dx, dy = gu_xy[:, 0] - ax, gu_xy[:, 1] - ay
         g2 = dx * dx + dy * dy
         if np.any(g2 <= 0.0):
             raise DegenerateLinkError("a link has zero ground distance")
         idx = self.index
+        link, item = idx.grid.segment_pairs(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
+        nb, nt = idx.bx0.size, len(idx.trees)
+
+        def chords(pick, first, clip, *obstacle):
+            # the crossed pairs among the picked ones, with obstacles numbered from first
+            r, c = link[pick], item[pick] - first
+            crossed, u_in, u_out = clip(ax, ay, dx[r], dy[r], g2[r], *(a[c] for a in obstacle))
+            return r[crossed], c[crossed], u_in[crossed], u_out[crossed]
 
         def constant_height(heights, row, col, u_in, u_out):
             # the required altitude rises along the chord when h >= h_gu and
@@ -301,15 +286,17 @@ class LayoutGeometry:
             u = np.where(h >= h_gu, u_out, u_in)
             return row, col, u, h, _required_altitude(h, h_gu, u)
 
-        buildings = constant_height(self.bh, *self._rect_chords(ax, ay, dx, dy))
-        lights = constant_height(self.lh, *self._disc_chords(ax, ay, dx, dy, g2, idx.lx, idx.ly, idx.lr))
-
-        row, col, lo, hi = self._disc_chords(ax, ay, dx, dy, g2, idx.tx, idx.ty, idx.tr)
+        crossed_rects = chords(item < nb, 0, _rect_chords, idx.bx0, idx.by0, idx.bx1, idx.by1)
+        buildings = constant_height(self.bh, *crossed_rects)
+        row, col, lo, hi = chords(item >= nb, nb, _disc_chords, idx.cx, idx.cy, idx.cr)
+        light = col >= nt
+        lights = constant_height(self.lh, row[light], col[light] - nt, lo[light], hi[light])
+        row, col, lo, hi = row[~light], col[~light], lo[~light], hi[~light]
         if not row.size:  # most single links cross no tree
             return buildings, (row, col, lo, lo, lo), lights
         trees = (row, col) + _tree_critical(
-            ax - idx.tx[col, None], ay - idx.ty[col, None], dx[row], dy[row], g2[row],
-            idx.tr[col, None], self.th[col, None], lo[:, None], hi[:, None], h_gu,
+            ax - idx.cx[col, None], ay - idx.cy[col, None], dx[row, None], dy[row, None], g2[row, None],
+            idx.cr[col, None], self.th[col, None], lo[:, None], hi[:, None], h_gu,
         )
         return buildings, trees, lights
 

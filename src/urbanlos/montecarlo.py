@@ -30,6 +30,7 @@ from .citygen import (
     STREAM_ABS,
     BuiltUpParams,
     CityLayout,
+    FootprintIndex,
     GenConfig,
     add_users,
     city_rng,
@@ -172,10 +173,12 @@ def _city_worker(
     scenarios: Sequence[Scenario],
     city_index: int,
     n_bins: int,
+    index: FootprintIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d sums."""
+    """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d
+    sums. index, when given, is the layout's FootprintIndex."""
     gen = layout.config
-    geom = LayoutGeometry(layout)
+    geom = LayoutGeometry(layout, index)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
     ax, ay = sample_open_point(geom.index, layout.side, abs_rng, what="abs")
 
@@ -246,10 +249,12 @@ def _run_passes(
     for city_index in range(sweep.n_cities):
         city = generate_obstacles(params, most_trees, city_index)
         for k, ((n_trees, scenarios), total) in enumerate(zip(passes, totals)):
-            layout = add_users(city, n_trees, city_index)
+            # one index serves the users, the ABS draw and the kernel
+            index = FootprintIndex(city.buildings, city.trees[:n_trees], city.lights, city.side)
+            layout = add_users(city, n_trees, city_index, index)
             if k == 0 and on_layout is not None:
                 on_layout(layout)
-            for acc, c in zip(total, _city_worker(layout, sweep, scenarios, city_index, n_bins)):
+            for acc, c in zip(total, _city_worker(layout, sweep, scenarios, city_index, n_bins, index)):
                 acc += c
     return totals
 
@@ -277,6 +282,8 @@ def run_simulation(
     """
     if list(densities) != sorted(densities):
         raise ParameterError("densities must be sorted ascending")
+    if len(set(densities)) < len(densities):
+        raise ParameterError(f"each density may be given once, got {list(densities)}")
     if any(d < 0 for d in densities):
         raise ParameterError("densities must be >= 0")
     names = [s.name for s in scenarios]

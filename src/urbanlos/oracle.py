@@ -145,13 +145,12 @@ def random_links(layout: CityLayout, geom: LayoutGeometry, rng: Generator, n: in
 
 
 def check_links(
-    layout: CityLayout, links: list[Link]
+    geom: LayoutGeometry, links: list[Link]
 ) -> Iterator[tuple[list[ObstructionHit], BruteForceResult, dict | None]]:
-    """Run both classifiers on each link, the oracle at DEFAULT_STEP_M;
-    yield the analytic crossings, the oracle's result and a mismatch
-    record, or None where the two agree."""
-    geom = LayoutGeometry(layout)
-    families = obstacle_families(layout)
+    """Run both classifiers on each link of geom's layout, the oracle at
+    DEFAULT_STEP_M; yield the analytic crossings, the oracle's result and a
+    mismatch record, or None where the two agree."""
+    families = obstacle_families(geom.layout)
     for i, link in enumerate(links):
         hits = geom.crossings(link)
         fast = classify_hits(hits)

@@ -190,7 +190,7 @@ def test_oracle_equivalence():
         layout = generate_city(PRESETS[env], GenConfig(seed=ACCEPT_SEED))
         geom = LayoutGeometry(layout)
         links = random_links(layout, geom, rng, 1000)
-        mismatches = [m for *_, m in check_links(layout, links) if m is not None]
+        mismatches = [m for *_, m in check_links(geom, links) if m is not None]
         _report(
             f"oracle equivalence {env}",
             not mismatches,

@@ -533,9 +533,10 @@ def test_corrupt_manifest_exit(sim_run, tmp_path, capsys, command, kind):
     [
         (["--env", "urban", "--densities", "50,0"], 1),
         (["--env", "urban", "--densities=-5,0"], 1),
+        (["--env", "urban", "--densities", "0,20,20"], 1),
         (["--alpha", "0.98", "--beta", "20", "--gamma", "15", "--n-trees", "0", "--n-lights", "0"], 2),
     ],
-    ids=["unsorted-densities", "negative-density", "infeasible"],
+    ids=["unsorted-densities", "negative-density", "repeated-density", "infeasible"],
 )
 def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code):
     args = ["simulate", "--seed", "1", "--n-cities", "1", "--n-gu", "2", *flags]

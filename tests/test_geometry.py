@@ -381,7 +381,7 @@ def test_oracle_agreement(env):
     layout = generate_city(PRESETS[env], GenConfig(seed=13))
     geom = LayoutGeometry(layout)
     links = random_links(layout, geom, default_rng(31), 150)
-    assert [m for *_, m in check_links(layout, links) if m is not None] == []
+    assert [m for *_, m in check_links(geom, links) if m is not None] == []
 
 
 # (seed, link index) of oracle-check --env high_rise --seed <seed> links
@@ -405,8 +405,8 @@ def test_oracle_sees_sub_step_dip_at_fine_step(seed, index):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 1 cm oracle misses a sub-step roof dip")
 @pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
 def test_oracle_sees_sub_step_dip_at_default_step(seed, index):
-    layout, _, link = _sub_step_link(seed, index)
-    assert [m for *_, m in check_links(layout, [link])] == [None]
+    _, geom, link = _sub_step_link(seed, index)
+    assert [m for *_, m in check_links(geom, [link])] == [None]
 
 
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):
