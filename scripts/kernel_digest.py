@@ -41,7 +41,7 @@ def main() -> int:
         for seed in SEEDS:
             layout = generate_city(PRESETS[env], GenConfig(n_gu=N_USERS, seed=seed))
             geom = LayoutGeometry(layout)
-            ax, ay = sample_open_point(geom.index, layout.side, city_rng(seed, 0, STREAM_ABS))
+            ax, ay = sample_open_point(geom.index, city_rng(seed, 0, STREAM_ABS))
             gu = np.array([[u.x, u.y] for u in layout.users])
             for h_gu in H_GU:
                 start = time.perf_counter()

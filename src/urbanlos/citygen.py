@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -292,15 +291,19 @@ class CellGrid:
     def cells_of(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(v * self.scale, 0.0), self.gdim - 1).astype(np.intp)
 
-    def under(self, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
+    def _cells(self, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
         """The cells that the box [x0, x1] x [y0, y1] meets."""
         g, s, top = self.gdim, self.scale, self.gdim - 1
         i0, j0, i1, j1 = (int(min(max(v * s, 0.0), top)) for v in (x0, y0, x1, y1))
         return [c for i in range(i0, i1 + 1) for c in self.cells[i * g + j0 : i * g + j1 + 1]]
 
+    def under(self, x0: float, y0: float, x1: float, y1: float) -> list[int]:
+        """The items of each cell that the box [x0, x1] x [y0, y1] meets."""
+        return [k for cell in self._cells(x0, y0, x1, y1) for k in cell]
+
     def add(self, item: int, x0: float, y0: float, x1: float, y1: float) -> None:
         """Register one more item in the cells under (not for segment_pairs)."""
-        for cell in self.under(x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
+        for cell in self._cells(x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
             cell.append(item)
 
     def segment_pairs(self, ax: float, ay: float, bx, by) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +372,7 @@ def place_buildings(
             x0, y0 = cx - w / 2.0, cy - l / 2.0
             x1, y1 = x0 + w, y0 + l
             # Strict interior overlap; shared edges are allowed.
-            near = (buildings[k] for k in chain.from_iterable(grid.under(x0, y0, x1, y1)))
+            near = (buildings[k] for k in grid.under(x0, y0, x1, y1))
             if any(x0 < b.x1 and x1 > b.x and y0 < b.y1 and y1 > b.y for b in near):
                 continue
             h = sample_height(params.gamma, rng)
@@ -422,7 +425,7 @@ def _place_on_sidewalks(
         for _ in range(RETRY_LIMIT):
             cx, cy = _sidewalk_point(rng, index.buildings, config.d_o)
             obstacle = draw(cx, cy)
-            if index.disc_is_free(cx, cy, obstacle.r, config.side):
+            if index.disc_is_free(cx, cy, obstacle.r):
                 placed.append(obstacle)
                 break
         else:
@@ -454,12 +457,12 @@ def place_lights(index: FootprintIndex, config: GenConfig, rng: Generator) -> tu
 class FootprintIndex:
     """Footprint arrays of a layout for the link kernel, and point and disc
     tests that read only the cells under the query. The grid's items are
-    the buildings, then the trees, then the lights."""
+    the buildings, then the trees, then the lights; side is the city's."""
 
     def __init__(
         self, buildings: Sequence[Building], trees: Sequence[Tree], lights: Sequence[Streetlight], side: float
     ):
-        self.buildings, self.trees, self.lights = buildings, trees, lights
+        self.buildings, self.trees, self.lights, self.side = buildings, trees, lights, side
         rects = np.array([(b.x, b.y, b.x1, b.y1) for b in buildings]).reshape(-1, 4)
         discs = np.array([(o.x, o.y, o.r) for o in (*trees, *lights)]).reshape(-1, 3)
         self.bx0, self.by0, self.bx1, self.by1 = rects.T
@@ -471,7 +474,7 @@ class FootprintIndex:
     def blocked(self, x: float, y: float) -> bool:
         """True if (x, y) lies inside any footprint (closed sets)."""
         nb = len(self.rects)
-        for k in chain.from_iterable(self.grid.under(x, y, x, y)):
+        for k in self.grid.under(x, y, x, y):
             if k < nb:
                 x0, y0, x1, y1 = self.rects[k]
                 if x0 <= x <= x1 and y0 <= y <= y1:
@@ -483,12 +486,12 @@ class FootprintIndex:
                     return True
         return False
 
-    def disc_is_free(self, cx: float, cy: float, r: float, side: float) -> bool:
+    def disc_is_free(self, cx: float, cy: float, r: float) -> bool:
         """True if the disc lies inside the city and meets no building
         interior; tree and light footprints are not tested."""
-        if cx - r < 0.0 or cy - r < 0.0 or cx + r > side or cy + r > side:
+        if cx - r < 0.0 or cy - r < 0.0 or cx + r > self.side or cy + r > self.side:
             return False
-        for k in chain.from_iterable(self.grid.under(cx - r, cy - r, cx + r, cy + r)):
+        for k in self.grid.under(cx - r, cy - r, cx + r, cy + r):
             if k < len(self.rects):
                 x0, y0, x1, y1 = self.rects[k]
                 dx, dy = max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1)
@@ -497,13 +500,11 @@ class FootprintIndex:
         return True
 
 
-def sample_open_point(
-    index: FootprintIndex, side: float, rng: Generator, what: str = "point"
-) -> tuple[float, float]:
-    """Uniform point over the free region via rejection sampling."""
+def sample_open_point(index: FootprintIndex, rng: Generator, what: str = "point") -> tuple[float, float]:
+    """Uniform point over the free region of index's city via rejection sampling."""
     for _ in range(RETRY_LIMIT):
-        x = rng.uniform(0.0, side)
-        y = rng.uniform(0.0, side)
+        x = rng.uniform(0.0, index.side)
+        y = rng.uniform(0.0, index.side)
         if not index.blocked(x, y):
             return x, y
     raise InfeasibleLayoutError(f"could not place {what} after {RETRY_LIMIT} attempts")
@@ -520,7 +521,7 @@ def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> tup
         )
     users = []
     for i in range(config.n_gu):
-        x, y = sample_open_point(index, config.side, rng, what=f"user {i}")
+        x, y = sample_open_point(index, rng, what=f"user {i}")
         users.append(GroundUser(x=x, y=y, h=config.h_gu))
     return tuple(users)
 

@@ -341,31 +341,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError("at least one scenario is required")
     VegetationParams(f_ghz=config["freq_ghz"])  # fit's carrier rule, checked before the run
 
+    densities = config["densities"] or ()
     layout_digest = hashlib.sha256()  # as layouts_hash, one city at a time
-    results, curves = run_simulation(
+    views = run_simulation(
         params,
         gen,
         sweep,
         scenarios,
-        config["densities"] or (),
+        densities,
         on_layout=lambda layout: layout_digest.update(layout_json(layout).encode()),
     )
     run_dir.mkdir(parents=True, exist_ok=True)  # only once the run has succeeded
     for scenario in scenarios:
-        curve, stats = results[scenario.name]
+        curve, stats = views[scenario.name]
         write_counts_csv(run_dir / f"angles_{scenario.name}.csv", ANGLE_KEY, curve)
         write_counts_csv(run_dir / f"distance_{scenario.name}.csv", DISTANCE_KEY, stats)
     delta = None
     if len(scenarios) >= 2:
-        a, b = scenarios[0], scenarios[1]
-        delta = mean_abs_delta_p_los(results[a.name][0], results[b.name][0])
-        write_delta_csv(
-            run_dir / f"delta_{a.name}_vs_{b.name}.csv",
-            results[a.name][0],
-            results[b.name][0],
-        )
-    for density, curve in curves.items():
-        write_counts_csv(run_dir / f"density_{density}.csv", ANGLE_KEY, curve)
+        a, b = scenarios[0].name, scenarios[1].name
+        curve_a, curve_b = views[a][0], views[b][0]
+        delta = mean_abs_delta_p_los(curve_a, curve_b)
+        write_delta_csv(run_dir / f"delta_{a}_vs_{b}.csv", curve_a, curve_b)
+    for k in densities:
+        write_counts_csv(run_dir / f"density_{k}.csv", ANGLE_KEY, views[f"density_{k}"][0])
 
     write_manifest(
         run_dir / "manifest.json",
@@ -481,19 +479,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.dump_hits and not args.dump_hits.parent.is_dir():
-        raise ParameterError(f"--dump-hits: {args.dump_hits.parent} is not a directory")
+    if args.dump_hits and (args.dump_hits.is_dir() or not args.dump_hits.parent.is_dir()):
+        raise ParameterError(f"--dump-hits: {args.dump_hits} is not a file in an existing directory")
     config = resolve_config(args, "oracle-check")
     if config["seed"] is None:
         config["seed"] = 0
     layout = generate_city(_built_up_params(config), _gen_config(config, need_users=True))
     geom = LayoutGeometry(layout)
     rng = np.random.default_rng(config["seed"])
-    links = random_links(layout, geom, rng, args.n_links)
-    mismatches, dump = [], []
-    for link, (hits, brute, mismatch) in zip(links, check_links(geom, links)):
-        if mismatch is not None:
-            mismatches.append(mismatch)
+    links = random_links(geom, rng, args.n_links)
+    disagreements, dump = [], []
+    for i, (link, (hits, fast, brute)) in enumerate(zip(links, check_links(geom, links))):
+        if fast is not brute.link_class:
+            disagreements.append(f"  link {i}: analytic={fast.value} bruteforce={brute.link_class.value}")
         if args.dump_hits:
             dump.append(
                 {
@@ -507,10 +505,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             )
     if args.dump_hits:
         args.dump_hits.write_text(json.dumps(dump, indent=2) + "\n")
-    print(f"{len(links)} links, {len(mismatches)} disagreements (step {DEFAULT_STEP_M} m)")
-    if mismatches:
-        for m in mismatches[:10]:
-            print(f"  link {m['link']}: analytic={m['analytic']} bruteforce={m['bruteforce']}")
+    print(f"{len(links)} links, {len(disagreements)} disagreements (step {DEFAULT_STEP_M} m)")
+    if disagreements:
+        print(*disagreements[:10], sep="\n")
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -172,7 +172,6 @@ def _city_worker(
     sweep: SweepConfig,
     scenarios: Sequence[Scenario],
     city_index: int,
-    n_bins: int,
     index: FootprintIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d
@@ -180,7 +179,7 @@ def _city_worker(
     gen = layout.config
     geom = LayoutGeometry(layout, index)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
-    ax, ay = sample_open_point(geom.index, layout.side, abs_rng, what="abs")
+    ax, ay = sample_open_point(geom.index, abs_rng, what="abs")
 
     gu = np.array([[u.x, u.y] for u in layout.users])
     alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes(
@@ -188,11 +187,6 @@ def _city_worker(
     )
     n_users = gu.shape[0]
     no_lights = np.full(n_users, -np.inf)
-
-    def tree_altitudes(limit: int | None) -> np.ndarray:
-        keep = slice(None) if limit is None else t_idx < limit
-        return link_maxima(n_users, t_link[keep], t_alt[keep])
-
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
     angles = np.asarray(sweep.angles)
     if sweep.altitude_policy == "per-angle":
@@ -202,6 +196,8 @@ def _city_worker(
     else:
         h_abs = np.full((n_users, angles.size), sweep.fixed_altitude_m)
     d = np.hypot(g[:, None], h_abs - gen.h_gu)
+    # the bins cover the capped altitude over the city's diagonal
+    n_bins = int(math.hypot(ALTITUDE_CAP_M, layout.side * math.sqrt(2.0)) / DISTANCE_BIN_M) + 2
     bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
 
     # one bincount per view, keyed 4 * angle + class and 4 * bin + class
@@ -209,7 +205,8 @@ def _city_worker(
     angle_counts = np.zeros((len(scenarios), angles.size, 4), dtype=np.int64)
     dist_counts = np.zeros((len(scenarios), n_bins, 4), dtype=np.int64)
     for vi, scenario in enumerate(scenarios):
-        alt_t = tree_altitudes(scenario.tree_limit)
+        keep = slice(None) if scenario.tree_limit is None else t_idx < scenario.tree_limit
+        alt_t = link_maxima(n_users, t_link[keep], t_alt[keep])
         cls = _classify_matrix(h_abs, alt_b, alt_t, alt_s if scenario.lights else no_lights)
         angle_counts[vi] = np.bincount((angle_key + cls).ravel(), minlength=4 * angles.size).reshape(-1, 4)
         dist_counts[vi] = np.bincount((4 * bins + cls).ravel(), minlength=4 * n_bins).reshape(-1, 4)
@@ -231,31 +228,27 @@ def _run_passes(
     largest tree count of any pass. A pass sees the first n trees of that
     draw, which is the n-tree draw, and gets its own users and ABS
     position. on_layout receives each city's layout of the first pass.
+    Each pass's total starts as its first city's counts.
     """
     if not passes:
         return []
-    d_max = math.hypot(ALTITUDE_CAP_M, gen.side * math.sqrt(2.0))
-    n_bins = int(d_max / DISTANCE_BIN_M) + 2
-    n_angles = len(sweep.angles)
-    totals = [
-        (
-            np.zeros((len(scenarios), n_angles, 4), dtype=np.int64),
-            np.zeros((len(scenarios), n_bins, 4), dtype=np.int64),
-            np.zeros(n_bins),
-        )
-        for _, scenarios in passes
-    ]
+    totals = []
     most_trees = replace(gen, n_trees=max(n_trees for n_trees, _ in passes))
     for city_index in range(sweep.n_cities):
         city = generate_obstacles(params, most_trees, city_index)
-        for k, ((n_trees, scenarios), total) in enumerate(zip(passes, totals)):
+        for k, (n_trees, scenarios) in enumerate(passes):
             # one index serves the users, the ABS draw and the kernel
             index = FootprintIndex(city.buildings, city.trees[:n_trees], city.lights, city.side)
             layout = add_users(city, n_trees, city_index, index)
             if k == 0 and on_layout is not None:
                 on_layout(layout)
-            for acc, c in zip(total, _city_worker(layout, sweep, scenarios, city_index, n_bins, index)):
-                acc += c
+            counts = _city_worker(layout, sweep, scenarios, city_index, index)
+            if city_index == 0:
+                totals.append(counts)
+            else:
+                for acc, c in zip(totals[k], counts):
+                    acc += c
+            del counts  # not held while the next city is built
     return totals
 
 
@@ -266,8 +259,9 @@ def run_simulation(
     scenarios: Sequence[Scenario],
     densities: Sequence[int] = (),
     on_layout: Callable[[CityLayout], None] | None = None,
-) -> tuple[dict[str, tuple[ClassCounts, ClassCounts]], dict[int, ClassCounts]]:
-    """Scenario results and tree-density curves over one build per city.
+) -> dict[str, tuple[ClassCounts, ClassCounts]]:
+    """Every view's (angle table, distance table) over one build per city:
+    the scenarios by name, then each tree density k as ``density_<k>``.
 
     The scenario pass generates each city as ``generate_city(params, gen,
     i)`` does and hands that layout to on_layout. All scenarios see
@@ -289,27 +283,26 @@ def run_simulation(
     names = [s.name for s in scenarios]
     if len(set(names)) < len(names):
         raise ParameterError(f"each scenario may be given once, got {names}")
+    if sweep.altitude_policy == "fixed" and sweep.fixed_altitude_m < gen.h_gu:
+        raise ParameterError(
+            f"sweep.fixed_altitude_m ({sweep.fixed_altitude_m}) must be >= gen.h_gu ({gen.h_gu})"
+        )
     passes = []
     if scenarios:
         passes.append((gen.n_trees, scenarios))
     if densities:
-        passes.append((int(max(densities)), [Scenario(f"density_{k}", int(k), False) for k in densities]))
+        passes.append((max(densities), [Scenario(f"density_{k}", k, False) for k in densities]))
     totals = _run_passes(params, gen, sweep, passes, on_layout)
-    results = {}
-    if scenarios:
-        angle_counts, dist_counts, d_sums = totals[0]
-        for scenario, angles, bins in zip(scenarios, angle_counts, dist_counts):
+    views = {}
+    for (_, pass_views), (angle_counts, dist_counts, d_sums) in zip(passes, totals):
+        for view, angles, bins in zip(pass_views, angle_counts, dist_counts):
             keep = np.nonzero(bins.sum(axis=1) > 0)[0]  # non-empty bins only
             kept = bins[keep]
-            results[scenario.name] = (
+            views[view.name] = (
                 class_counts(sweep.angles, angles),
                 class_counts((keep + 0.5) * DISTANCE_BIN_M, kept, d_sums[keep] / kept.sum(axis=1)),
             )
-    curves = {}
-    if densities:
-        angle_counts = totals[-1][0]
-        curves = {int(k): class_counts(sweep.angles, angle_counts[i]) for i, k in enumerate(densities)}
-    return results, curves
+    return views
 
 
 def run_scenarios(
@@ -319,7 +312,7 @@ def run_scenarios(
     scenarios: Sequence[Scenario],
 ) -> dict[str, tuple[ClassCounts, ClassCounts]]:
     """The scenario pass of :func:`run_simulation` on its own."""
-    return run_simulation(params, gen, sweep, scenarios)[0]
+    return run_simulation(params, gen, sweep, scenarios)
 
 
 def tree_density_sweep(
@@ -332,7 +325,8 @@ def tree_density_sweep(
     per tree count, lights excluded, over shared layouts."""
     if not densities:
         raise ParameterError("densities must be non-empty")
-    return run_simulation(params, gen, sweep, (), densities)[1]
+    views = run_simulation(params, gen, sweep, (), densities)
+    return {k: views[f"density_{k}"][0] for k in densities}
 
 
 def mean_abs_delta_p_los(curve_a: ClassCounts, curve_b: ClassCounts) -> float:

@@ -126,15 +126,15 @@ def classify_link_bruteforce(
     return BruteForceResult(link_class=link_class, blocked=blocked, crossed=crossed)
 
 
-def random_links(layout: CityLayout, geom: LayoutGeometry, rng: Generator, n: int) -> list[Link]:
-    """Sample sweep-like links: a random user, a random open ABS ground
-    position, and an elevation angle uniform over LINK_ANGLES_DEG, the
-    altitude capped at LINK_ALTITUDE_CAP_M."""
+def random_links(geom: LayoutGeometry, rng: Generator, n: int) -> list[Link]:
+    """Sample sweep-like links in geom's layout: a random user, a random
+    open ABS ground position, and an elevation angle uniform over
+    LINK_ANGLES_DEG, the altitude capped at LINK_ALTITUDE_CAP_M."""
     links = []
-    h_gu = layout.config.h_gu
+    users, h_gu = geom.layout.users, geom.layout.config.h_gu
     for _ in range(n):
-        user = layout.users[int(rng.integers(len(layout.users)))]
-        ax, ay = sample_open_point(geom.index, layout.side, rng, what="abs")
+        user = users[int(rng.integers(len(users)))]
+        ax, ay = sample_open_point(geom.index, rng, what="abs")
         g = math.hypot(user.x - ax, user.y - ay)
         theta = math.radians(rng.uniform(*LINK_ANGLES_DEG))
         h_abs = min(h_gu + g * math.tan(theta), LINK_ALTITUDE_CAP_M)
@@ -146,23 +146,11 @@ def random_links(layout: CityLayout, geom: LayoutGeometry, rng: Generator, n: in
 
 def check_links(
     geom: LayoutGeometry, links: list[Link]
-) -> Iterator[tuple[list[ObstructionHit], BruteForceResult, dict | None]]:
+) -> Iterator[tuple[list[ObstructionHit], LinkClass, BruteForceResult]]:
     """Run both classifiers on each link of geom's layout, the oracle at
-    DEFAULT_STEP_M; yield the analytic crossings, the oracle's result and a
-    mismatch record, or None where the two agree."""
+    DEFAULT_STEP_M; yield the analytic crossings, the analytic class and
+    the oracle's BruteForceResult."""
     families = obstacle_families(geom.layout)
-    for i, link in enumerate(links):
+    for link in links:
         hits = geom.crossings(link)
-        fast = classify_hits(hits)
-        slow = classify_link_bruteforce(link, families)
-        mismatch = None
-        if fast is not slow.link_class:
-            mismatch = {
-                "link": i,
-                "analytic": fast.value,
-                "bruteforce": slow.link_class.value,
-                "abs_xy": list(link.abs_xy),
-                "gu_xy": list(link.gu_xy),
-                "h_abs": link.h_abs,
-            }
-        yield hits, slow, mismatch
+        yield hits, classify_hits(hits), classify_link_bruteforce(link, families)

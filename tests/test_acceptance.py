@@ -189,8 +189,9 @@ def test_oracle_equivalence():
     for env in ENVS:
         layout = generate_city(PRESETS[env], GenConfig(seed=ACCEPT_SEED))
         geom = LayoutGeometry(layout)
-        links = random_links(layout, geom, rng, 1000)
-        mismatches = [m for *_, m in check_links(geom, links) if m is not None]
+        links = random_links(geom, rng, 1000)
+        results = check_links(geom, links)
+        mismatches = [i for i, (_, fast, brute) in enumerate(results) if fast is not brute.link_class]
         _report(
             f"oracle equivalence {env}",
             not mismatches,
@@ -244,7 +245,7 @@ def test_paired_obstacle_monotonicity():
     for _ in range(20):
         from urbanlos.citygen import sample_open_point
 
-        ax, ay = sample_open_point(geom.index, layout.side, rng, what="abs")
+        ax, ay = sample_open_point(geom.index, rng, what="abs")
         gu = np.array([[u.x, u.y] for u in layout.users])
         alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes(
             (ax, ay), gu, 1.5

@@ -6,6 +6,7 @@ import math
 import shutil
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from urbanlos import citygen, oracle
 from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
-from urbanlos.geometry import LayoutGeometry
+from urbanlos.geometry import LayoutGeometry, LinkClass
 from urbanlos.montecarlo import SweepConfig, tree_density_sweep
 from urbanlos.outputs import ANGLE_KEY, layouts_hash, read_csv_dicts, write_counts_csv
 
@@ -545,6 +546,20 @@ def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("altitude, code", [(0.5, 1), (1.5, 0)], ids=["below-users", "at-users"])
+def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code):
+    """A fixed ABS altitude below gen.h_gu (1.5 m by default) exits 1 and
+    leaves no run directory; equal to it is a valid link height."""
+    cfg = tmp_path / "f.yaml"
+    cfg.write_text(f"sweep: {{altitude_policy: fixed, fixed_altitude_m: {altitude}}}\n")
+    args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "1", "--n-gu", "5"]
+    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "runs")]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "error:" in err and "sweep.fixed_altitude_m" in err and "gen.h_gu" in err
+        assert not (tmp_path / "runs").exists()
+
+
 def test_report_rerun_identical_bytes(sim_run):
     before = {
         p.name: p.read_bytes() for p in sim_run.glob("report_*.csv")
@@ -640,6 +655,29 @@ def test_oracle_check(tmp_path, capsys):
     assert {"abs_xy", "gu_xy", "h_abs", "analytic_hits", "bruteforce_crossed"} <= set(hits[0])
 
 
+def test_oracle_check_reports_first_ten_disagreements(monkeypatch, capsys):
+    """With the oracle made to disagree on 12 of 25 links, the summary
+    counts all 12 and the first 10 are listed with both classes."""
+    real = oracle.classify_link_bruteforce
+    flipped, seen, expected = range(1, 25, 2), [], []
+
+    def disagreeing(link, families):
+        result, i = real(link, families), len(seen)
+        seen.append(link)
+        if i not in flipped:
+            return result
+        # the real oracle agrees with the analytic class on these links
+        other = LinkClass.NLOS_LIGHT if result.link_class is LinkClass.LOS else LinkClass.LOS
+        expected.append(f"  link {i}: analytic={result.link_class.value} bruteforce={other.value}")
+        return replace(result, link_class=other)
+
+    monkeypatch.setattr(oracle, "classify_link_bruteforce", disagreeing)
+    assert main(["oracle-check", "--env", "urban", "--seed", "7", "--n-links", "25"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(expected) == 12
+    assert out == ["25 links, 12 disagreements (step 0.01 m)", *expected[:10]]
+
+
 def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, oracle, ["classify_link_bruteforce"])
     kernel = _count_calls(monkeypatch, LayoutGeometry, ["_critical_points"])
@@ -653,12 +691,14 @@ def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
     "args, flag, target",
     [
         (["oracle-check", "--n-links", "3"], "--dump-hits", "missing/hits.json"),
+        (["oracle-check", "--n-links", "2"], "--dump-hits", "adir"),
         (["simulate", "--n-cities", "1", "--n-gu", "2"], "--out", "file/runs"),
     ],
-    ids=["dump-hits-in-missing-dir", "out-under-file"],
+    ids=["dump-hits-in-missing-dir", "dump-hits-is-dir", "out-under-file"],
 )
 def test_output_path_checked_before_work(tmp_path, capsys, monkeypatch, args, flag, target):
     (tmp_path / "file").write_text("")
+    (tmp_path / "adir").mkdir()
     calls = _count_calls(monkeypatch, citygen, ["generate_obstacles"])
     assert main(args + ["--env", "urban", "--seed", "1", flag, str(tmp_path / target)]) == 1
     err = capsys.readouterr().err

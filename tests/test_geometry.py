@@ -231,7 +231,7 @@ def _tree_critical_loop(ax, ay, dx, dy, g2, tree_x, tree_y, r_t, h_t, h_gu):
 def test_tree_pass_matches_loop_reference(env, h_gu):
     layout = generate_city(PRESETS[env], GenConfig(n_gu=300, seed=5, h_gu=h_gu))
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, layout.side, default_rng(6))
+    ax, ay = sample_open_point(geom.index, default_rng(6))
     gu = np.array([[user.x, user.y] for user in layout.users])
     _, trees, _ = geom._critical_points((ax, ay), gu, h_gu)
     expected = []
@@ -336,7 +336,7 @@ def test_degenerate_link_raises(urban_layout):
 
 def test_altitude_monotonicity(urban_layout, urban_geometry):
     rng = default_rng(21)
-    links = random_links(urban_layout, urban_geometry, rng, 300)
+    links = random_links(urban_geometry, rng, 300)
     for link in links:
         was_los = False
         for h in (link.h_gu + 0.5, 5.0, 20.0, 100.0, 1000.0, 20000.0):
@@ -352,7 +352,7 @@ def test_altitude_monotonicity(urban_layout, urban_geometry):
 
 def test_fewer_obstacles_never_hurt_los(urban_layout, urban_geometry):
     rng = default_rng(22)
-    links = random_links(urban_layout, urban_geometry, rng, 500)
+    links = random_links(urban_geometry, rng, 500)
     for link in links:
         alt_b, alt_t, alt_s = urban_geometry.critical_altitudes(link)
         los_full = link.h_abs > max(alt_b, alt_t, alt_s)
@@ -362,7 +362,7 @@ def test_fewer_obstacles_never_hurt_los(urban_layout, urban_geometry):
 
 def test_critical_altitude_is_threshold(urban_layout, urban_geometry):
     rng = default_rng(23)
-    links = random_links(urban_layout, urban_geometry, rng, 200)
+    links = random_links(urban_geometry, rng, 200)
     for link in links:
         alt = max(urban_geometry.critical_altitudes(link))
         if not math.isfinite(alt) or alt <= link.h_gu:
@@ -380,8 +380,9 @@ def test_critical_altitude_is_threshold(urban_layout, urban_geometry):
 def test_oracle_agreement(env):
     layout = generate_city(PRESETS[env], GenConfig(seed=13))
     geom = LayoutGeometry(layout)
-    links = random_links(layout, geom, default_rng(31), 150)
-    assert [m for *_, m in check_links(geom, links) if m is not None] == []
+    links = random_links(geom, default_rng(31), 150)
+    results = check_links(geom, links)
+    assert [i for i, (_, fast, brute) in enumerate(results) if fast is not brute.link_class] == []
 
 
 # (seed, link index) of oracle-check --env high_rise --seed <seed> links
@@ -392,7 +393,7 @@ SUB_STEP_LINKS = [(101, 146), (72012, 123)]
 def _sub_step_link(seed: int, index: int):
     layout = generate_city(PRESETS["high_rise"], GenConfig(seed=seed))
     geom = LayoutGeometry(layout)
-    return layout, geom, random_links(layout, geom, default_rng(seed), index + 1)[index]
+    return layout, geom, random_links(geom, default_rng(seed), index + 1)[index]
 
 
 @pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
@@ -406,12 +407,13 @@ def test_oracle_sees_sub_step_dip_at_fine_step(seed, index):
 @pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
 def test_oracle_sees_sub_step_dip_at_default_step(seed, index):
     _, geom, link = _sub_step_link(seed, index)
-    assert [m for *_, m in check_links(geom, [link])] == [None]
+    [(_, fast, brute)] = check_links(geom, [link])
+    assert fast is brute.link_class
 
 
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):
     rng = default_rng(32)
-    links = random_links(urban_layout, urban_geometry, rng, 150)
+    links = random_links(urban_geometry, rng, 150)
     families = obstacle_families(urban_layout)
     for link in links:
         analytic = {"building": set(), "tree": set(), "streetlight": set()}

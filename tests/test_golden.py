@@ -123,7 +123,7 @@ def test_oracle_hit_dump_golden(tmp_path):
 def test_kernel_golden():
     layout = generate_city(PRESETS["dense_urban"], GenConfig(n_gu=1000, seed=2))
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, layout.side, city_rng(2, 0, STREAM_ABS))
+    ax, ay = sample_open_point(geom.index, city_rng(2, 0, STREAM_ABS))
     gu = np.array([[u.x, u.y] for u in layout.users])
     digest = hashlib.sha256()
     for arr in geom.batch_critical_altitudes((ax, ay), gu, 1.5):

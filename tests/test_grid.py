@@ -4,8 +4,6 @@ every footprint, on the inputs where a cell lookup could go wrong: points
 and discs on cell lines, footprint edges and corners and the city border,
 and links along cell lines, parallel to an axis or ending on a corner."""
 
-from itertools import chain
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -113,7 +111,7 @@ def test_disc_is_free_matches_dense(crowded_layout):
     cx = np.concatenate([cx, [o.x - 1.5 for o in b], [o.x1 + 1.5 for o in b], [1.5, SIDE - 1.5]])
     cy = np.concatenate([cy, [o.y for o in b], [o.y1 for o in b], [1.5, SIDE - 1.5]])
     r = np.concatenate([r, np.full(2 * len(b) + 2, 1.5)])
-    got = [index.disc_is_free(x, y, rr, SIDE) for x, y, rr in zip(cx.tolist(), cy.tolist(), r.tolist())]
+    got = [index.disc_is_free(x, y, rr) for x, y, rr in zip(cx.tolist(), cy.tolist(), r.tolist())]
     want = _dense_disc_is_free(crowded_layout, cx, cy, r)
     assert got == want.tolist()
     assert 0 < want.sum() < want.size
@@ -139,7 +137,7 @@ def test_building_overlap_matches_dense(urban_layout):
     h = np.concatenate([h, rects[:, 3] - rects[:, 1], rects[:, 3] - rects[:, 1]])
     got = [
         any(x0 < rects[k, 2] and x0 + ww > rects[k, 0] and y0 < rects[k, 3] and y0 + hh > rects[k, 1]
-            for k in chain.from_iterable(grid.under(x0, y0, x0 + ww, y0 + hh)))
+            for k in grid.under(x0, y0, x0 + ww, y0 + hh))
         for x0, y0, ww, hh in zip(xs.tolist(), ys.tolist(), w.tolist(), h.tolist())
     ]
     x0, y0, x1, y1 = xs[:, None], ys[:, None], (xs + w)[:, None], (ys + h)[:, None]

@@ -17,6 +17,7 @@ from urbanlos.montecarlo import (
     mean_abs_delta_p_los,
     parse_scenario,
     run_scenarios,
+    run_simulation,
     tree_density_sweep,
 )
 
@@ -143,6 +144,17 @@ def test_density_validation(small_gen):
         tree_density_sweep(URBAN, small_gen, SMALL_SWEEP, [])
 
 
+def test_run_simulation_returns_every_view():
+    """One dict of (angle table, distance table) per view: the scenarios
+    first, then density_<k>, whose angle table is tree_density_sweep's curve."""
+    gen = GenConfig(n_trees=30, n_lights=40, n_gu=10, seed=5)
+    views = run_simulation(URBAN, gen, SMALL_SWEEP, [BUILDINGS_ONLY, WITH_TREES, FULL], [0, 10, 30])
+    assert list(views) == ["buildings-only", "trees", "full", "density_0", "density_10", "density_30"]
+    assert all(stats.mean_d is not None for _, stats in views.values())
+    curves = tree_density_sweep(URBAN, gen, SMALL_SWEEP, [0, 10, 30])
+    assert {k: views[f"density_{k}"][0] for k in (0, 10, 30)} == curves
+
+
 def test_fixed_altitude_policy(small_gen):
     sweep = SweepConfig(
         n_cities=2, angles=(30.0, 60.0, 90.0), altitude_policy="fixed",
@@ -159,7 +171,7 @@ def test_city_order_independent(small_gen):
     from urbanlos.montecarlo import _city_worker
 
     per_city = [
-        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, [FULL], idx, n_bins=2832)
+        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, [FULL], idx)
         for idx in range(SMALL_SWEEP.n_cities)
     ]
     forward = sum(ac.sum() for ac, _, _ in per_city)
@@ -180,7 +192,7 @@ def test_sweep_classes_match_single_link_classify():
     gen = GenConfig(area=250_000.0, n_trees=400, n_lights=400, n_gu=200, seed=2)
     layout = generate_city(URBAN, gen)
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, layout.side, city_rng(gen.seed, 0, STREAM_ABS))
+    ax, ay = sample_open_point(geom.index, city_rng(gen.seed, 0, STREAM_ABS))
     gu = np.array([[u.x, u.y] for u in layout.users])
     alt_b, alt_s, t_link, _, t_alt = geom.batch_critical_altitudes((ax, ay), gu, gen.h_gu)
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
