@@ -1,8 +1,12 @@
 """Brute-force rasterization check for link classification.
 
-Walks the link's ground projection in fixed 1 cm steps, tests every step
-point for footprint membership, and compares the interpolated line height
-against the obstacle height at that point. This shares no intersection
+Walks the link's ground projection in fixed 1 cm steps, tests step points
+for footprint membership, and compares the interpolated line height
+against the obstacle height at that point. Each candidate obstacle is
+tested only at the steps within its covering radius of its centre's
+projection onto the link (one step of margin each side): projection onto
+the link is 1-Lipschitz, so no step point outside that window can lie in
+the covering disc, let alone the footprint. This shares no intersection
 math with the analytic classifier, so agreement between the two is strong
 evidence both are right.
 """
@@ -32,32 +36,16 @@ class BruteForceResult:
     crossed: dict[str, frozenset[int]]
 
 
-def _step_points(link: Link, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g = link.ground_distance
-    if g <= 0.0:
-        raise DegenerateLinkError("link has zero ground distance")
-    n = int(math.floor(g / step))
-    dists = np.arange(n + 1, dtype=float) * step
-    if g - dists[-1] > 1e-12:
-        dists = np.append(dists, g)
-    u = dists / g
-    ax, ay = link.abs_xy
-    px = ax + u * (link.gu_xy[0] - ax)
-    py = ay + u * (link.gu_xy[1] - ay)
-    h_line = link.h_abs - u * (link.h_abs - link.h_gu)
-    return px, py, h_line
-
-
-def _segment_distances(
-    link: Link, cx: np.ndarray, cy: np.ndarray
-) -> np.ndarray:
-    """Distance from points to the link's ground segment."""
+def _project(link: Link, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from points to the link's ground segment, and their
+    projection onto the link's ground line in metres from the ABS end."""
     ax, ay = link.abs_xy
     dx = link.gu_xy[0] - ax
     dy = link.gu_xy[1] - ay
     g2 = dx * dx + dy * dy
-    t = np.clip(((cx - ax) * dx + (cy - ay) * dy) / g2, 0.0, 1.0)
-    return np.hypot(cx - (ax + t * dx), cy - (ay + t * dy))
+    s = ((cx - ax) * dx + (cy - ay) * dy) / g2
+    t = np.clip(s, 0.0, 1.0)
+    return np.hypot(cx - (ax + t * dx), cy - (ay + t * dy)), s * link.ground_distance
 
 
 def _in_building(b: Building, px: np.ndarray, py: np.ndarray):
@@ -103,21 +91,38 @@ def classify_link_bruteforce(
     """Rasterized classification of one link; the first family that blocks
     it names its class.
 
+    Step k lies at float(k) * step from the ABS end, and the walk ends with
+    the GU end itself when the distance is no multiple of the step.
     Obstacles provably farther from the segment than their covering radius
-    are skipped before the point tests, since no step point can fall inside
-    them.
+    are skipped. The others are tested only at the k with
+    |k * step - along| <= reach, along being the centre's projection onto
+    the link, widened by one step each side against rounding: a step point
+    outside that window is farther than reach from the centre, so outside
+    the footprint.
     """
-    px, py, h_line = _step_points(link, step)
+    g = link.ground_distance
+    if g <= 0.0:
+        raise DegenerateLinkError("link has zero ground distance")
+    n = int(math.floor(g / step))
+    last = n + 1 if g - n * step > 1e-12 else n
+    (ax, ay), (bx, by) = link.abs_xy, link.gu_xy
     link_class = LinkClass.LOS
     crossed: dict[str, frozenset[int]] = {}
     blocked: dict[str, frozenset[int]] = {}
     for kind, blocked_class, obstacles, cx, cy, reach, point_test in families:
         hit, low = set(), set()
-        for i in np.nonzero(_segment_distances(link, cx, cy) <= reach + 1e-9)[0]:
-            inside, height = point_test(obstacles[i], px, py)
+        dist, along = _project(link, cx, cy)
+        near = np.nonzero(dist <= reach + 1e-9)[0]
+        first = np.maximum(np.floor((along[near] - reach[near]) / step) - 1, 0).astype(int)
+        stop = np.minimum(np.ceil((along[near] + reach[near]) / step) + 1, last).astype(int)
+        for i, k0, k1 in zip(near, first, stop):
+            k = np.arange(k0, k1 + 1)
+            u = np.where(k > n, g, k * step) / g
+            inside, height = point_test(obstacles[i], ax + u * (bx - ax), ay + u * (by - ay))
             if not inside.any():
                 continue
             hit.add(int(i))
+            h_line = link.h_abs - u * (link.h_abs - link.h_gu)
             if (inside & (h_line <= height)).any():
                 low.add(int(i))
         crossed[kind], blocked[kind] = frozenset(hit), frozenset(low)

@@ -329,6 +329,8 @@ def test_degenerate_link_raises(urban_layout):
     link = Link(abs_xy=(10.0, 10.0), h_abs=100.0, gu_xy=(10.0, 10.0), h_gu=1.5)
     with pytest.raises(DegenerateLinkError):
         LayoutGeometry(urban_layout).classify(link)
+    with pytest.raises(DegenerateLinkError):
+        classify_link_bruteforce(link, obstacle_families(urban_layout))
 
 
 # -- structural properties ----------------------------------------------------------
@@ -385,30 +387,136 @@ def test_oracle_agreement(env):
     assert [i for i, (_, fast, brute) in enumerate(results) if fast is not brute.link_class] == []
 
 
-# (seed, link index) of oracle-check --env high_rise --seed <seed> links
+# (env, seed, link index) of oracle-check --env <env> --seed <seed> links
 # that dip under a roof for less than the 1 cm oracle step
-SUB_STEP_LINKS = [(101, 146), (72012, 123)]
+SUB_STEP_LINKS = [
+    ("high_rise", 101, 146),
+    ("high_rise", 72012, 123),
+    ("high_rise", 3000, 178),
+    ("high_rise", 7, 796),
+    ("dense_urban", 3000, 88),
+]
 
 
-def _sub_step_link(seed: int, index: int):
-    layout = generate_city(PRESETS["high_rise"], GenConfig(seed=seed))
+def _sub_step_link(env: str, seed: int, index: int):
+    layout = generate_city(PRESETS[env], GenConfig(seed=seed))
     geom = LayoutGeometry(layout)
     return layout, geom, random_links(geom, default_rng(seed), index + 1)[index]
 
 
-@pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
-def test_oracle_sees_sub_step_dip_at_fine_step(seed, index):
-    layout, geom, link = _sub_step_link(seed, index)
+@pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
+def test_oracle_sees_sub_step_dip_at_fine_step(env, seed, index):
+    layout, geom, link = _sub_step_link(env, seed, index)
     brute = classify_link_bruteforce(link, obstacle_families(layout), step=1e-4)
     assert geom.classify(link) is brute.link_class is LinkClass.NLOS_BUILDING
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 1 cm oracle misses a sub-step roof dip")
-@pytest.mark.parametrize("seed, index", SUB_STEP_LINKS)
-def test_oracle_sees_sub_step_dip_at_default_step(seed, index):
-    _, geom, link = _sub_step_link(seed, index)
+@pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
+def test_oracle_sees_sub_step_dip_at_default_step(env, seed, index):
+    _, geom, link = _sub_step_link(env, seed, index)
     [(_, fast, brute)] = check_links(geom, [link])
     assert fast is brute.link_class
+
+
+def _full_walk(link, families, step):
+    """Reference walk: every step point (one step apart from the ABS end,
+    plus the GU end when the distance is no multiple of the step) against
+    every obstacle, with no prefilter and no window."""
+    g = link.ground_distance
+    n = int(math.floor(g / step))
+    dists = np.arange(n + 1, dtype=float) * step
+    if g - dists[-1] > 1e-12:
+        dists = np.append(dists, g)
+    u = dists / g
+    ax, ay = link.abs_xy
+    px = ax + u * (link.gu_xy[0] - ax)
+    py = ay + u * (link.gu_xy[1] - ay)
+    h_line = link.h_abs - u * (link.h_abs - link.h_gu)
+    crossed, blocked = {}, {}
+    for kind, _, obstacles, _, _, _, point_test in families:
+        tests = [point_test(o, px, py) for o in obstacles]
+        crossed[kind] = {i for i, (inside, _) in enumerate(tests) if inside.any()}
+        blocked[kind] = {i for i, (inside, h) in enumerate(tests) if (inside & (h_line <= h)).any()}
+    return crossed, blocked
+
+
+# (layout, link, step, the families the link crosses)
+WINDOW_CASES = {
+    "abs-end": (
+        _fixture_layout(buildings=[Building(x=-2.0, y=-2.0, w=4.0, l=4.0, h=20.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.3, 7.1), h_gu=1.5),
+        0.01,
+        {"building"},
+    ),
+    # only the appended point at g = 10.005 m lies inside the tree
+    "gu-end-tail": (
+        _fixture_layout(trees=[Tree(x=10.005, y=0.0, r=0.003, h=5.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.005, 0.0), h_gu=1.5),
+        0.01,
+        {"tree"},
+    ),
+    # centres past the GU and ABS ends, the footprints reaching over them
+    "past-ends": (
+        _fixture_layout(
+            buildings=[Building(x=20.9, y=-3.0, w=6.0, l=6.0, h=30.0)],
+            trees=[Tree(x=-0.6, y=-0.2, r=1.0, h=5.0)],
+            lights=[Streetlight(x=21.05, y=0.0, h=5.0)],
+        ),
+        Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(21.0, 0.0), h_gu=1.5),
+        0.01,
+        {"building", "tree", "streetlight"},
+    ),
+    # a covering disc that reaches the link while the footprint does not
+    "disc-only": (
+        _fixture_layout(buildings=[Building(x=10.5, y=0.5, w=4.0, l=4.0, h=30.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(11.0, 0.0), h_gu=1.5),
+        0.01,
+        set(),
+    ),
+    "shorter-than-a-step": (
+        _fixture_layout(trees=[Tree(x=0.002, y=0.001, r=0.5, h=5.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(0.004, 0.0), h_gu=1.5),
+        0.01,
+        {"tree"},
+    ),
+    # g / step = 40 exactly: the last step point is the GU end, no tail
+    "exact-multiple": (
+        _fixture_layout(trees=[Tree(x=6.0, y=8.0, r=0.003, h=5.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(6.0, 8.0), h_gu=1.5),
+        0.25,
+        {"tree"},
+    ),
+    "coarse-step-diagonal": (
+        _fixture_layout(
+            buildings=[Building(x=40.0, y=25.0, w=12.0, l=8.0, h=30.0)],
+            trees=[Tree(x=20.0, y=13.5, r=1.5, h=5.0)],
+            lights=[Streetlight(x=70.3, y=42.3, h=5.0, r=0.6)],
+        ),
+        Link(abs_xy=(100.0, 60.0), h_abs=12.0, gu_xy=(1.0, 0.5), h_gu=1.5),
+        0.37,
+        {"building", "tree", "streetlight"},
+    ),
+    "empty-families": (
+        _fixture_layout(),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.0, 40.0), h_gu=1.5),
+        0.01,
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_oracle_window_matches_full_walk(case):
+    """The per-candidate step windows find exactly what a walk of every
+    step point against every obstacle finds."""
+    layout, link, step, families_crossed = WINDOW_CASES[case]
+    families = obstacle_families(layout)
+    crossed, blocked = _full_walk(link, families, step)
+    assert {kind for kind, hit in crossed.items() if hit} == families_crossed
+    brute = classify_link_bruteforce(link, families, step)
+    assert {kind: set(hit) for kind, hit in brute.crossed.items()} == crossed
+    assert {kind: set(low) for kind, low in brute.blocked.items()} == blocked
 
 
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):

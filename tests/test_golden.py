@@ -47,6 +47,11 @@ PATHLOSS_GOLDEN = {
 PATHLOSS_SHA = "b56b2aa791d9e7db06df0e3421bac2ee55dea1590e6b321dd438c254575d28a8"
 LAYOUT_HASH = "2b4a0690c41f38dbcac70aee8c9864cac444c51fc6e367ec74ecb09d07da4676"
 HITS_SHA = "eadf0e5ee34330dbcf08ae8ca0290aba6a081958da349a1a34b70aa73ff8bbc0"
+# the same dump for the layouts whose links cross trees and streetlights
+OBSTACLE_HITS_SHA = {
+    "urban": "8218f9ac1e922824022d63b7588aa21d73f83b86b1955735e42c540c6bb28cf4",
+    "dense_urban": "7b270d6e04d5a5fb227b073c7a6cf4fd9717b4ad1982c94babe7fef5a915974e",
+}
 # dense_urban, seed 2, 1000 users: batch arrays, and the crossings, class and
 # critical altitudes of 300 links at 20 m (these include blocking tree and
 # streetlight hits, which the small simulate run above never produces)
@@ -118,6 +123,14 @@ def test_oracle_hit_dump_golden(tmp_path):
     args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
     assert main(args + ["--dump-hits", str(dump)]) == 0
     assert _sha(dump) == HITS_SHA
+
+
+@pytest.mark.parametrize("env", sorted(OBSTACLE_HITS_SHA))
+def test_oracle_hit_dump_golden_with_trees_and_lights(tmp_path, env):
+    dump = tmp_path / "hits.json"
+    args = ["oracle-check", "--env", env, "--seed", "1", "--n-links", "50"]
+    assert main(args + ["--dump-hits", str(dump)]) == 0
+    assert _sha(dump) == OBSTACLE_HITS_SHA[env]
 
 
 def test_kernel_golden():
