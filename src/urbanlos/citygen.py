@@ -6,7 +6,8 @@ grid; each occupied block receives one axis-aligned building whose
 footprint area equals the environment average exactly, with a uniform
 shape factor controlling the width/length split and a Rayleigh height.
 Trees and streetlights are placed on sidewalks at a fixed offset from
-building walls, and ground users are rejection-sampled over open space.
+building walls, and ground users are rejection-sampled over open space,
+in blocks that give the layout of drawing one candidate at a time.
 
 All randomness flows through named substreams derived from a single
 master seed, so regenerating any layout is bit-identical and changing
@@ -214,9 +215,7 @@ def average_footprint(params: BuiltUpParams, area: float) -> float:
     return (params.alpha * area) / (params.beta * area / 1e6)
 
 
-def derive_building_dims(
-    params: BuiltUpParams, area: float, shape: float
-) -> tuple[float, float]:
+def derive_building_dims(params: BuiltUpParams, area: float, shape: float) -> tuple[float, float]:
     """Width/length of a building from its shape factor.
 
     The shape factor multiplies the square-root footprint to set the
@@ -243,23 +242,6 @@ def rayleigh_icdf(gamma: float, u: float) -> float:
     return gamma * math.sqrt(-2.0 * math.log1p(-u))
 
 
-def sample_height(gamma: float, rng: Generator) -> float:
-    """One Rayleigh-distributed building height."""
-    return rayleigh_icdf(gamma, rng.random())
-
-
-def _jitter_center(
-    rng: Generator, block_lo: float, block_size: float, dim: float, side: float
-) -> float:
-    """Center coordinate for one axis: jittered inside the block when the
-    footprint fits, block-centered otherwise, always clamped into the city."""
-    if dim <= block_size:
-        c = rng.uniform(block_lo + dim / 2.0, block_lo + block_size - dim / 2.0)
-    else:
-        c = block_lo + block_size / 2.0
-    return min(max(c, dim / 2.0), side - dim / 2.0)
-
-
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(run, rank) of every element of consecutive runs, run k holding counts[k]."""
     run = np.arange(len(counts)).repeat(counts)
@@ -277,11 +259,7 @@ class CellGrid:
         self.gdim, self.scale, self.n_items = gdim, gdim / side, len(boxes)
         walls = np.concatenate(([-np.inf], np.arange(1, gdim) / self.scale, [np.inf]))
         self.west, self.east = walls[:-1] - GRID_PAD, walls[1:] + GRID_PAD  # each column's padded x range
-        i0, j0 = self.cells_of(boxes[:, :2].T - GRID_PAD)
-        i1, j1 = self.cells_of(boxes[:, 2:].T + GRID_PAD)
-        item, k = _ragged((i1 - i0 + 1) * (j1 - j0 + 1))
-        rows = (j1 - j0 + 1)[item]
-        cell = (i0[item] + k // rows) * gdim + j0[item] + k % rows
+        item, cell = self._box_cells(*(boxes[:, :2].T - GRID_PAD), *(boxes[:, 2:].T + GRID_PAD))
         order = np.argsort(cell, kind="stable")
         # the segment table: cell c holds items[start[c]:start[c + 1]]
         self.items, self.start = item[order], np.searchsorted(cell[order], np.arange(gdim * gdim + 1))
@@ -291,19 +269,31 @@ class CellGrid:
     def cells_of(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(v * self.scale, 0.0), self.gdim - 1).astype(np.intp)
 
-    def _cells(self, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
-        """The cells that the box [x0, x1] x [y0, y1] meets."""
-        g, s, top = self.gdim, self.scale, self.gdim - 1
-        i0, j0, i1, j1 = (int(min(max(v * s, 0.0), top)) for v in (x0, y0, x1, y1))
-        return [c for i in range(i0, i1 + 1) for c in self.cells[i * g + j0 : i * g + j1 + 1]]
+    def _box_cells(self, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+        """(box, cell) of each cell that box k, [x0[k], x1[k]] x [y0[k], y1[k]], meets."""
+        i0, j0 = self.cells_of(x0), self.cells_of(y0)
+        rows = self.cells_of(y1) - j0 + 1
+        box, k = _ragged((self.cells_of(x1) - i0 + 1) * rows)
+        return box, (i0[box] + k // rows[box]) * self.gdim + j0[box] + k % rows[box]
 
-    def under(self, x0: float, y0: float, x1: float, y1: float) -> list[int]:
-        """The items of each cell that the box [x0, x1] x [y0, y1] meets."""
-        return [k for cell in self._cells(x0, y0, x1, y1) for k in cell]
+    def pairs(self, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+        """(box, item) of the items of each cell that box k meets; an item
+        in more than one of those cells comes once for each."""
+        box, cell = self._box_cells(x0, y0, x1, y1)
+        lo = self.start[cell]
+        run, k = _ragged(self.start[cell + 1] - lo)
+        return box[run], self.items[lo[run] + k]
+
+    def cells_under(self, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
+        """The cells that the box [x0, x1] x [y0, y1] meets."""
+        g, s, top, cells = self.gdim, self.scale, self.gdim - 1, self.cells
+        i0, i1 = int(min(max(x0 * s, 0.0), top)), int(min(max(x1 * s, 0.0), top))
+        j0, j1 = int(min(max(y0 * s, 0.0), top)), int(min(max(y1 * s, 0.0), top)) + 1
+        return [c for i in range(i0 * g, i1 * g + 1, g) for c in cells[i + j0 : i + j1]]
 
     def add(self, item: int, x0: float, y0: float, x1: float, y1: float) -> None:
         """Register one more item in the cells under (not for segment_pairs)."""
-        for cell in self._cells(x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
+        for cell in self.cells_under(x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
             cell.append(item)
 
     def segment_pairs(self, ax: float, ay: float, bx, by) -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +319,7 @@ class CellGrid:
         return np.divmod(key[new], self.n_items + 1)
 
 
-def place_buildings(
-    params: BuiltUpParams, config: GenConfig, rng: Generator
-) -> tuple[Building, ...]:
+def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) -> tuple[Building, ...]:
     """Place all buildings on the block grid.
 
     The grid has ceil(sqrt(n))^2 blocks; a random subset of n blocks each
@@ -340,128 +328,155 @@ def place_buildings(
     overlap rejection. Long-and-thin shape draws can exceed the block
     size, so a jammed block falls back to a uniform free position for the
     second half of the retry budget before generation is declared
-    infeasible.
-    """
+    infeasible."""
     n = building_count(params, config.area)
     if n == 0:
         return ()
-    side = config.side
-    gdim = math.ceil(math.sqrt(n))
-    block = side / gdim
-    blocks = rng.permutation(gdim * gdim)[:n]
+    side, gdim = config.side, math.ceil(math.sqrt(n))
+    block, blocks = side / gdim, rng.permutation(gdim * gdim)[:n]
+    bg, buf, taken, start = rng.bit_generator, [], 0, rng.bit_generator.state  # buf: rng.random() ahead
+
+    def uniform(a: float, b: float) -> float:  # rng.uniform(a, b), from the buffer
+        nonlocal taken
+        if taken == len(buf):
+            buf.extend(rng.random(1024).tolist())
+        taken += 1
+        return a + (b - a) * buf[taken - 1]
+
+    def jitter(lo: float, dim: float) -> float:  # in the block if the footprint fits, else centred
+        c = uniform(lo + dim / 2.0, lo + block - dim / 2.0) if dim <= block else lo + block / 2.0
+        return min(max(c, dim / 2.0), side - dim / 2.0)  # and always inside the city
 
     grid = CellGrid(side, gdim, np.empty((0, 4)))  # the buildings placed so far
-    buildings: list[Building] = []
+    boxes, buildings = [], []  # (x0, y0, x1, y1) and the record of each
     for i, blk in enumerate(blocks):
-        bx = float(blk % gdim) * block
-        by = float(blk // gdim) * block
-        placed = False
+        bx, by = float(blk % gdim) * block, float(blk // gdim) * block
         for attempt in range(RETRY_LIMIT):
-            shape = rng.uniform(SHAPE_FACTOR_LOW, SHAPE_FACTOR_HIGH)
-            w, l = derive_building_dims(params, config.area, shape)
-            if rng.random() < 0.5:
+            w, l = derive_building_dims(params, config.area, uniform(SHAPE_FACTOR_LOW, SHAPE_FACTOR_HIGH))
+            if uniform(0.0, 1.0) < 0.5:
                 w, l = l, w
             if w > side or l > side:
                 continue
             if attempt < RETRY_LIMIT // 2:
-                cx = _jitter_center(rng, bx, block, w, side)
-                cy = _jitter_center(rng, by, block, l, side)
+                cx, cy = jitter(bx, w), jitter(by, l)
             else:
-                cx = rng.uniform(w / 2.0, side - w / 2.0)
-                cy = rng.uniform(l / 2.0, side - l / 2.0)
+                cx, cy = uniform(w / 2.0, side - w / 2.0), uniform(l / 2.0, side - l / 2.0)
             x0, y0 = cx - w / 2.0, cy - l / 2.0
             x1, y1 = x0 + w, y0 + l
             # Strict interior overlap; shared edges are allowed.
-            near = (buildings[k] for k in grid.under(x0, y0, x1, y1))
-            if any(x0 < b.x1 and x1 > b.x and y0 < b.y1 and y1 > b.y for b in near):
-                continue
-            h = sample_height(params.gamma, rng)
-            grid.add(i, x0, y0, x1, y1)
-            buildings.append(Building(x=x0, y=y0, w=w, l=l, h=h))
-            placed = True
-            break
-        if not placed:
-            raise InfeasibleLayoutError(
-                f"could not place building {i} after {RETRY_LIMIT} attempts"
-            )
+            for k in [k for cell in grid.cells_under(x0, y0, x1, y1) for k in cell]:
+                b = boxes[k]
+                if x0 < b[2] and x1 > b[0] and y0 < b[3] and y1 > b[1]:
+                    break
+            else:
+                h = rayleigh_icdf(params.gamma, uniform(0.0, 1.0))
+                grid.add(i, x0, y0, x1, y1)
+                boxes.append((x0, y0, x1, y1))
+                buildings.append(Building(x=x0, y=y0, w=w, l=l, h=h))
+                break
+        else:
+            raise InfeasibleLayoutError(f"could not place building {i} after {RETRY_LIMIT} attempts")
+    bg.state = start
+    bg.random_raw(taken)  # as far as the draws used
     return tuple(buildings)
 
 
-def _sidewalk_point(
-    rng: Generator, buildings: Sequence[Building], d_o: float
-) -> tuple[float, float]:
-    """Uniform point at perpendicular offset d_o from a random building side."""
-    b = buildings[int(rng.integers(len(buildings)))]
-    edge = int(rng.integers(4))
-    u = rng.random()
-    if edge == 0:  # south
-        return b.x + u * b.w, b.y - d_o
-    if edge == 1:  # north
-        return b.x + u * b.w, b.y1 + d_o
-    if edge == 2:  # west
-        return b.x - d_o, b.y + u * b.l
-    return b.x1 + d_o, b.y + u * b.l  # east
-
-
-def _place_on_sidewalks(
-    index: FootprintIndex,
-    config: GenConfig,
-    rng: Generator,
-    count: int,
-    what: str,
-    draw: Callable[[float, float], Tree | Streetlight],
-) -> tuple:
-    """Place count sidewalk obstacles whose discs avoid every building.
-
-    Each attempt draws a sidewalk point, then draw(x, y) makes the
-    candidate from further draws of the same generator.
-    """
-    placed = []
-    for i in range(count):
-        if not index.buildings:
-            raise InfeasibleLayoutError(
-                f"could not place {what} {i}: no building edges available"
-            )
-        for _ in range(RETRY_LIMIT):
-            cx, cy = _sidewalk_point(rng, index.buildings, config.d_o)
-            obstacle = draw(cx, cy)
-            if index.disc_is_free(cx, cy, obstacle.r):
-                placed.append(obstacle)
+def _first_accepted(rng: Generator, n: int, what: str, draw: Callable, redraw: Callable) -> list[list[float]]:
+    """Rows of the first n accepted attempts in draw order: draw(m) makes m
+    more, as outcomes and rows, and redraw(k) repeats k attempts' draws to
+    leave rng after the last accepted one. RETRY_LIMIT misses in a row make
+    the layout infeasible; what.format(i) names entity i."""
+    bg, rows, done, used, last, start = rng.bit_generator, [], 0, 0, -1, rng.bit_generator.state
+    while done < n:
+        ok, block = draw(min(2 * (n - done) + 8, 1 << 14))
+        hits = np.flatnonzero(ok)[: n - done]
+        rows.append(block[hits])
+        for at in (hits + used).tolist():  # each success, numbered from the first attempt
+            if at - last > RETRY_LIMIT:
                 break
-        else:
-            raise InfeasibleLayoutError(
-                f"could not place {what} {i} after {RETRY_LIMIT} attempts"
-            )
-    return tuple(placed)
+            done, last = done + 1, at
+        used = last + 1 if done == n else used + ok.size
+        if used - last > RETRY_LIMIT:
+            raise InfeasibleLayoutError(f"could not place {what.format(done)} after {RETRY_LIMIT} attempts")
+    bg.state = start
+    redraw(used)
+    return np.concatenate(rows).tolist() if rows else []
+
+
+def _sidewalk_draws(rng: Generator, nb: int, doubles: int, m: int) -> tuple[np.ndarray, ...]:
+    """m attempts' rng.integers(nb), rng.integers(4) and doubles rng.random(),
+    as (building, side, (m, doubles) values), rng left as by those calls.
+    An attempt's integers take a raw word: the low (or a pending high) half
+    to integers(nb) as (v * nb) >> 32 (Lemire), the next half to integers(4)
+    as v >> 30; a double is (word >> 11) * 2**-53. Attempts whose multiply
+    numpy rejects, and all if nb is 1 (integers(1) draws nothing), replay."""
+    bg, parts = rng.bit_generator, []
+    while m:
+        state = bg.state
+        raw = bg.random_raw((m if nb > 1 else 0, 1 + doubles))
+        first, second = raw[:, 0] & 0xFFFFFFFF, raw[:, 0] >> 32
+        if state["has_uint32"]:
+            first, second = np.roll(second, 1), first
+            first[:1] = state["uinteger"]
+        prod = first * nb
+        j = int(np.argmax(np.append((prod & 0xFFFFFFFF) < (1 << 32) % nb, True)))  # the first rejected
+        pick, side = (prod[:j] >> 32).astype(np.intp), (second[:j] >> 30).astype(np.intp)
+        parts.append((pick, side, (raw[:j, 1:] >> 11) * 2.0**-53))
+        state["uinteger"] = int(raw[j - 1, 0] >> 32) if j else state["uinteger"]  # the last half taken
+        bg.state = state
+        bg.random_raw(j * (1 + doubles))
+        if j < m:
+            parts.append(([rng.integers(nb)], [rng.integers(4)], rng.random((1, doubles))))
+            j += 1
+        m -= j
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: Generator, count: int, what: str,
+                        ranges: Sequence[tuple[float, float]], radius: float | None) -> list[list[float]]:
+    """Rows [x, y, *values] of count sidewalk obstacles whose discs avoid
+    every building: a building, its south, north, west or east side and the
+    fraction along it (d_o out from it), then rng.uniform(a, b) per (a, b)
+    of ranges. The discs' radius is radius, or the last value if None."""
+    nb, d_o = len(index.buildings), config.d_o
+    if count and not nb:
+        raise InfeasibleLayoutError(f"could not place {what.format(0)}: no building edges available")
+    sides = np.array([(o.x, o.y, o.x1, o.y1, o.w, o.l) for o in index.buildings]).reshape(-1, 6).T
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        pick, side, u = _sidewalk_draws(rng, nb, 1 + len(ranges), m)
+        values = [a + (b - a) * u[:, k] for k, (a, b) in enumerate(ranges, 1)]
+        x0, y0, x1, y1, w, l = sides[:, pick]
+        along_x, along_y = x0 + u[:, 0] * w, y0 + u[:, 0] * l
+        x = np.choose(side, (along_x, along_x, x0 - d_o, x1 + d_o))
+        y = np.choose(side, (y0 - d_o, y1 + d_o, along_y, along_y))
+        r = values[-1] if radius is None else np.full(x.shape, radius)
+        return index.disc_is_free(x, y, r), np.column_stack((x, y, *values))
+
+    return _first_accepted(rng, count, what, draw, lambda k: _sidewalk_draws(rng, nb, 1 + len(ranges), k))
 
 
 def place_trees(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[Tree, ...]:
     """Place n_trees sidewalk trees; discs may not intersect any building."""
-
-    def draw(x: float, y: float) -> Tree:  # height, then radius
-        h = rng.uniform(*TREE_HEIGHT_RANGE)
-        return Tree(x=x, y=y, r=rng.uniform(*TREE_RADIUS_RANGE), h=h)
-
-    return _place_on_sidewalks(index, config, rng, config.n_trees, "tree", draw)
+    ranges = (TREE_HEIGHT_RANGE, TREE_RADIUS_RANGE)  # h, then r
+    rows = _place_on_sidewalks(index, config, rng, config.n_trees, "tree {}", ranges, None)
+    return tuple(Tree(x=x, y=y, r=r, h=h) for x, y, h, r in rows)
 
 
 def place_lights(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[Streetlight, ...]:
     """Place n_lights streetlights; same sidewalk rule as trees."""
-
-    def draw(x: float, y: float) -> Streetlight:
-        return Streetlight(x=x, y=y, h=rng.uniform(*LIGHT_HEIGHT_RANGE))
-
-    return _place_on_sidewalks(index, config, rng, config.n_lights, "streetlight", draw)
+    ranges = (LIGHT_HEIGHT_RANGE,)
+    rows = _place_on_sidewalks(index, config, rng, config.n_lights, "streetlight {}", ranges, LIGHT_RADIUS)
+    return tuple(Streetlight(x=x, y=y, h=h) for x, y, h in rows)
 
 
 class FootprintIndex:
     """Footprint arrays of a layout for the link kernel, and point and disc
-    tests that read only the cells under the query. The grid's items are
+    tests that read only the cells under each query. The grid's items are
     the buildings, then the trees, then the lights; side is the city's."""
 
-    def __init__(
-        self, buildings: Sequence[Building], trees: Sequence[Tree], lights: Sequence[Streetlight], side: float
-    ):
+    def __init__(self, buildings: Sequence[Building], trees: Sequence[Tree], lights: Sequence[Streetlight],
+                 side: float):
         self.buildings, self.trees, self.lights, self.side = buildings, trees, lights, side
         rects = np.array([(b.x, b.y, b.x1, b.y1) for b in buildings]).reshape(-1, 4)
         discs = np.array([(o.x, o.y, o.r) for o in (*trees, *lights)]).reshape(-1, 3)
@@ -469,45 +484,44 @@ class FootprintIndex:
         self.cx, self.cy, self.cr = discs.T  # the trees, then the lights
         disc_boxes = np.hstack([discs[:, :2] - discs[:, 2:], discs[:, :2] + discs[:, 2:]])
         self.grid = CellGrid(side, math.ceil(math.sqrt(len(rects))) or 1, np.vstack([rects, disc_boxes]))
-        self.rects, self.discs = rects.tolist(), discs.tolist()
 
-    def blocked(self, x: float, y: float) -> bool:
-        """True if (x, y) lies inside any footprint (closed sets)."""
-        nb = len(self.rects)
-        for k in self.grid.under(x, y, x, y):
-            if k < nb:
-                x0, y0, x1, y1 = self.rects[k]
-                if x0 <= x <= x1 and y0 <= y <= y1:
-                    return True
-            else:
-                cx, cy, r = self.discs[k - nb]
-                dx, dy = x - cx, y - cy
-                if dx * dx + dy * dy <= r * r:
-                    return True
-        return False
+    def blocked(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Flags: (x[k], y[k]) lies inside some footprint (closed sets)."""
+        (q, k), nb = self.grid.pairs(x, y, x, y), self.bx0.size
+        qr, kr, qd, kd = q[k < nb], k[k < nb], q[k >= nb], k[k >= nb] - nb
+        px, py = x[qr], y[qr]
+        in_rect = (self.bx0[kr] <= px) & (px <= self.bx1[kr]) & (self.by0[kr] <= py) & (py <= self.by1[kr])
+        dx, dy, r = x[qd] - self.cx[kd], y[qd] - self.cy[kd], self.cr[kd]
+        out = np.zeros(x.size, bool)
+        out[qr[in_rect]] = out[qd[dx * dx + dy * dy <= r * r]] = True
+        return out
 
-    def disc_is_free(self, cx: float, cy: float, r: float) -> bool:
-        """True if the disc lies inside the city and meets no building
-        interior; tree and light footprints are not tested."""
-        if cx - r < 0.0 or cy - r < 0.0 or cx + r > self.side or cy + r > self.side:
-            return False
-        for k in self.grid.under(cx - r, cy - r, cx + r, cy + r):
-            if k < len(self.rects):
-                x0, y0, x1, y1 = self.rects[k]
-                dx, dy = max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1)
-                if dx * dx + dy * dy < r * r:
-                    return False
-        return True
+    def disc_is_free(self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Flags: disc k lies inside the city and meets no building interior;
+        tree and light footprints are not tested."""
+        q, k = self.grid.pairs(cx - r, cy - r, cx + r, cy + r)
+        q, k = q[k < self.bx0.size], k[k < self.bx0.size]
+        x, y, rr = cx[q], cy[q], r[q]
+        dx = np.maximum(np.maximum(self.bx0[k] - x, 0.0), x - self.bx1[k])
+        dy = np.maximum(np.maximum(self.by0[k] - y, 0.0), y - self.by1[k])
+        free = (cx - r >= 0.0) & (cy - r >= 0.0) & (cx + r <= self.side) & (cy + r <= self.side)
+        free[q[dx * dx + dy * dy < rr * rr]] = False
+        return free
+
+
+def _open_points(index: FootprintIndex, rng: Generator, n: int, what: str) -> list[list[float]]:
+    """The first n points (rng.uniform(0, side), rng.uniform(0, side)) outside every footprint."""
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        xy = index.side * rng.random((m, 2))
+        return ~index.blocked(xy[:, 0], xy[:, 1]), xy
+
+    return _first_accepted(rng, n, what, draw, lambda k: rng.bit_generator.random_raw(2 * k))
 
 
 def sample_open_point(index: FootprintIndex, rng: Generator, what: str = "point") -> tuple[float, float]:
     """Uniform point over the free region of index's city via rejection sampling."""
-    for _ in range(RETRY_LIMIT):
-        x = rng.uniform(0.0, index.side)
-        y = rng.uniform(0.0, index.side)
-        if not index.blocked(x, y):
-            return x, y
-    raise InfeasibleLayoutError(f"could not place {what} after {RETRY_LIMIT} attempts")
+    return tuple(_open_points(index, rng, 1, what)[0])
 
 
 def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[GroundUser, ...]:
@@ -519,11 +533,8 @@ def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> tup
         raise InfeasibleLayoutError(
             f"free area {free:.0f} m^2 is below {MIN_FREE_AREA_FRAC:.0%} of the city"
         )
-    users = []
-    for i in range(config.n_gu):
-        x, y = sample_open_point(index, rng, what=f"user {i}")
-        users.append(GroundUser(x=x, y=y, h=config.h_gu))
-    return tuple(users)
+    points = _open_points(index, rng, config.n_gu, "user {}")
+    return tuple(GroundUser(x=x, y=y, h=config.h_gu) for x, y in points)
 
 
 def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int) -> CityLayout:
@@ -534,20 +545,11 @@ def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int
     first k trees of this layout are exactly the layout's trees under
     n_trees = k; :func:`add_users` takes such a prefix.
     """
-    buildings = place_buildings(
-        params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS)
-    )
+    buildings = place_buildings(params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS))
     index = FootprintIndex(buildings, (), (), config.side)
     trees = place_trees(index, config, city_rng(config.seed, city_index, STREAM_TREES))
     lights = place_lights(index, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
-    return CityLayout(
-        params=params,
-        config=config,
-        buildings=buildings,
-        trees=trees,
-        lights=lights,
-        users=(),
-    )
+    return CityLayout(params=params, config=config, buildings=buildings, trees=trees, lights=lights, users=())
 
 
 def add_users(
@@ -566,9 +568,7 @@ def add_users(
     return replace(city, config=config, trees=trees, users=users)
 
 
-def generate_city(
-    params: BuiltUpParams, config: GenConfig, city_index: int = 0
-) -> CityLayout:
+def generate_city(params: BuiltUpParams, config: GenConfig, city_index: int = 0) -> CityLayout:
     """Generate one complete city deterministically from (params, config).
 
     The same inputs always produce a bit-identical layout; distinct

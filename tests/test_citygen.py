@@ -12,15 +12,20 @@ from numpy.random import default_rng
 
 from urbanlos.citygen import (
     PRESETS,
+    RETRY_LIMIT,
+    Building,
     BuiltUpParams,
+    FootprintIndex,
     GenConfig,
     add_users,
     derive_building_dims,
     generate_city,
     generate_obstacles,
     layout_json,
+    place_lights,
+    place_users,
     rayleigh_icdf,
-    sample_height,
+    sample_open_point,
 )
 from urbanlos.errors import InfeasibleLayoutError, ParameterError
 
@@ -95,13 +100,13 @@ def test_rayleigh_icdf_domain():
 )
 def test_height_sample_mean(gamma, mean):
     rng = default_rng(7)
-    h = np.array([sample_height(gamma, rng) for _ in range(200_000)])
+    h = np.array([rayleigh_icdf(gamma, u) for u in rng.random(200_000).tolist()])
     assert abs(h.mean() - mean) / mean < 0.02
 
 
 def test_height_sample_variance():
     rng = default_rng(8)
-    h = np.array([sample_height(50.0, rng) for _ in range(200_000)])
+    h = np.array([rayleigh_icdf(50.0, u) for u in rng.random(200_000).tolist()])
     target = 1073.0091830127585
     assert abs(h.var() - target) / target < 0.02
 
@@ -285,3 +290,36 @@ def test_obstacles_require_buildings():
     params = BuiltUpParams(alpha=0.001, beta=0.4, gamma=15.0)
     with pytest.raises(InfeasibleLayoutError, match="tree"):
         generate_city(params, GenConfig(n_trees=5, n_lights=0, n_gu=0, seed=1))
+
+
+def test_streetlights_require_buildings():
+    params = BuiltUpParams(alpha=0.001, beta=0.4, gamma=15.0)
+    with pytest.raises(InfeasibleLayoutError, match="^could not place streetlight 0: no building edges available$"):
+        generate_city(params, GenConfig(n_trees=0, n_lights=5, n_gu=0, seed=1))
+
+
+def test_streetlight_retry_limit_names_entity():
+    # two buildings fill the city side by side: each sidewalk point lies
+    # beyond the border or inside the other building
+    halves = [Building(x=x, y=0.0, w=500.0, l=1000.0, h=10.0) for x in (0.0, 500.0)]
+    index = FootprintIndex(halves, (), (), 1000.0)
+    with pytest.raises(InfeasibleLayoutError, match=f"^could not place streetlight 0 after {RETRY_LIMIT} attempts$"):
+        place_lights(index, GenConfig(n_lights=3), default_rng(0))
+
+
+def test_user_retry_limit_names_entity():
+    """Buildings cover the city but for a 2 mm hole around the first point
+    drawn; the area check reads config's area, four times the city's."""
+    px, py = 1000.0 * default_rng(0).random(2)
+    e = 1e-3
+    cover = [(0.0, 0.0, px - e, 1000.0), (px + e, 0.0, 1000.0, 1000.0),
+             (px - e, 0.0, px + e, py - e), (px - e, py + e, px + e, 1000.0)]
+    index = FootprintIndex([Building(x=a, y=b, w=c - a, l=d - b, h=10.0) for a, b, c, d in cover], (), (), 1000.0)
+    config = GenConfig(area=4e6, n_gu=2)
+    with pytest.raises(InfeasibleLayoutError, match=f"^could not place user 1 after {RETRY_LIMIT} attempts$"):
+        place_users(index, config, default_rng(0))
+    assert sample_open_point(index, default_rng(0), what="abs") == (px, py)
+    rng = default_rng(0)
+    rng.random(2)
+    with pytest.raises(InfeasibleLayoutError, match=f"^could not place abs after {RETRY_LIMIT} attempts$"):
+        sample_open_point(index, rng, what="abs")

@@ -93,12 +93,25 @@ def crowded_layout(urban_layout):
     return _layout(bs, trees, urban_layout.lights + lights)
 
 
+def _one_by_one(test, *arrays):
+    """test on one-element arrays, query by query."""
+    return np.array([test(*(a[i : i + 1] for a in arrays))[0] for i in range(arrays[0].size)])
+
+
+# beyond the city border: on the lights there, and just past a wall or corner
+BEYOND = np.array(OUTSIDE + [(-1e-9, 500.0), (SIDE + 5.0, SIDE + 5.0), (-3.0, -3.0), (SIDE, -0.5)])
+
+
 def test_blocked_matches_dense(crowded_layout):
     index = FootprintIndex(crowded_layout.buildings, crowded_layout.trees, crowded_layout.lights, SIDE)
     px, py = _sample_points(crowded_layout, index.grid.gdim, 6000, seed=1)
-    got = [index.blocked(x, y) for x, y in zip(px.tolist(), py.tolist())]
+    px, py = np.concatenate([px, BEYOND[:, 0]]), np.concatenate([py, BEYOND[:, 1]])
+    got = index.blocked(px, py)  # the whole array at once
     want = _dense_blocked(crowded_layout, px, py)
-    assert got == want.tolist()
+    assert got.tolist() == want.tolist()
+    assert got[: -BEYOND.shape[0]].any() and got[-BEYOND.shape[0] :].any()
+    # a query's flag does not depend on the other queries of its block
+    assert np.array_equal(_one_by_one(index.blocked, px[::7], py[::7]), want[::7])
     assert 0 < want.sum() < want.size  # both outcomes are exercised
 
 
@@ -106,14 +119,17 @@ def test_disc_is_free_matches_dense(crowded_layout):
     index = FootprintIndex(crowded_layout.buildings, (), (), SIDE)
     cx, cy = _sample_points(crowded_layout, index.grid.gdim, 6000, seed=2)
     r = np.random.default_rng(3).choice([0.1, 0.5, 1.5, 7.0], cx.size)
-    # discs exactly tangent to a building edge from outside, and the city border
+    # discs exactly tangent to a building edge from outside, and the city
+    # border; discs beyond the border; discs centred on cell walls
     b = crowded_layout.buildings[:300]
-    cx = np.concatenate([cx, [o.x - 1.5 for o in b], [o.x1 + 1.5 for o in b], [1.5, SIDE - 1.5]])
-    cy = np.concatenate([cy, [o.y for o in b], [o.y1 for o in b], [1.5, SIDE - 1.5]])
-    r = np.concatenate([r, np.full(2 * len(b) + 2, 1.5)])
-    got = [index.disc_is_free(x, y, rr) for x, y, rr in zip(cx.tolist(), cy.tolist(), r.tolist())]
+    walls = np.arange(index.grid.gdim + 1) * (SIDE / index.grid.gdim)
+    cx = np.concatenate([cx, [o.x - 1.5 for o in b], [o.x1 + 1.5 for o in b], [1.5, SIDE - 1.5], BEYOND[:, 0], walls])
+    cy = np.concatenate([cy, [o.y for o in b], [o.y1 for o in b], [1.5, SIDE - 1.5], BEYOND[:, 1], walls[::-1]])
+    r = np.concatenate([r, np.full(2 * len(b) + 2, 1.5), np.full(BEYOND.shape[0] + walls.size, 0.5)])
+    got = index.disc_is_free(cx, cy, r)  # the whole array at once
     want = _dense_disc_is_free(crowded_layout, cx, cy, r)
-    assert got == want.tolist()
+    assert got.tolist() == want.tolist()
+    assert np.array_equal(_one_by_one(index.disc_is_free, cx[::7], cy[::7], r[::7]), want[::7])
     assert 0 < want.sum() < want.size
 
 
@@ -137,7 +153,7 @@ def test_building_overlap_matches_dense(urban_layout):
     h = np.concatenate([h, rects[:, 3] - rects[:, 1], rects[:, 3] - rects[:, 1]])
     got = [
         any(x0 < rects[k, 2] and x0 + ww > rects[k, 0] and y0 < rects[k, 3] and y0 + hh > rects[k, 1]
-            for k in grid.under(x0, y0, x0 + ww, y0 + hh))
+            for k in [k for cell in grid.cells_under(x0, y0, x0 + ww, y0 + hh) for k in cell])
         for x0, y0, ww, hh in zip(xs.tolist(), ys.tolist(), w.tolist(), h.tolist())
     ]
     x0, y0, x1, y1 = xs[:, None], ys[:, None], (xs + w)[:, None], (ys + h)[:, None]
