@@ -42,7 +42,7 @@ def main() -> int:
             layout = generate_city(PRESETS[env], GenConfig(n_gu=N_USERS, seed=seed))
             geom = LayoutGeometry(layout)
             ax, ay = sample_open_point(geom.index, city_rng(seed, 0, STREAM_ABS))
-            gu = np.array([[u.x, u.y] for u in layout.users])
+            gu = np.column_stack((layout.users.x, layout.users.y))
             for h_gu in H_GU:
                 start = time.perf_counter()
                 arrays = geom.batch_critical_altitudes((ax, ay), gu, h_gu)
@@ -50,8 +50,8 @@ def main() -> int:
                 tree_pairs += arrays[2].size
                 for arr in arrays:
                     digest.update(arr.tobytes())
-                for user in layout.users[:N_LINKS]:
-                    link = Link((ax, ay), H_ABS, (user.x, user.y), h_gu)
+                for x, y in gu[:N_LINKS].tolist():
+                    link = Link((ax, ay), H_ABS, (x, y), h_gu)
                     start = time.perf_counter()
                     hits = geom.crossings(link)
                     views = (geom.classify(link).value, geom.critical_altitudes(link))

@@ -9,6 +9,10 @@ Trees and streetlights are placed on sidewalks at a fixed offset from
 building walls, and ground users are rejection-sampled over open space,
 in blocks that give the layout of drawing one candidate at a time.
 
+A layout holds one read-only float64 table per family, its columns named
+by BUILDING, DISC (trees and lights) or USER. The cell grid, the link
+kernel, the oracle and layout.json all read these columns.
+
 All randomness flows through named substreams derived from a single
 master seed, so regenerating any layout is bit-identical and changing
 one entity count never perturbs the others.
@@ -115,85 +119,36 @@ class GenConfig:
         return math.sqrt(self.area)
 
 
-@dataclass(frozen=True)
-class Building:
-    """Axis-aligned rectangular building.
-
-    (x, y) is the minimum corner; w and l are the extents along the x and
-    y axes; h is the roof height. w * l always equals the environment's
-    average footprint area.
-    """
-
-    x: float
-    y: float
-    w: float
-    l: float
-    h: float
-
-    @property
-    def x1(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y1(self) -> float:
-        return self.y + self.l
-
-    @property
-    def area(self) -> float:
-        return self.w * self.l
+#: Columns of a layout's tables, one float64 column per field. A building's
+#: (x, y) is its minimum corner, w and l its extents along x and y (w * l is
+#: the environment's average footprint), h its roof height. Trees and
+#: streetlights share DISC: a light is a pole of radius r, a tree a trunk
+#: (TRUNK_RADIUS_FRAC r wide, TRUNK_HEIGHT_FRAC h tall) under a foliage cone
+#: of base radius r and total height h. A user's h is its antenna height.
+BUILDING = np.dtype([(k, np.float64) for k in ("x", "y", "w", "l", "h")])
+DISC = np.dtype([(k, np.float64) for k in ("x", "y", "r", "h")])
+USER = np.dtype([(k, np.float64) for k in ("x", "y", "h")])
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Tree modeled as a trunk cylinder under a foliage cone.
-
-    r is the foliage base radius, h the total height. The trunk takes a
-    fixed fraction of both (h_trunk = 0.2 h, r_trunk = 0.1 r).
-    """
-
-    x: float
-    y: float
-    r: float
-    h: float
-
-    @property
-    def r_trunk(self) -> float:
-        return TRUNK_RADIUS_FRAC * self.r
-
-    @property
-    def h_trunk(self) -> float:
-        return TRUNK_HEIGHT_FRAC * self.h
+def table(rows, dtype: np.dtype) -> np.recarray:
+    """Read-only table of rows, each holding dtype's fields in order: a
+    column reads table.x, a row table[i].x."""
+    out = np.array(rows, np.float64).reshape(-1, len(dtype.names)).view(dtype)[:, 0].view(np.recarray)
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
-class Streetlight:
-    """Thin cylindrical pole."""
-
-    x: float
-    y: float
-    h: float
-    r: float = LIGHT_RADIUS
-
-
-@dataclass(frozen=True)
-class GroundUser:
-    """Ground user position and antenna height."""
-
-    x: float
-    y: float
-    h: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CityLayout:
-    """Immutable generated scene."""
+    """Immutable generated scene: a BUILDING table, DISC tables of trees and
+    lights and a USER table (eq=False: tables have no truth value)."""
 
     params: BuiltUpParams
     config: GenConfig
-    buildings: tuple[Building, ...]
-    trees: tuple[Tree, ...]
-    lights: tuple[Streetlight, ...]
-    users: tuple[GroundUser, ...]
+    buildings: np.recarray
+    trees: np.recarray
+    lights: np.recarray
+    users: np.recarray
 
     @property
     def side(self) -> float:
@@ -319,7 +274,7 @@ class CellGrid:
         return np.divmod(key[new], self.n_items + 1)
 
 
-def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) -> tuple[Building, ...]:
+def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) -> np.recarray:
     """Place all buildings on the block grid.
 
     The grid has ceil(sqrt(n))^2 blocks; a random subset of n blocks each
@@ -331,7 +286,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
     infeasible."""
     n = building_count(params, config.area)
     if n == 0:
-        return ()
+        return table((), BUILDING)
     side, gdim = config.side, math.ceil(math.sqrt(n))
     block, blocks = side / gdim, rng.permutation(gdim * gdim)[:n]
     bg, buf, taken, start = rng.bit_generator, [], 0, rng.bit_generator.state  # buf: rng.random() ahead
@@ -348,7 +303,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
         return min(max(c, dim / 2.0), side - dim / 2.0)  # and always inside the city
 
     grid = CellGrid(side, gdim, np.empty((0, 4)))  # the buildings placed so far
-    boxes, buildings = [], []  # (x0, y0, x1, y1) and the record of each
+    boxes, buildings = [], []  # (x0, y0, x1, y1) and the BUILDING row of each
     for i, blk in enumerate(blocks):
         bx, by = float(blk % gdim) * block, float(blk // gdim) * block
         for attempt in range(RETRY_LIMIT):
@@ -372,20 +327,21 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
                 h = rayleigh_icdf(params.gamma, uniform(0.0, 1.0))
                 grid.add(i, x0, y0, x1, y1)
                 boxes.append((x0, y0, x1, y1))
-                buildings.append(Building(x=x0, y=y0, w=w, l=l, h=h))
+                buildings.append((x0, y0, w, l, h))
                 break
         else:
             raise InfeasibleLayoutError(f"could not place building {i} after {RETRY_LIMIT} attempts")
     bg.state = start
     bg.random_raw(taken)  # as far as the draws used
-    return tuple(buildings)
+    return table(buildings, BUILDING)
 
 
-def _first_accepted(rng: Generator, n: int, what: str, draw: Callable, redraw: Callable) -> list[list[float]]:
-    """Rows of the first n accepted attempts in draw order: draw(m) makes m
-    more, as outcomes and rows, and redraw(k) repeats k attempts' draws to
-    leave rng after the last accepted one. RETRY_LIMIT misses in a row make
-    the layout infeasible; what.format(i) names entity i."""
+def _first_accepted(rng: Generator, n: int, what: str, draw: Callable, redraw: Callable) -> np.ndarray:
+    """Array of the rows of the first n accepted attempts in draw order:
+    draw(m) makes m more, as outcomes and rows, and redraw(k) repeats k
+    attempts' draws to leave rng after the last accepted one. RETRY_LIMIT
+    misses in a row make the layout infeasible; what.format(i) names
+    entity i."""
     bg, rows, done, used, last, start = rng.bit_generator, [], 0, 0, -1, rng.bit_generator.state
     while done < n:
         ok, block = draw(min(2 * (n - done) + 8, 1 << 14))
@@ -400,7 +356,7 @@ def _first_accepted(rng: Generator, n: int, what: str, draw: Callable, redraw: C
             raise InfeasibleLayoutError(f"could not place {what.format(done)} after {RETRY_LIMIT} attempts")
     bg.state = start
     redraw(used)
-    return np.concatenate(rows).tolist() if rows else []
+    return np.concatenate(rows) if rows else np.empty((0, 0))
 
 
 def _sidewalk_draws(rng: Generator, nb: int, doubles: int, m: int) -> tuple[np.ndarray, ...]:
@@ -433,41 +389,41 @@ def _sidewalk_draws(rng: Generator, nb: int, doubles: int, m: int) -> tuple[np.n
 
 
 def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: Generator, count: int, what: str,
-                        ranges: Sequence[tuple[float, float]], radius: float | None) -> list[list[float]]:
-    """Rows [x, y, *values] of count sidewalk obstacles whose discs avoid
-    every building: a building, its south, north, west or east side and the
+                        ranges: Sequence[tuple[float, float]], radius: float | None) -> np.recarray:
+    """DISC table of count sidewalk obstacles whose discs avoid every
+    building: a building, its south, north, west or east side and the
     fraction along it (d_o out from it), then rng.uniform(a, b) per (a, b)
-    of ranges. The discs' radius is radius, or the last value if None."""
+    of ranges, the height first. The radius is radius, or the last value if
+    None."""
     nb, d_o = len(index.buildings), config.d_o
     if count and not nb:
         raise InfeasibleLayoutError(f"could not place {what.format(0)}: no building edges available")
-    sides = np.array([(o.x, o.y, o.x1, o.y1, o.w, o.l) for o in index.buildings]).reshape(-1, 6).T
+    sides = index.bx0, index.by0, index.bx1, index.by1, index.buildings.w, index.buildings.l
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
         pick, side, u = _sidewalk_draws(rng, nb, 1 + len(ranges), m)
         values = [a + (b - a) * u[:, k] for k, (a, b) in enumerate(ranges, 1)]
-        x0, y0, x1, y1, w, l = sides[:, pick]
+        x0, y0, x1, y1, w, l = (a[pick] for a in sides)
         along_x, along_y = x0 + u[:, 0] * w, y0 + u[:, 0] * l
         x = np.choose(side, (along_x, along_x, x0 - d_o, x1 + d_o))
         y = np.choose(side, (y0 - d_o, y1 + d_o, along_y, along_y))
         r = values[-1] if radius is None else np.full(x.shape, radius)
-        return index.disc_is_free(x, y, r), np.column_stack((x, y, *values))
+        return index.disc_is_free(x, y, r), np.column_stack((x, y, r, values[0]))
 
-    return _first_accepted(rng, count, what, draw, lambda k: _sidewalk_draws(rng, nb, 1 + len(ranges), k))
+    rows = _first_accepted(rng, count, what, draw, lambda k: _sidewalk_draws(rng, nb, 1 + len(ranges), k))
+    return table(rows, DISC)
 
 
-def place_trees(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[Tree, ...]:
+def place_trees(index: FootprintIndex, config: GenConfig, rng: Generator) -> np.recarray:
     """Place n_trees sidewalk trees; discs may not intersect any building."""
     ranges = (TREE_HEIGHT_RANGE, TREE_RADIUS_RANGE)  # h, then r
-    rows = _place_on_sidewalks(index, config, rng, config.n_trees, "tree {}", ranges, None)
-    return tuple(Tree(x=x, y=y, r=r, h=h) for x, y, h, r in rows)
+    return _place_on_sidewalks(index, config, rng, config.n_trees, "tree {}", ranges, None)
 
 
-def place_lights(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[Streetlight, ...]:
+def place_lights(index: FootprintIndex, config: GenConfig, rng: Generator) -> np.recarray:
     """Place n_lights streetlights; same sidewalk rule as trees."""
     ranges = (LIGHT_HEIGHT_RANGE,)
-    rows = _place_on_sidewalks(index, config, rng, config.n_lights, "streetlight {}", ranges, LIGHT_RADIUS)
-    return tuple(Streetlight(x=x, y=y, h=h) for x, y, h in rows)
+    return _place_on_sidewalks(index, config, rng, config.n_lights, "streetlight {}", ranges, LIGHT_RADIUS)
 
 
 class FootprintIndex:
@@ -475,15 +431,15 @@ class FootprintIndex:
     tests that read only the cells under each query. The grid's items are
     the buildings, then the trees, then the lights; side is the city's."""
 
-    def __init__(self, buildings: Sequence[Building], trees: Sequence[Tree], lights: Sequence[Streetlight],
-                 side: float):
+    def __init__(self, buildings: np.recarray, trees: np.recarray, lights: np.recarray, side: float):
+        """buildings: a BUILDING table; trees and lights: DISC tables."""
         self.buildings, self.trees, self.lights, self.side = buildings, trees, lights, side
-        rects = np.array([(b.x, b.y, b.x1, b.y1) for b in buildings]).reshape(-1, 4)
-        discs = np.array([(o.x, o.y, o.r) for o in (*trees, *lights)]).reshape(-1, 3)
-        self.bx0, self.by0, self.bx1, self.by1 = rects.T
-        self.cx, self.cy, self.cr = discs.T  # the trees, then the lights
-        disc_boxes = np.hstack([discs[:, :2] - discs[:, 2:], discs[:, :2] + discs[:, 2:]])
-        self.grid = CellGrid(side, math.ceil(math.sqrt(len(rects))) or 1, np.vstack([rects, disc_boxes]))
+        self.bx0, self.by0 = buildings.x, buildings.y
+        self.bx1, self.by1 = self.bx0 + buildings.w, self.by0 + buildings.l
+        self.cx, self.cy, self.cr = (np.concatenate((trees[k], lights[k])) for k in "xyr")  # trees, then lights
+        boxes = np.column_stack((self.bx0, self.by0, self.bx1, self.by1))
+        disc_boxes = np.column_stack((self.cx - self.cr, self.cy - self.cr, self.cx + self.cr, self.cy + self.cr))
+        self.grid = CellGrid(side, math.ceil(math.sqrt(len(buildings))) or 1, np.vstack([boxes, disc_boxes]))
 
     def blocked(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flags: (x[k], y[k]) lies inside some footprint (closed sets)."""
@@ -509,7 +465,7 @@ class FootprintIndex:
         return free
 
 
-def _open_points(index: FootprintIndex, rng: Generator, n: int, what: str) -> list[list[float]]:
+def _open_points(index: FootprintIndex, rng: Generator, n: int, what: str) -> np.ndarray:
     """The first n points (rng.uniform(0, side), rng.uniform(0, side)) outside every footprint."""
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -521,20 +477,20 @@ def _open_points(index: FootprintIndex, rng: Generator, n: int, what: str) -> li
 
 def sample_open_point(index: FootprintIndex, rng: Generator, what: str = "point") -> tuple[float, float]:
     """Uniform point over the free region of index's city via rejection sampling."""
-    return tuple(_open_points(index, rng, 1, what)[0])
+    return tuple(_open_points(index, rng, 1, what)[0].tolist())
 
 
-def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> tuple[GroundUser, ...]:
+def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> np.recarray:
     """Place n_gu users uniformly over the open space of index."""
-    free = config.area - sum(b.area for b in index.buildings)
-    free -= sum(math.pi * t.r**2 for t in index.trees)
-    free -= sum(math.pi * s.r**2 for s in index.lights)
+    free = config.area - sum((index.buildings.w * index.buildings.l).tolist())
+    free -= sum(math.pi * r**2 for r in index.trees.r.tolist())
+    free -= sum(math.pi * r**2 for r in index.lights.r.tolist())
     if config.n_gu > 0 and free < MIN_FREE_AREA_FRAC * config.area:
         raise InfeasibleLayoutError(
             f"free area {free:.0f} m^2 is below {MIN_FREE_AREA_FRAC:.0%} of the city"
         )
-    points = _open_points(index, rng, config.n_gu, "user {}")
-    return tuple(GroundUser(x=x, y=y, h=config.h_gu) for x, y in points)
+    xy = _open_points(index, rng, config.n_gu, "user {}")
+    return table(np.column_stack((xy, np.full(len(xy), config.h_gu))), USER)
 
 
 def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int) -> CityLayout:
@@ -546,10 +502,11 @@ def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int
     n_trees = k; :func:`add_users` takes such a prefix.
     """
     buildings = place_buildings(params, config, city_rng(config.seed, city_index, STREAM_BUILDINGS))
-    index = FootprintIndex(buildings, (), (), config.side)
+    index = FootprintIndex(buildings, table((), DISC), table((), DISC), config.side)
     trees = place_trees(index, config, city_rng(config.seed, city_index, STREAM_TREES))
     lights = place_lights(index, config, city_rng(config.seed, city_index, STREAM_LIGHTS))
-    return CityLayout(params=params, config=config, buildings=buildings, trees=trees, lights=lights, users=())
+    users = table((), USER)
+    return CityLayout(params=params, config=config, buildings=buildings, trees=trees, lights=lights, users=users)
 
 
 def add_users(
@@ -582,14 +539,12 @@ def generate_city(params: BuiltUpParams, config: GenConfig, city_index: int = 0)
 
 
 def layout_json(layout: CityLayout) -> str:
-    """Canonical JSON text for a layout (stable byte-for-byte): every field
-    of each record, plus each tree's derived trunk; lengths in meters."""
-    doc = {
-        "params": vars(layout.params),
-        "config": vars(layout.config),
-        "buildings": [vars(b) for b in layout.buildings],
-        "trees": [dict(vars(t), r_trunk=t.r_trunk, h_trunk=t.h_trunk) for t in layout.trees],
-        "lights": [vars(s) for s in layout.lights],
-        "users": [vars(u) for u in layout.users],
-    }
+    """Canonical JSON text for a layout (stable byte-for-byte): every column
+    of each table, plus each tree's derived trunk; lengths in meters."""
+    doc = {"params": vars(layout.params), "config": vars(layout.config)}
+    for family in ("buildings", "trees", "lights", "users"):
+        t = getattr(layout, family)
+        doc[family] = [dict(zip(t.dtype.names, row)) for row in t.tolist()]
+    for tree in doc["trees"]:
+        tree.update(r_trunk=TRUNK_RADIUS_FRAC * tree["r"], h_trunk=TRUNK_HEIGHT_FRAC * tree["h"])
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .citygen import CONE_DROP_FRAC, TRUNK_RADIUS_FRAC, CityLayout, FootprintIndex, Tree
+from .citygen import CONE_DROP_FRAC, TRUNK_RADIUS_FRAC, CityLayout, FootprintIndex
 from .errors import DegenerateLinkError, ParameterError
 
 _U_ONE = 1.0 - 1e-12  # treat crossings this close to the user as at the user
@@ -103,19 +103,21 @@ def blockage_height(h_abs: float, h_gu: float, r_i: float, r: float) -> float:
     return h_abs - r_i * (h_abs - h_gu) / r
 
 
-def tree_height_at(tree: Tree, rho: float) -> float:
-    """Obstruction height of a tree at radial distance rho from its axis.
+def tree_height_at(tree, rho: float) -> float:
+    """Obstruction height of a tree at radial distance rho from its axis;
+    tree is a DISC row (x, y, r, h), a table's or its tolist() tuple.
 
     Inside the trunk radius the column blocks up to the full tree height;
     across the foliage disc the cone surface drops linearly to 0.2 h at
     the rim; beyond the foliage radius there is no obstruction.
     """
+    _, _, r, h = tree
     if rho < 0.0:
         raise ParameterError(f"rho must be >= 0, got {rho}")
-    if rho <= tree.r_trunk:
-        return tree.h
-    if rho <= tree.r:
-        return tree.h * (1.0 - CONE_DROP_FRAC * rho / tree.r)
+    if rho <= TRUNK_RADIUS_FRAC * r:
+        return h
+    if rho <= r:
+        return h * (1.0 - CONE_DROP_FRAC * rho / r)
     return 0.0
 
 
@@ -246,8 +248,6 @@ class LayoutGeometry:
         """index, when given, is the caller's FootprintIndex of layout."""
         self.layout = layout
         self.index = index or FootprintIndex(layout.buildings, layout.trees, layout.lights, layout.side)
-        families = (layout.buildings, layout.trees, layout.lights)
-        self.bh, self.th, self.lh = (np.array([o.h for o in family]) for family in families)
 
     # -- batched crossing analysis -------------------------------------
 
@@ -269,7 +269,7 @@ class LayoutGeometry:
         g2 = dx * dx + dy * dy
         if np.any(g2 <= 0.0):
             raise DegenerateLinkError("a link has zero ground distance")
-        idx = self.index
+        idx, layout = self.index, self.layout
         link, item = idx.grid.segment_pairs(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
         nb, nt = idx.bx0.size, len(idx.trees)
 
@@ -287,16 +287,16 @@ class LayoutGeometry:
             return row, col, u, h, _required_altitude(h, h_gu, u)
 
         crossed_rects = chords(item < nb, 0, _rect_chords, idx.bx0, idx.by0, idx.bx1, idx.by1)
-        buildings = constant_height(self.bh, *crossed_rects)
+        buildings = constant_height(layout.buildings.h, *crossed_rects)
         row, col, lo, hi = chords(item >= nb, nb, _disc_chords, idx.cx, idx.cy, idx.cr)
         light = col >= nt
-        lights = constant_height(self.lh, row[light], col[light] - nt, lo[light], hi[light])
+        lights = constant_height(layout.lights.h, row[light], col[light] - nt, lo[light], hi[light])
         row, col, lo, hi = row[~light], col[~light], lo[~light], hi[~light]
         if not row.size:  # most single links cross no tree
             return buildings, (row, col, lo, lo, lo), lights
         trees = (row, col) + _tree_critical(
             ax - idx.cx[col, None], ay - idx.cy[col, None], dx[row, None], dy[row, None], g2[row, None],
-            idx.cr[col, None], self.th[col, None], lo[:, None], hi[:, None], h_gu,
+            idx.cr[col, None], layout.trees.h[col, None], lo[:, None], hi[:, None], h_gu,
         )
         return buildings, trees, lights
 

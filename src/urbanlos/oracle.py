@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import Generator
 
-from .citygen import CONE_DROP_FRAC, Building, CityLayout, Streetlight, Tree, sample_open_point
+from .citygen import CONE_DROP_FRAC, TRUNK_RADIUS_FRAC, CityLayout, sample_open_point
 from .errors import DegenerateLinkError
 from .geometry import LayoutGeometry, Link, LinkClass, ObstructionHit, classify_hits
 
@@ -48,38 +48,38 @@ def _project(link: Link, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np
     return np.hypot(cx - (ax + t * dx), cy - (ay + t * dy)), s * link.ground_distance
 
 
-def _in_building(b: Building, px: np.ndarray, py: np.ndarray):
-    return (px >= b.x) & (px <= b.x1) & (py >= b.y) & (py <= b.y1), b.h
+def _in_building(b: tuple, px: np.ndarray, py: np.ndarray):
+    x, y, w, l, h = b
+    return (px >= x) & (px <= x + w) & (py >= y) & (py <= y + l), h
 
 
-def _in_tree(t: Tree, px: np.ndarray, py: np.ndarray):
-    rho = np.hypot(px - t.x, py - t.y)
-    return rho <= t.r, np.where(rho <= t.r_trunk, t.h, t.h * (1.0 - CONE_DROP_FRAC * rho / t.r))
+def _in_tree(t: tuple, px: np.ndarray, py: np.ndarray):
+    x, y, r, h = t
+    rho = np.hypot(px - x, py - y)
+    return rho <= r, np.where(rho <= TRUNK_RADIUS_FRAC * r, h, h * (1.0 - CONE_DROP_FRAC * rho / r))
 
 
-def _in_light(s: Streetlight, px: np.ndarray, py: np.ndarray):
-    return np.hypot(px - s.x, py - s.y) <= s.r, s.h
-
-
-def _discs(obstacles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return tuple(np.array([getattr(o, k) for o in obstacles]) for k in ("x", "y", "r"))
+def _in_light(s: tuple, px: np.ndarray, py: np.ndarray):
+    x, y, r, h = s
+    return np.hypot(px - x, py - y) <= r, h
 
 
 def obstacle_families(layout: CityLayout) -> list[tuple]:
     """One row per obstacle family, in precedence order: its kind, the class
-    of a link it blocks, its obstacles, their covering discs (centres x and
-    y, radii), and the point test that gives the step points inside one
-    obstacle's footprint and the obstacle's height there."""
-    bs = layout.buildings
+    of a link it blocks, its obstacles as rows of Python floats in table
+    column order, their covering discs (centres x and y, radii), and the
+    point test that gives the step points inside one obstacle's footprint
+    and the obstacle's height there."""
+    bs, trees, lights = layout.buildings, layout.trees, layout.lights
     building_discs = (
-        np.array([(b.x + b.x1) / 2.0 for b in bs]),
-        np.array([(b.y + b.y1) / 2.0 for b in bs]),
-        np.array([math.hypot(b.w, b.l) / 2.0 for b in bs]),
+        (bs.x + (bs.x + bs.w)) / 2.0,
+        (bs.y + (bs.y + bs.l)) / 2.0,
+        np.array([math.hypot(w, l) / 2.0 for w, l in zip(bs.w.tolist(), bs.l.tolist())]),
     )
     return [
-        ("building", LinkClass.NLOS_BUILDING, bs, *building_discs, _in_building),
-        ("tree", LinkClass.NLOS_TREE, layout.trees, *_discs(layout.trees), _in_tree),
-        ("streetlight", LinkClass.NLOS_LIGHT, layout.lights, *_discs(layout.lights), _in_light),
+        ("building", LinkClass.NLOS_BUILDING, bs.tolist(), *building_discs, _in_building),
+        ("tree", LinkClass.NLOS_TREE, trees.tolist(), trees.x, trees.y, trees.r, _in_tree),
+        ("streetlight", LinkClass.NLOS_LIGHT, lights.tolist(), lights.x, lights.y, lights.r, _in_light),
     ]
 
 
@@ -136,16 +136,14 @@ def random_links(geom: LayoutGeometry, rng: Generator, n: int) -> list[Link]:
     open ABS ground position, and an elevation angle uniform over
     LINK_ANGLES_DEG, the altitude capped at LINK_ALTITUDE_CAP_M."""
     links = []
-    users, h_gu = geom.layout.users, geom.layout.config.h_gu
+    users, h_gu = geom.layout.users.tolist(), geom.layout.config.h_gu
     for _ in range(n):
-        user = users[int(rng.integers(len(users)))]
+        x, y, _ = users[int(rng.integers(len(users)))]
         ax, ay = sample_open_point(geom.index, rng, what="abs")
-        g = math.hypot(user.x - ax, user.y - ay)
+        g = math.hypot(x - ax, y - ay)
         theta = math.radians(rng.uniform(*LINK_ANGLES_DEG))
         h_abs = min(h_gu + g * math.tan(theta), LINK_ALTITUDE_CAP_M)
-        links.append(
-            Link(abs_xy=(ax, ay), h_abs=h_abs, gu_xy=(user.x, user.y), h_gu=h_gu)
-        )
+        links.append(Link(abs_xy=(ax, ay), h_abs=h_abs, gu_xy=(x, y), h_gu=h_gu))
     return links
 
 

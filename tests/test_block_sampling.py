@@ -13,7 +13,10 @@ from numpy.random import SeedSequence, default_rng
 
 from urbanlos.citygen import (
     _first_accepted,
+    BUILDING,
+    DISC,
     LIGHT_HEIGHT_RANGE,
+    LIGHT_RADIUS,
     PRESETS,
     RETRY_LIMIT,
     SHAPE_FACTOR_HIGH,
@@ -25,14 +28,11 @@ from urbanlos.citygen import (
     STREAM_USERS,
     TREE_HEIGHT_RANGE,
     TREE_RADIUS_RANGE,
-    Building,
+    USER,
     BuiltUpParams,
     CityLayout,
     FootprintIndex,
     GenConfig,
-    GroundUser,
-    Streetlight,
-    Tree,
     _sidewalk_draws,
     building_count,
     city_rng,
@@ -45,6 +45,7 @@ from urbanlos.citygen import (
     place_users,
     rayleigh_icdf,
     sample_open_point,
+    table,
 )
 from urbanlos.errors import InfeasibleLayoutError
 from urbanlos.geometry import LayoutGeometry, Link
@@ -54,7 +55,7 @@ from urbanlos.oracle import LINK_ALTITUDE_CAP_M, LINK_ANGLES_DEG, random_links
 
 
 def _rects(buildings):
-    return np.array([(b.x, b.y, b.x1, b.y1) for b in buildings]).reshape(-1, 4)
+    return np.column_stack((buildings.x, buildings.y, buildings.x + buildings.w, buildings.y + buildings.l))
 
 
 def _jitter(rng, lo, size, dim, side):
@@ -65,7 +66,7 @@ def _jitter(rng, lo, size, dim, side):
 def ref_buildings(params, config, rng):
     n = building_count(params, config.area)
     if n == 0:
-        return ()
+        return table((), BUILDING)
     side, gdim = config.side, math.ceil(math.sqrt(n))
     block, rects, out = side / gdim, np.empty((0, 4)), []
     for i, blk in enumerate(rng.permutation(gdim * gdim)[:n]):
@@ -84,47 +85,47 @@ def ref_buildings(params, config, rng):
             x1, y1 = x0 + w, y0 + l
             if not ((x0 < rects[:, 2]) & (x1 > rects[:, 0]) & (y0 < rects[:, 3]) & (y1 > rects[:, 1])).any():
                 rects = np.vstack([rects, [x0, y0, x1, y1]])
-                out.append(Building(x=x0, y=y0, w=w, l=l, h=rayleigh_icdf(params.gamma, rng.random())))
+                out.append((x0, y0, w, l, rayleigh_icdf(params.gamma, rng.random())))
                 break
         else:
             raise InfeasibleLayoutError(f"could not place building {i} after {RETRY_LIMIT} attempts")
-    return tuple(out)
+    return table(out, BUILDING)
 
 
 def ref_sidewalk(buildings, config, rng, count, what, draw):
     rects, side, d_o, out = _rects(buildings), config.side, config.d_o, []
     for i in range(count):
-        if not buildings:
+        if not len(buildings):
             raise InfeasibleLayoutError(f"could not place {what} {i}: no building edges available")
         for _ in range(RETRY_LIMIT):
-            b = buildings[int(rng.integers(len(buildings)))]
+            bx, by, w, l, _ = buildings[int(rng.integers(len(buildings)))].tolist()
             edge, u = int(rng.integers(4)), rng.random()
-            x, y = [(b.x + u * b.w, b.y - d_o), (b.x + u * b.w, b.y1 + d_o),
-                    (b.x - d_o, b.y + u * b.l), (b.x1 + d_o, b.y + u * b.l)][edge]
-            o = draw(rng, x, y)
+            x, y = [(bx + u * w, by - d_o), (bx + u * w, by + l + d_o),
+                    (bx - d_o, by + u * l), (bx + w + d_o, by + u * l)][edge]
+            r, h = draw(rng)
             dx = np.maximum(np.maximum(rects[:, 0] - x, 0.0), x - rects[:, 2])
             dy = np.maximum(np.maximum(rects[:, 1] - y, 0.0), y - rects[:, 3])
-            inside = x - o.r >= 0.0 and y - o.r >= 0.0 and x + o.r <= side and y + o.r <= side
-            if inside and not (dx * dx + dy * dy < o.r * o.r).any():
-                out.append(o)
+            inside = x - r >= 0.0 and y - r >= 0.0 and x + r <= side and y + r <= side
+            if inside and not (dx * dx + dy * dy < r * r).any():
+                out.append((x, y, r, h))
                 break
         else:
             raise InfeasibleLayoutError(f"could not place {what} {i} after {RETRY_LIMIT} attempts")
-    return tuple(out)
+    return table(out, DISC)
 
 
-def ref_tree(rng, x, y):
+def ref_tree(rng):
     h = rng.uniform(*TREE_HEIGHT_RANGE)
-    return Tree(x=x, y=y, r=rng.uniform(*TREE_RADIUS_RANGE), h=h)
+    return rng.uniform(*TREE_RADIUS_RANGE), h
 
 
-def ref_light(rng, x, y):
-    return Streetlight(x=x, y=y, h=rng.uniform(*LIGHT_HEIGHT_RANGE))
+def ref_light(rng):
+    return LIGHT_RADIUS, rng.uniform(*LIGHT_HEIGHT_RANGE)
 
 
 def ref_open_point(layout, rng, what):
-    rects, discs = _rects(layout.buildings), [(o.x, o.y, o.r) for o in (*layout.trees, *layout.lights)]
-    discs = np.array(discs).reshape(-1, 3)
+    rects = _rects(layout.buildings)
+    discs = np.column_stack([np.concatenate((layout.trees[k], layout.lights[k])) for k in "xyr"])
     for _ in range(RETRY_LIMIT):
         x, y = rng.uniform(0.0, layout.side), rng.uniform(0.0, layout.side)
         in_rect = (rects[:, 0] <= x) & (x <= rects[:, 2]) & (rects[:, 1] <= y) & (y <= rects[:, 3])
@@ -145,16 +146,16 @@ def ref_city(params, config, city_index):
     buildings = ref_buildings(params, config, rngs[STREAM_BUILDINGS])
     trees = ref_sidewalk(buildings, config, rngs[STREAM_TREES], config.n_trees, "tree", ref_tree)
     lights = ref_sidewalk(buildings, config, rngs[STREAM_LIGHTS], config.n_lights, "streetlight", ref_light)
-    city = CityLayout(params, config, buildings, trees, lights, ())
-    users = tuple(GroundUser(*ref_open_point(city, rngs[STREAM_USERS], f"user {i}"), config.h_gu)
-                  for i in range(config.n_gu))
+    city = CityLayout(params, config, buildings, trees, lights, table((), USER))
+    users = table([(*ref_open_point(city, rngs[STREAM_USERS], f"user {i}"), config.h_gu)
+                   for i in range(config.n_gu)], USER)
     return CityLayout(params, config, buildings, trees, lights, users), rngs
 
 
 def new_city(params, config, city_index):
     rngs = _streams(config, city_index)
     buildings = place_buildings(params, config, rngs[STREAM_BUILDINGS])
-    index = FootprintIndex(buildings, (), (), config.side)
+    index = FootprintIndex(buildings, table((), DISC), table((), DISC), config.side)
     trees = place_trees(index, config, rngs[STREAM_TREES])
     lights = place_lights(index, config, rngs[STREAM_LIGHTS])
     index = FootprintIndex(buildings, trees, lights, config.side)
@@ -171,7 +172,7 @@ def _assert_same_city(params, config, city_index=0):
     got, got_rngs = new_city(params, config, city_index)
     assert layout_json(got) == layout_json(want)
     assert {s: _state(r) for s, r in got_rngs.items()} == {s: _state(r) for s, r in want_rngs.items()}
-    assert got == generate_city(params, config, city_index)
+    assert layout_json(got) == layout_json(generate_city(params, config, city_index))
 
 
 # -- decoding ------------------------------------------------------------------
@@ -269,14 +270,14 @@ def test_sidewalks_match_the_reference_through_a_rejection():
     params, config = PRESETS["urban"], GenConfig(seed=1, n_trees=6, n_lights=0, n_gu=0)
     buildings = place_buildings(params, config, city_rng(1, 0, STREAM_BUILDINGS))
     assert len(buildings) == 500
-    index = FootprintIndex(buildings, (), (), config.side)
+    index = FootprintIndex(buildings, table((), DISC), table((), DISC), config.side)
     for pending in (False, True):
         got_rng, want_rng = _at_rejection(), _at_rejection()
         if pending:
             got_rng.bit_generator.state = want_rng.bit_generator.state = dict(
                 want_rng.bit_generator.state, has_uint32=1, uinteger=0)  # a pending rejection first
         got = place_trees(index, config, got_rng)
-        assert got == ref_sidewalk(buildings, config, want_rng, config.n_trees, "tree", ref_tree)
+        assert np.array_equal(got, ref_sidewalk(buildings, config, want_rng, config.n_trees, "tree", ref_tree))
         assert _state(got_rng) == _state(want_rng)
 
 
@@ -310,7 +311,7 @@ def test_retry_limit_counts_misses_across_blocks(misses, placed):
 
     rng = default_rng(0)
     if placed:
-        assert _first_accepted(rng, 3, "thing {}", draw, lambda k: None) == [[0], [misses + 1], [misses + 2]]
+        assert _first_accepted(rng, 3, "thing {}", draw, lambda k: None).tolist() == [[0], [misses + 1], [misses + 2]]
     else:
         with pytest.raises(InfeasibleLayoutError, match=f"^could not place thing 1 after {RETRY_LIMIT} attempts$"):
             _first_accepted(rng, 3, "thing {}", draw, lambda k: None)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from urbanlos.citygen import (
+    BUILDING,
+    DISC,
     PRESETS,
     RETRY_LIMIT,
-    Building,
     BuiltUpParams,
     FootprintIndex,
     GenConfig,
@@ -26,10 +27,12 @@ from urbanlos.citygen import (
     place_users,
     rayleigh_icdf,
     sample_open_point,
+    table,
 )
 from urbanlos.errors import InfeasibleLayoutError, ParameterError
 
 URBAN = PRESETS["urban"]
+FAMILIES = ("buildings", "trees", "lights", "users")
 
 # chi-square critical value, p = 0.01, 99 degrees of freedom
 CHI2_CRIT_99 = 134.64161685578915
@@ -119,33 +122,44 @@ def test_urban_counts_and_built_area(urban_layout):
     assert len(urban_layout.trees) == 200
     assert len(urban_layout.lights) == 500
     assert len(urban_layout.users) == 100
-    assert 2.94e5 <= sum(b.area for b in urban_layout.buildings) <= 3.06e5
+    assert 2.94e5 <= sum((urban_layout.buildings.w * urban_layout.buildings.l).tolist()) <= 3.06e5
+
+
+def _boxes(buildings):
+    """(x0, y0, x1, y1) of each building, as Python floats."""
+    return [(x, y, x + w, y + l) for x, y, w, l, _ in buildings.tolist()]
+
+
+def _discs(layout):
+    """(x, y, r) of each tree, then each light, as Python floats."""
+    return [(x, y, r) for x, y, r, _ in layout.trees.tolist() + layout.lights.tolist()]
 
 
 def test_per_building_footprint_exact(urban_layout):
-    for b in urban_layout.buildings:
-        assert abs(b.area - 600.0) / 600.0 < 1e-9
-        assert 0.0 <= b.x and b.x1 <= urban_layout.side
-        assert 0.0 <= b.y and b.y1 <= urban_layout.side
-        assert b.h > 0.0
+    for x, y, w, l, h in urban_layout.buildings.tolist():
+        assert abs(w * l - 600.0) / 600.0 < 1e-9
+        assert 0.0 <= x and x + w <= urban_layout.side
+        assert 0.0 <= y and y + l <= urban_layout.side
+        assert h > 0.0
 
 
 def test_no_building_pair_overlaps(urban_layout):
-    bs = urban_layout.buildings
+    bs = _boxes(urban_layout.buildings)
     for i in range(len(bs)):
         for j in range(i + 1, len(bs)):
             a, b = bs[i], bs[j]
-            overlap = a.x < b.x1 and a.x1 > b.x and a.y < b.y1 and a.y1 > b.y
+            overlap = a[0] < b[2] and a[2] > b[0] and a[1] < b[3] and a[3] > b[1]
             assert not overlap, (i, j)
 
 
 def _distance_to_side(px, py, b):
-    """(perpendicular distance, foot-on-side) against each side of b."""
+    """(perpendicular distance, foot-on-side) against each side of the box b."""
+    bx0, by0, bx1, by1 = b
     for x0, y0, x1, y1 in (
-        (b.x, b.y, b.x1, b.y),  # south
-        (b.x, b.y1, b.x1, b.y1),  # north
-        (b.x, b.y, b.x, b.y1),  # west
-        (b.x1, b.y, b.x1, b.y1),  # east
+        (bx0, by0, bx1, by0),  # south
+        (bx0, by1, bx1, by1),  # north
+        (bx0, by0, bx0, by1),  # west
+        (bx1, by0, bx1, by1),  # east
     ):
         if x0 == x1:  # vertical side
             on = y0 - 1e-9 <= py <= y1 + 1e-9
@@ -156,44 +170,38 @@ def _distance_to_side(px, py, b):
 
 
 def test_obstacles_sit_on_sidewalks(urban_layout):
-    d_o = urban_layout.config.d_o
-    for obstacle in urban_layout.trees + urban_layout.lights:
-        anchored = any(
-            abs(dist - d_o) < 1e-9 and on
-            for b in urban_layout.buildings
-            for dist, on in _distance_to_side(obstacle.x, obstacle.y, b)
-        )
-        assert anchored, (obstacle.x, obstacle.y)
+    d_o, boxes = urban_layout.config.d_o, _boxes(urban_layout.buildings)
+    for x, y, _ in _discs(urban_layout):
+        anchored = any(abs(dist - d_o) < 1e-9 and on for b in boxes for dist, on in _distance_to_side(x, y, b))
+        assert anchored, (x, y)
 
 
 def test_obstacle_discs_clear_of_buildings(urban_layout):
-    side = urban_layout.side
-    for obstacle in urban_layout.trees + urban_layout.lights:
-        r = obstacle.r
-        assert 0.0 <= obstacle.x - r and obstacle.x + r <= side
-        assert 0.0 <= obstacle.y - r and obstacle.y + r <= side
-        for b in urban_layout.buildings:
-            dx = max(b.x - obstacle.x, 0.0, obstacle.x - b.x1)
-            dy = max(b.y - obstacle.y, 0.0, obstacle.y - b.y1)
+    side, boxes = urban_layout.side, _boxes(urban_layout.buildings)
+    for x, y, r in _discs(urban_layout):
+        assert 0.0 <= x - r and x + r <= side
+        assert 0.0 <= y - r and y + r <= side
+        for x0, y0, x1, y1 in boxes:
+            dx = max(x0 - x, 0.0, x - x1)
+            dy = max(y0 - y, 0.0, y - y1)
             assert math.hypot(dx, dy) >= r - 1e-9
 
 
 def test_tree_trunk_ratios(urban_layout):
-    for t in urban_layout.trees:
-        assert 2.0 <= t.h <= 5.0
-        assert 0.5 <= t.r <= 1.5
-        assert t.h_trunk == pytest.approx(0.2 * t.h, rel=1e-12)
-        assert t.r_trunk == pytest.approx(0.1 * t.r, rel=1e-12)
+    for t in json.loads(layout_json(urban_layout))["trees"]:
+        assert 2.0 <= t["h"] <= 5.0
+        assert 0.5 <= t["r"] <= 1.5
+        assert t["h_trunk"] == pytest.approx(0.2 * t["h"], rel=1e-12)
+        assert t["r_trunk"] == pytest.approx(0.1 * t["r"], rel=1e-12)
 
 
 def test_users_avoid_all_footprints(urban_layout):
-    for u in urban_layout.users:
-        for b in urban_layout.buildings:
-            assert not (b.x <= u.x <= b.x1 and b.y <= u.y <= b.y1)
-        for t in urban_layout.trees:
-            assert math.hypot(u.x - t.x, u.y - t.y) > t.r
-        for s in urban_layout.lights:
-            assert math.hypot(u.x - s.x, u.y - s.y) > s.r
+    boxes, discs = _boxes(urban_layout.buildings), _discs(urban_layout)
+    for ux, uy, _ in urban_layout.users.tolist():
+        for x0, y0, x1, y1 in boxes:
+            assert not (x0 <= ux <= x1 and y0 <= uy <= y1)
+        for x, y, r in discs:
+            assert math.hypot(ux - x, uy - y) > r
 
 
 def test_users_uniform_without_buildings():
@@ -202,9 +210,7 @@ def test_users_uniform_without_buildings():
     gen = GenConfig(n_trees=0, n_lights=0, n_gu=10_000, seed=9)
     layout = generate_city(params, gen)
     assert len(layout.buildings) == 0
-    xs = np.array([u.x for u in layout.users])
-    ys = np.array([u.y for u in layout.users])
-    counts, _, _ = np.histogram2d(xs, ys, bins=10, range=[[0, 1000], [0, 1000]])
+    counts, _, _ = np.histogram2d(layout.users.x, layout.users.y, bins=10, range=[[0, 1000], [0, 1000]])
     expected = 10_000 / 100.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_CRIT_99
@@ -216,29 +222,45 @@ def test_users_uniform_without_buildings():
 def test_same_seed_bit_identical():
     a = generate_city(URBAN, GenConfig(seed=42))
     b = generate_city(URBAN, GenConfig(seed=42))
-    assert a == b
+    assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in FAMILIES)
     assert layout_json(a) == layout_json(b)
 
 
 def test_different_seed_differs():
     a = generate_city(URBAN, GenConfig(seed=42))
     b = generate_city(URBAN, GenConfig(seed=43))
-    assert a != b
+    assert layout_json(a) != layout_json(b)
 
 
 def test_distinct_city_indices_differ():
     a = generate_city(URBAN, GenConfig(seed=42), city_index=0)
     b = generate_city(URBAN, GenConfig(seed=42), city_index=1)
-    assert a.buildings != b.buildings
+    assert not np.array_equal(a.buildings, b.buildings)
 
 
 def test_tree_count_does_not_perturb_other_streams():
     a = generate_city(URBAN, GenConfig(seed=4, n_trees=100))
     b = generate_city(URBAN, GenConfig(seed=4, n_trees=200))
-    assert a.buildings == b.buildings
-    assert a.lights == b.lights
+    assert np.array_equal(a.buildings, b.buildings)
+    assert np.array_equal(a.lights, b.lights)
     # trees are drawn sequentially, so the smaller population is a prefix
-    assert a.trees == b.trees[:100]
+    assert np.array_equal(a.trees, b.trees[:100])
+
+
+def test_layout_tables_are_read_only():
+    """No cell of a layout's tables can be written, neither in a generated
+    layout nor in add_users' tree prefix."""
+    city = generate_obstacles(URBAN, GenConfig(seed=4, n_trees=50, n_gu=5), 0)
+    layout = generate_city(URBAN, GenConfig(seed=4, n_gu=5))
+    tables = [getattr(layout, f) for f in FAMILIES] + [add_users(city, 20, 0).trees]
+    for t in tables:
+        assert len(t)
+        with pytest.raises(ValueError, match="read-only"):
+            t.x[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = t[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            t[0].h = 1.0
 
 
 @pytest.mark.parametrize("n_trees", [0, 60, 150])
@@ -301,8 +323,8 @@ def test_streetlights_require_buildings():
 def test_streetlight_retry_limit_names_entity():
     # two buildings fill the city side by side: each sidewalk point lies
     # beyond the border or inside the other building
-    halves = [Building(x=x, y=0.0, w=500.0, l=1000.0, h=10.0) for x in (0.0, 500.0)]
-    index = FootprintIndex(halves, (), (), 1000.0)
+    halves = table([(x, 0.0, 500.0, 1000.0, 10.0) for x in (0.0, 500.0)], BUILDING)
+    index = FootprintIndex(halves, table((), DISC), table((), DISC), 1000.0)
     with pytest.raises(InfeasibleLayoutError, match=f"^could not place streetlight 0 after {RETRY_LIMIT} attempts$"):
         place_lights(index, GenConfig(n_lights=3), default_rng(0))
 
@@ -314,7 +336,8 @@ def test_user_retry_limit_names_entity():
     e = 1e-3
     cover = [(0.0, 0.0, px - e, 1000.0), (px + e, 0.0, 1000.0, 1000.0),
              (px - e, 0.0, px + e, py - e), (px - e, py + e, px + e, 1000.0)]
-    index = FootprintIndex([Building(x=a, y=b, w=c - a, l=d - b, h=10.0) for a, b, c, d in cover], (), (), 1000.0)
+    buildings = table([(a, b, c - a, d - b, 10.0) for a, b, c, d in cover], BUILDING)
+    index = FootprintIndex(buildings, table((), DISC), table((), DISC), 1000.0)
     config = GenConfig(area=4e6, n_gu=2)
     with pytest.raises(InfeasibleLayoutError, match=f"^could not place user 1 after {RETRY_LIMIT} attempts$"):
         place_users(index, config, default_rng(0))

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from urbanlos.citygen import (
+    BUILDING,
+    DISC,
     PRESETS,
-    Building,
+    USER,
     BuiltUpParams,
     CityLayout,
     GenConfig,
-    GroundUser,
-    Streetlight,
-    Tree,
     generate_city,
     sample_open_point,
+    table,
 )
 from urbanlos.errors import DegenerateLinkError, ParameterError
 from urbanlos.geometry import (
@@ -36,6 +36,8 @@ URBAN = PRESETS["urban"]
 
 
 def _fixture_layout(buildings=(), trees=(), lights=()):
+    """A layout of the given rows: (x, y, w, l, h) per building and
+    (x, y, r, h) per tree and light, with one user at (5, 5)."""
     params = BuiltUpParams(alpha=0.3, beta=max(len(buildings), 1) * 1.0, gamma=15.0)
     config = GenConfig(
         n_trees=len(trees), n_lights=len(lights), n_gu=1, seed=0
@@ -43,10 +45,10 @@ def _fixture_layout(buildings=(), trees=(), lights=()):
     return CityLayout(
         params=params,
         config=config,
-        buildings=tuple(buildings),
-        trees=tuple(trees),
-        lights=tuple(lights),
-        users=(GroundUser(x=5.0, y=5.0, h=1.5),),
+        buildings=table(buildings, BUILDING),
+        trees=table(trees, DISC),
+        lights=table(lights, DISC),
+        users=table([(5.0, 5.0, 1.5)], USER),
     )
 
 
@@ -88,7 +90,7 @@ def test_blockage_height_affine(h_abs, h_gu, r, f):
 
 
 def test_tree_profile_values():
-    tree = Tree(x=0.0, y=0.0, r=1.0, h=5.0)
+    tree = table([(0.0, 0.0, 1.0, 5.0)], DISC)[0]
     assert tree_height_at(tree, 0.0) == 5.0
     assert tree_height_at(tree, 0.05) == 5.0  # inside the trunk column
     assert tree_height_at(tree, 0.5) == pytest.approx(3.0, abs=1e-12)
@@ -100,11 +102,12 @@ def test_tree_profile_values():
 
 @given(rho=st.floats(0.0, 2.0))
 def test_tree_profile_monotone_outside_trunk(rho):
-    tree = Tree(x=0.0, y=0.0, r=1.3, h=4.0)
-    if rho > tree.r_trunk:
+    tree = table([(0.0, 0.0, 1.3, 4.0)], DISC)[0]
+    r_trunk = 0.1 * tree.r
+    if rho > r_trunk:
         # cone surface decreases with radius
         assert tree_height_at(tree, rho) <= tree_height_at(
-            tree, max(rho - 0.1, tree.r_trunk + 1e-9)
+            tree, max(rho - 0.1, r_trunk + 1e-9)
         ) + 1e-12
 
 
@@ -126,22 +129,23 @@ def test_tree_profile_monotone_outside_trunk(rho):
 @example(r=2.0, h=4.0, g=11.0, along=0.0, offset=0.5, h_gu=0.0)
 def test_tree_critical_altitude_is_chord_maximum(r, h, g, along, offset, h_gu):
     assume(g > 2.0 * r + 1.0)
-    tree = Tree(x=r + 0.5 + along * (g - 2.0 * r - 1.0), y=offset * r, r=r, h=h)
+    tx, ty = r + 0.5 + along * (g - 2.0 * r - 1.0), offset * r
+    tree = (tx, ty, r, h)
     link = Link(abs_xy=(g, 0.0), h_abs=h_gu + 100.0, gu_xy=(0.0, 0.0), h_gu=h_gu)
     _, alt_tree, _ = LayoutGeometry(_fixture_layout(trees=[tree])).critical_altitudes(link)
 
     # a fine grid over the chord plus the profile's breakpoints (trunk-cap
     # ends, the axis foot), pulled just inside so each keeps its height
     def half_chord(radius):
-        return math.sqrt(radius * radius - tree.y * tree.y) * (1.0 - 1e-9)
+        return math.sqrt(radius * radius - ty * ty) * (1.0 - 1e-9)
 
-    xs = list(tree.x + np.linspace(-1.0, 1.0, 20001) * half_chord(tree.r)) + [tree.x]
-    if tree.y < tree.r_trunk:
-        xs += [tree.x - half_chord(tree.r_trunk), tree.x + half_chord(tree.r_trunk)]
+    xs = list(tx + np.linspace(-1.0, 1.0, 20001) * half_chord(r)) + [tx]
+    if ty < 0.1 * r:
+        xs += [tx - half_chord(0.1 * r), tx + half_chord(0.1 * r)]
     required = []
     for x in xs:
         u = (g - x) / g  # fraction along the link from the ABS
-        profile = tree_height_at(tree, math.hypot(x - tree.x, tree.y))
+        profile = tree_height_at(tree, math.hypot(x - tx, ty))
         required.append((profile - h_gu * u) / (1.0 - u))
     top = max(required)
     scale = max(abs(top), 1.0)
@@ -232,13 +236,13 @@ def test_tree_pass_matches_loop_reference(env, h_gu):
     layout = generate_city(PRESETS[env], GenConfig(n_gu=300, seed=5, h_gu=h_gu))
     geom = LayoutGeometry(layout)
     ax, ay = sample_open_point(geom.index, default_rng(6))
-    gu = np.array([[user.x, user.y] for user in layout.users])
+    gu = np.column_stack((layout.users.x, layout.users.y))
     _, trees, _ = geom._critical_points((ax, ay), gu, h_gu)
     expected = []
     for row, (x, y) in enumerate(gu.tolist()):
         dx, dy = x - ax, y - ay
-        for col, t in enumerate(layout.trees):
-            found = _tree_critical_loop(ax, ay, dx, dy, dx * dx + dy * dy, t.x, t.y, t.r, t.h, h_gu)
+        for col, (tx, ty, r_t, h_t) in enumerate(layout.trees.tolist()):
+            found = _tree_critical_loop(ax, ay, dx, dy, dx * dx + dy * dy, tx, ty, r_t, h_t, h_gu)
             if found is not None:
                 expected.append((row, col, *found))
     assert expected  # some links cross trees
@@ -249,8 +253,7 @@ def test_tree_pass_matches_loop_reference(env, h_gu):
 
 
 def test_single_building_crossing():
-    b = Building(x=40.0, y=-12.245, w=24.49, l=24.49, h=20.0)
-    layout = _fixture_layout(buildings=[b])
+    layout = _fixture_layout(buildings=[(40.0, -12.245, 24.49, 24.49, 20.0)])
     link = Link(abs_xy=(100.0, 0.0), h_abs=120.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     hits = LayoutGeometry(layout).crossings(link)
     assert [h.kind for h in hits] == ["building"]
@@ -258,17 +261,16 @@ def test_single_building_crossing():
 
 
 def test_streetlight_near_miss():
-    s = Streetlight(x=50.0, y=0.2, h=4.0)
-    layout = _fixture_layout(lights=[s])
+    layout = _fixture_layout(lights=[(50.0, 0.2, 0.1, 4.0)])
     link = Link(abs_xy=(100.0, 0.0), h_abs=50.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     assert LayoutGeometry(layout).crossings(link) == []
 
 
 def test_hits_sorted_by_distance_from_abs():
     layout = _fixture_layout(
-        buildings=[Building(x=20.0, y=-5.0, w=10.0, l=10.0, h=30.0)],
-        trees=[Tree(x=60.0, y=0.0, r=1.0, h=5.0)],
-        lights=[Streetlight(x=80.0, y=0.0, h=4.0)],
+        buildings=[(20.0, -5.0, 10.0, 10.0, 30.0)],
+        trees=[(60.0, 0.0, 1.0, 5.0)],
+        lights=[(80.0, 0.0, 0.1, 4.0)],
     )
     link = Link(abs_xy=(100.0, 0.0), h_abs=40.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     hits = LayoutGeometry(layout).crossings(link)
@@ -291,8 +293,7 @@ def test_overhead_open_street_is_los(urban_layout, urban_geometry):
 
 
 def test_blocking_building_classifies_nlos_b():
-    b = Building(x=40.0, y=-10.0, w=20.0, l=20.0, h=20.0)
-    layout = _fixture_layout(buildings=[b])
+    layout = _fixture_layout(buildings=[(40.0, -10.0, 20.0, 20.0, 20.0)])
     # blockage height at the crossing sits near 15 m, below the 20 m roof
     link = Link(abs_xy=(100.0, 0.0), h_abs=25.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     hits = LayoutGeometry(layout).crossings(link)
@@ -302,8 +303,8 @@ def test_blocking_building_classifies_nlos_b():
 
 def test_building_takes_precedence_over_tree():
     layout = _fixture_layout(
-        buildings=[Building(x=60.0, y=-10.0, w=20.0, l=20.0, h=50.0)],
-        trees=[Tree(x=3.0, y=0.0, r=1.0, h=5.0)],
+        buildings=[(60.0, -10.0, 20.0, 20.0, 50.0)],
+        trees=[(3.0, 0.0, 1.0, 5.0)],
     )
     link = Link(abs_xy=(100.0, 0.0), h_abs=10.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     brute = classify_link_bruteforce(link, obstacle_families(layout))
@@ -312,7 +313,7 @@ def test_building_takes_precedence_over_tree():
 
 
 def test_tree_blocks_when_low():
-    layout = _fixture_layout(trees=[Tree(x=4.0, y=0.0, r=1.0, h=5.0)])
+    layout = _fixture_layout(trees=[(4.0, 0.0, 1.0, 5.0)])
     low = Link(abs_xy=(100.0, 0.0), h_abs=3.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     high = Link(abs_xy=(100.0, 0.0), h_abs=300.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     assert LayoutGeometry(layout).classify(low) is LinkClass.NLOS_TREE
@@ -320,7 +321,7 @@ def test_tree_blocks_when_low():
 
 
 def test_streetlight_blocks_when_grazing():
-    layout = _fixture_layout(lights=[Streetlight(x=2.0, y=0.0, h=5.0)])
+    layout = _fixture_layout(lights=[(2.0, 0.0, 0.1, 5.0)])
     low = Link(abs_xy=(100.0, 0.0), h_abs=2.0, gu_xy=(0.0, 0.0), h_gu=1.5)
     assert LayoutGeometry(layout).classify(low) is LinkClass.NLOS_LIGHT
 
@@ -444,14 +445,14 @@ def _full_walk(link, families, step):
 # (layout, link, step, the families the link crosses)
 WINDOW_CASES = {
     "abs-end": (
-        _fixture_layout(buildings=[Building(x=-2.0, y=-2.0, w=4.0, l=4.0, h=20.0)]),
+        _fixture_layout(buildings=[(-2.0, -2.0, 4.0, 4.0, 20.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.3, 7.1), h_gu=1.5),
         0.01,
         {"building"},
     ),
     # only the appended point at g = 10.005 m lies inside the tree
     "gu-end-tail": (
-        _fixture_layout(trees=[Tree(x=10.005, y=0.0, r=0.003, h=5.0)]),
+        _fixture_layout(trees=[(10.005, 0.0, 0.003, 5.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.005, 0.0), h_gu=1.5),
         0.01,
         {"tree"},
@@ -459,9 +460,9 @@ WINDOW_CASES = {
     # centres past the GU and ABS ends, the footprints reaching over them
     "past-ends": (
         _fixture_layout(
-            buildings=[Building(x=20.9, y=-3.0, w=6.0, l=6.0, h=30.0)],
-            trees=[Tree(x=-0.6, y=-0.2, r=1.0, h=5.0)],
-            lights=[Streetlight(x=21.05, y=0.0, h=5.0)],
+            buildings=[(20.9, -3.0, 6.0, 6.0, 30.0)],
+            trees=[(-0.6, -0.2, 1.0, 5.0)],
+            lights=[(21.05, 0.0, 0.1, 5.0)],
         ),
         Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(21.0, 0.0), h_gu=1.5),
         0.01,
@@ -469,29 +470,29 @@ WINDOW_CASES = {
     ),
     # a covering disc that reaches the link while the footprint does not
     "disc-only": (
-        _fixture_layout(buildings=[Building(x=10.5, y=0.5, w=4.0, l=4.0, h=30.0)]),
+        _fixture_layout(buildings=[(10.5, 0.5, 4.0, 4.0, 30.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(11.0, 0.0), h_gu=1.5),
         0.01,
         set(),
     ),
     "shorter-than-a-step": (
-        _fixture_layout(trees=[Tree(x=0.002, y=0.001, r=0.5, h=5.0)]),
+        _fixture_layout(trees=[(0.002, 0.001, 0.5, 5.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(0.004, 0.0), h_gu=1.5),
         0.01,
         {"tree"},
     ),
     # g / step = 40 exactly: the last step point is the GU end, no tail
     "exact-multiple": (
-        _fixture_layout(trees=[Tree(x=6.0, y=8.0, r=0.003, h=5.0)]),
+        _fixture_layout(trees=[(6.0, 8.0, 0.003, 5.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(6.0, 8.0), h_gu=1.5),
         0.25,
         {"tree"},
     ),
     "coarse-step-diagonal": (
         _fixture_layout(
-            buildings=[Building(x=40.0, y=25.0, w=12.0, l=8.0, h=30.0)],
-            trees=[Tree(x=20.0, y=13.5, r=1.5, h=5.0)],
-            lights=[Streetlight(x=70.3, y=42.3, h=5.0, r=0.6)],
+            buildings=[(40.0, 25.0, 12.0, 8.0, 30.0)],
+            trees=[(20.0, 13.5, 1.5, 5.0)],
+            lights=[(70.3, 42.3, 0.6, 5.0)],
         ),
         Link(abs_xy=(100.0, 60.0), h_abs=12.0, gu_xy=(1.0, 0.5), h_gu=1.5),
         0.37,

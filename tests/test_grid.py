@@ -10,28 +10,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from urbanlos.citygen import (
+    BUILDING,
+    DISC,
     GRID_PAD,
-    Building,
+    USER,
     BuiltUpParams,
     CellGrid,
     CityLayout,
     FootprintIndex,
     GenConfig,
-    Streetlight,
-    Tree,
+    table,
 )
 from urbanlos.geometry import LayoutGeometry, _disc_chords, _rect_chords, _required_altitude, link_maxima
 
 SIDE = 1000.0
 OUTSIDE = [(-20.0, 300.0), (1020.0, 600.0), (400.0, -15.0), (700.0, 1012.0)]
+NO_DISCS = table((), DISC)
 
 
 def _rects(layout):
-    return np.array([(b.x, b.y, b.x1, b.y1) for b in layout.buildings]).reshape(-1, 4)
+    b = layout.buildings
+    return np.column_stack((b.x, b.y, b.x + b.w, b.y + b.l))
 
 
 def _discs(layout):
-    return np.array([(o.x, o.y, o.r) for o in (*layout.trees, *layout.lights)]).reshape(-1, 3)
+    return np.column_stack([np.concatenate((layout.trees[k], layout.lights[k])) for k in "xyr"])
 
 
 def _dense_blocked(layout, px, py):
@@ -54,14 +57,16 @@ def _dense_disc_is_free(layout, cx, cy, r):
 
 
 def _layout(buildings=(), trees=(), lights=()):
+    """A layout of the given rows: (x, y, w, l, h) per building and
+    (x, y, r, h) per tree and light, with no users."""
     n = max(len(buildings), 1)
     return CityLayout(
         params=BuiltUpParams(alpha=0.3, beta=float(n), gamma=15.0),
         config=GenConfig(n_trees=len(trees), n_lights=len(lights), n_gu=0),
-        buildings=tuple(buildings),
-        trees=tuple(trees),
-        lights=tuple(lights),
-        users=(),
+        buildings=table(buildings, BUILDING),
+        trees=table(trees, DISC),
+        lights=table(lights, DISC),
+        users=table((), USER),
     )
 
 
@@ -86,11 +91,11 @@ def crowded_layout(urban_layout):
     """The urban fixture with one tree and one light on each of a few
     footprint corners, so discs sit on building edges and cell lines, and
     a few lights beyond the city border."""
-    bs = urban_layout.buildings
-    corners = [(b.x, b.y) for b in bs[:40]] + [(b.x1, b.y1) for b in bs[40:80]]
-    trees = urban_layout.trees + tuple(Tree(x=x, y=y, r=1.0, h=4.0) for x, y in corners[::2])
-    lights = tuple(Streetlight(x=x, y=y, h=3.0) for x, y in corners[1::2] + OUTSIDE)
-    return _layout(bs, trees, urban_layout.lights + lights)
+    bs = urban_layout.buildings.tolist()
+    corners = [(x, y) for x, y, *_ in bs[:40]] + [(x + w, y + l) for x, y, w, l, _ in bs[40:80]]
+    trees = urban_layout.trees.tolist() + [(x, y, 1.0, 4.0) for x, y in corners[::2]]
+    lights = [(x, y, 0.1, 3.0) for x, y in corners[1::2] + OUTSIDE]
+    return _layout(bs, trees, urban_layout.lights.tolist() + lights)
 
 
 def _one_by_one(test, *arrays):
@@ -116,15 +121,15 @@ def test_blocked_matches_dense(crowded_layout):
 
 
 def test_disc_is_free_matches_dense(crowded_layout):
-    index = FootprintIndex(crowded_layout.buildings, (), (), SIDE)
+    index = FootprintIndex(crowded_layout.buildings, NO_DISCS, NO_DISCS, SIDE)
     cx, cy = _sample_points(crowded_layout, index.grid.gdim, 6000, seed=2)
     r = np.random.default_rng(3).choice([0.1, 0.5, 1.5, 7.0], cx.size)
     # discs exactly tangent to a building edge from outside, and the city
     # border; discs beyond the border; discs centred on cell walls
     b = crowded_layout.buildings[:300]
     walls = np.arange(index.grid.gdim + 1) * (SIDE / index.grid.gdim)
-    cx = np.concatenate([cx, [o.x - 1.5 for o in b], [o.x1 + 1.5 for o in b], [1.5, SIDE - 1.5], BEYOND[:, 0], walls])
-    cy = np.concatenate([cy, [o.y for o in b], [o.y1 for o in b], [1.5, SIDE - 1.5], BEYOND[:, 1], walls[::-1]])
+    cx = np.concatenate([cx, b.x - 1.5, b.x + b.w + 1.5, [1.5, SIDE - 1.5], BEYOND[:, 0], walls])
+    cy = np.concatenate([cy, b.y, b.y + b.l, [1.5, SIDE - 1.5], BEYOND[:, 1], walls[::-1]])
     r = np.concatenate([r, np.full(2 * len(b) + 2, 1.5), np.full(BEYOND.shape[0] + walls.size, 0.5)])
     got = index.disc_is_free(cx, cy, r)  # the whole array at once
     want = _dense_disc_is_free(crowded_layout, cx, cy, r)
@@ -137,7 +142,7 @@ def test_building_overlap_matches_dense(urban_layout):
     """place_buildings' overlap test: boxes registered one by one with add,
     then the strict-overlap test on the items under a query box."""
     rects = _rects(urban_layout)
-    gdim = FootprintIndex(urban_layout.buildings, (), (), SIDE).grid.gdim
+    gdim = FootprintIndex(urban_layout.buildings, NO_DISCS, NO_DISCS, SIDE).grid.gdim
     grid = CellGrid(SIDE, gdim, np.empty((0, 4)))
     for i, (x0, y0, x1, y1) in enumerate(rects.tolist()):
         grid.add(i, x0, y0, x1, y1)
@@ -172,14 +177,14 @@ def _dense_families(geom, abs_xy, gu, h_gu):
     critical fraction and altitude for buildings and lights, and the chord
     entry and exit for trees."""
     (ax, ay), layout = abs_xy, geom.layout
-    trees, lights = _discs(_layout(trees=layout.trees)), _discs(_layout(lights=layout.lights))
+    trees, lights = (np.column_stack((t.x, t.y, t.r)) for t in (layout.trees, layout.lights))
     dx, dy = gu[:, 0] - ax, gu[:, 1] - ay
     g2 = dx * dx + dy * dy
     out = []
     for clip, arrays, heights in (
-        (_rect_chords, _rects(layout).T, geom.bh),
+        (_rect_chords, _rects(layout).T, layout.buildings.h),
         (_disc_chords, trees.T, None),
-        (_disc_chords, lights.T, geom.lh),
+        (_disc_chords, lights.T, layout.lights.h),
     ):
         n = arrays[0].size
         row, col = np.divmod(np.arange(len(gu) * n), max(n, 1))
@@ -250,15 +255,15 @@ def test_kernel_matches_dense_between_grid_corners(crowded_geometry, a, b, nudge
 
 @pytest.mark.parametrize("n_buildings", [0, 1])
 def test_kernel_matches_dense_on_a_one_cell_grid(n_buildings):
-    buildings = [Building(x=480.0, y=300.0, w=40.0, l=40.0, h=25.0)][:n_buildings]
+    buildings = [(480.0, 300.0, 40.0, 40.0, 25.0)][:n_buildings]
     # some discs beyond the city border, where the border cells reach
-    trees = [Tree(x=500.0, y=y, r=1.2, h=4.0) for y in (150.0, 420.0, 700.0, -20.0)]
-    lights = [Streetlight(x=x, y=500.0, h=3.0) for x in (100.0, 500.0, 900.0, 1020.0, -20.0)]
+    trees = [(500.0, y, 1.2, 4.0) for y in (150.0, 420.0, 700.0, -20.0)]
+    lights = [(x, 500.0, 0.1, 3.0) for x in (100.0, 500.0, 900.0, 1020.0, -20.0)]
     geom = LayoutGeometry(_layout(buildings, trees, lights))
     assert geom.index.grid.gdim == 1
     rng = np.random.default_rng(7)
     # one link through the middle of each disc and beyond it
-    ends = [500.0, 50.0] + 1.1 * (np.array([(o.x, o.y) for o in (*trees, *lights)]) - [500.0, 50.0])
+    ends = [500.0, 50.0] + 1.1 * (np.array([(x, y) for x, y, *_ in trees + lights]) - [500.0, 50.0])
     gu = np.concatenate([rng.uniform(-50.0, SIDE + 50.0, (300, 2)), ends])
     _assert_kernel_matches_dense(geom, (500.0, 50.0), gu)
     crossed = geom._critical_points((500.0, 50.0), gu, 1.5)
