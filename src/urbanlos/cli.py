@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -342,20 +341,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     VegetationParams(f_ghz=config["freq_ghz"])  # fit's carrier rule, checked before the run
 
     densities = config["densities"] or ()
-    layout_digest = hashlib.sha256()  # as layouts_hash, one city at a time
-    views = run_simulation(
-        params,
-        gen,
-        sweep,
-        scenarios,
-        densities,
-        on_layout=lambda layout: layout_digest.update(layout_json(layout).encode()),
-    )
+    layouts = []
+    views = run_simulation(params, gen, sweep, scenarios, densities, on_layout=layouts.append)
     run_dir.mkdir(parents=True, exist_ok=True)  # only once the run has succeeded
     for scenario in scenarios:
         curve, stats = views[scenario.name]
-        write_counts_csv(run_dir / f"angles_{scenario.name}.csv", ANGLE_KEY, curve)
-        write_counts_csv(run_dir / f"distance_{scenario.name}.csv", DISTANCE_KEY, stats)
+        write_counts_csv(run_dir / f"angles_{scenario.name}.csv", curve)
+        write_counts_csv(run_dir / f"distance_{scenario.name}.csv", stats)
     delta = None
     if len(scenarios) >= 2:
         a, b = scenarios[0].name, scenarios[1].name
@@ -363,7 +355,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         delta = mean_abs_delta_p_los(curve_a, curve_b)
         write_delta_csv(run_dir / f"delta_{a}_vs_{b}.csv", curve_a, curve_b)
     for k in densities:
-        write_counts_csv(run_dir / f"density_{k}.csv", ANGLE_KEY, views[f"density_{k}"][0])
+        write_counts_csv(run_dir / f"density_{k}.csv", views[f"density_{k}"][0])
 
     write_manifest(
         run_dir / "manifest.json",
@@ -371,7 +363,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "kind": "simulate",
             "config": config,
             "config_hash": run_dir.name,
-            "layout_hash": layout_digest.hexdigest(),
+            "layout_hash": layouts_hash(layouts),
             "n_samples": sweep.n_cities * gen.n_gu * len(sweep.angles),
             "scenarios": [s.name for s in scenarios],
             "mean_abs_delta_p_los": delta,
@@ -450,7 +442,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     curve = read_counts_csv(run_dir / f"angles_{WITH_TREES.name}.csv", ANGLE_KEY)
     tables["report_tree_nlos_vs_theta.csv"] = (
         ["theta_deg", "p_nlos_t", "n"],
-        list(zip(curve.keys, (float(v) for v in curve.p_nlos_t), (int(v) for v in curve.n))),
+        list(zip(curve.keys, curve.p_nlos_t.tolist(), curve.n.tolist())),
     )
 
     # density sweep, when the simulate run made one
@@ -458,8 +450,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         rows = []
         for density in densities:
             curve = read_counts_csv(run_dir / f"density_{density}.csv", ANGLE_KEY)
-            for theta, p_los, n in zip(curve.keys, curve.p_los, curve.n):
-                rows.append((density, theta, float(p_los), int(n)))
+            for theta, p_los, n in zip(curve.keys, curve.p_los.tolist(), curve.n.tolist()):
+                rows.append((density, theta, p_los, n))
         tables["report_density.csv"] = (["density", "theta_deg", "p_los", "n"], rows)
 
     # composite PL against elevation angle at a fixed 100 m ABS altitude

@@ -54,6 +54,10 @@ class LinkClass(Enum):
     NLOS_LIGHT = "nlos_s"
 
 
+#: Obstacle families in precedence order: the kind a hit names, the class of a link it blocks.
+FAMILIES = (("building", LinkClass.NLOS_BUILDING), ("tree", LinkClass.NLOS_TREE), ("streetlight", LinkClass.NLOS_LIGHT))
+
+
 @dataclass(frozen=True)
 class Link:
     """One ABS-GU geometry: ground endpoints plus endpoint heights."""
@@ -260,9 +264,8 @@ class LayoutGeometry:
         the highest ABS altitude to clear the obstacle), the profile height
         there and the critical altitude; every view below reads it. For L
         links sharing one ABS position returns one family per entry in
-        precedence order (buildings, trees, lights), each as flat parallel
-        arrays (link row, obstacle index, u_crit, profile, alt) over the
-        crossed pairs only, row-major.
+        FAMILIES order, each as flat parallel arrays (link row, obstacle
+        index, u_crit, profile, alt) over the crossed pairs only, row-major.
         """
         ax, ay = abs_xy
         dx, dy = gu_xy[:, 0] - ax, gu_xy[:, 1] - ay
@@ -329,7 +332,7 @@ class LayoutGeometry:
         families = self._critical_points(link.abs_xy, np.array([link.gu_xy]), link.h_gu)
         g = link.ground_distance
         hits: list[ObstructionHit] = []
-        for kind, (_, *pairs) in zip(("building", "tree", "streetlight"), families):
+        for (kind, _), (_, *pairs) in zip(FAMILIES, families):
             for i, u, prof, alt in zip(*(a.tolist() for a in pairs)):
                 r_i = u * g
                 hits.append(
@@ -346,21 +349,14 @@ class LayoutGeometry:
         return hits
 
     def classify(self, link: Link) -> LinkClass:
-        """Building > tree > streetlight precedence over blocking obstacles."""
+        """The FAMILIES precedence over blocking obstacles."""
         return classify_hits(self.crossings(link))
 
 
 def classify_hits(hits: list[ObstructionHit]) -> LinkClass:
     """Link class of one link's crossings: the first blocking family in
-    building > tree > streetlight order, else LoS. A family blocks at h_abs
-    iff h_abs is at most its largest critical altitude, that is iff one of
-    its hits blocks."""
+    FAMILIES order, else LoS. A family blocks at h_abs iff h_abs is at
+    most its largest critical altitude, that is iff one of its hits
+    blocks."""
     blocking = {hit.kind for hit in hits if hit.blocks}
-    for kind, link_class in (
-        ("building", LinkClass.NLOS_BUILDING),
-        ("tree", LinkClass.NLOS_TREE),
-        ("streetlight", LinkClass.NLOS_LIGHT),
-    ):
-        if kind in blocking:
-            return link_class
-    return LinkClass.LOS
+    return next((c for kind, c in FAMILIES if kind in blocking), LinkClass.LOS)

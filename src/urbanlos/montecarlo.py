@@ -13,9 +13,9 @@ build, with its own users and ABS position.
 
 Counts are accumulated as integers and divided once at the end, so the
 reduction is independent of city evaluation order. Every result is one
-ClassCounts table: per elevation angle, or per non-empty 3-D distance
-bin with the bin's mean distance; outputs writes it to its CSV and reads
-it back.
+ClassCounts table, a read-only (rows, 4) count matrix: per elevation
+angle, or per non-empty 3-D distance bin with the bin's mean distance;
+outputs writes it to its CSV and reads it back.
 """
 
 from __future__ import annotations
@@ -99,35 +99,36 @@ class SweepConfig:
             raise ParameterError(f"fixed_altitude_m must be > 0, got {self.fixed_altitude_m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassCounts:
     """Class counts per row of a table, and the probabilities they give.
 
     keys are the elevation angles in degrees of a P_LoS curve, or the 3-D
     distance-bin centres in metres of a distance table (non-empty bins
-    only). Only distance tables carry mean_d, the mean 3-D distance of
-    each bin. Rows with no samples read probability 0.
+    only); counts is their read-only (rows, 4) int64 matrix in class-code
+    order. Only distance tables carry mean_d, the mean 3-D distance of
+    each bin. Rows with no samples read probability 0. Tables are values:
+    equal when their keys, counts and mean_d are.
     """
 
     keys: tuple[float, ...]
-    los: tuple[int, ...]
-    nlos_b: tuple[int, ...]
-    nlos_t: tuple[int, ...]
-    nlos_s: tuple[int, ...]
+    counts: np.ndarray
     mean_d: tuple[float, ...] | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassCounts):
+            return NotImplemented
+        return (self.keys, self.counts.tolist(), self.mean_d) == (other.keys, other.counts.tolist(), other.mean_d)
 
     @property
     def n(self) -> np.ndarray:
-        return np.sum([self.los, self.nlos_b, self.nlos_t, self.nlos_s], axis=0, dtype=np.int64)
+        return self.counts.sum(axis=1)
 
     @property
     def p(self) -> np.ndarray:
         """(rows, 4) class probabilities in class-code order."""
         n = self.n[:, None]
-        out = np.zeros((n.shape[0], 4))
-        counts = np.array([self.los, self.nlos_b, self.nlos_t, self.nlos_s], dtype=float).T
-        np.divide(counts, n, out=out, where=n > 0)
-        return out
+        return np.divide(self.counts, n, out=np.zeros(self.counts.shape), where=n > 0)
 
     @property
     def p_los(self) -> np.ndarray:
@@ -147,14 +148,12 @@ class ClassCounts:
 
 
 def class_counts(keys, counts, mean_d=None) -> ClassCounts:
-    """The table of keys, their (rows, 4) counts in class-code order and,
-    for a distance table, their mean distances."""
-    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
-    return ClassCounts(
-        tuple(float(k) for k in keys),
-        *(tuple(int(v) for v in counts[:, c]) for c in (LOS, NLOS_B, NLOS_T, NLOS_S)),
-        mean_d=None if mean_d is None else tuple(float(v) for v in mean_d),
-    )
+    """The table of keys, a read-only copy of their (rows, 4) counts in
+    class-code order and, for a distance table, their mean distances."""
+    counts = np.array(counts, dtype=np.int64).reshape(-1, 4)
+    counts.flags.writeable = False
+    mean_d = None if mean_d is None else tuple(float(v) for v in mean_d)
+    return ClassCounts(tuple(float(k) for k in keys), counts, mean_d)
 
 
 def _classify_matrix(

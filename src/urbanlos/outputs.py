@@ -6,9 +6,9 @@ byte-for-byte. Floats are written with shortest-roundtrip repr so
 identical results always serialize to identical bytes.
 
 This module owns the count CSV both ways: write_counts_csv writes a
-ClassCounts table and read_counts_csv rebuilds it, so reading a count
-CSV and writing it again gives the same bytes, and a file that holds no
-such table fails loudly.
+ClassCounts table under the key column its kind decides and
+read_counts_csv rebuilds it, so reading a count CSV and writing it again
+gives the same bytes, and a file that holds no such table fails loudly.
 """
 
 from __future__ import annotations
@@ -46,19 +46,18 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_counts_csv(path: Path, key_column: str, table: ClassCounts) -> None:
+def write_counts_csv(path: Path, table: ClassCounts) -> None:
     """Write table as key, one probability per class, n and, for a
-    distance table, mean_d_m."""
-    header = [key_column, *P_COLUMNS, "n"]
+    distance table (one with mean_d), mean_d_m."""
     columns = [table.keys, *table.p.T.tolist(), table.n.tolist()]
-    if key_column == DISTANCE_KEY:
-        header.append("mean_d_m")
-        columns.append(table.mean_d)
-    write_csv(path, header, zip(*columns))
+    if table.mean_d is None:
+        write_csv(path, [ANGLE_KEY, *P_COLUMNS, "n"], zip(*columns))
+    else:
+        write_csv(path, [DISTANCE_KEY, *P_COLUMNS, "n", "mean_d_m"], zip(*columns, table.mean_d))
 
 
 def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
-    """The table write_counts_csv wrote to path under key_column.
+    """The table write_counts_csv wrote to path, of key_column's kind.
 
     Each class count comes back as round(p * n). A missing or non-finite
     cell, products farther than 1e-6 from a nonnegative integer, or counts

@@ -24,7 +24,7 @@ from urbanlos.montecarlo import (
     run_scenarios,
 )
 from urbanlos.oracle import check_links, random_links
-from urbanlos.outputs import ANGLE_KEY, write_counts_csv
+from urbanlos.outputs import write_counts_csv
 from urbanlos.pathloss import (
     VegGeometry,
     VegetationParams,
@@ -302,8 +302,8 @@ def test_seeded_run_reproduction(env_results, tmp_path):
     )
     a_path = tmp_path / "a.csv"
     b_path = tmp_path / "b.csv"
-    write_counts_csv(a_path, ANGLE_KEY, env_results["urban"]["full"][0])
-    write_counts_csv(b_path, ANGLE_KEY, rerun["full"][0])
+    write_counts_csv(a_path, env_results["urban"]["full"][0])
+    write_counts_csv(b_path, rerun["full"][0])
     identical = a_path.read_bytes() == b_path.read_bytes()
     _report(
         "seeded byte-identical reproduction",

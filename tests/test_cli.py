@@ -16,7 +16,7 @@ from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
 from urbanlos.geometry import LayoutGeometry, LinkClass
 from urbanlos.montecarlo import SweepConfig, tree_density_sweep
-from urbanlos.outputs import ANGLE_KEY, layouts_hash, read_csv_dicts, write_counts_csv
+from urbanlos.outputs import layouts_hash, read_csv_dicts, write_counts_csv
 
 SIM_ARGS = [
     "simulate",
@@ -414,7 +414,7 @@ def test_shared_build_matches_separate_builds(plain_run, tmp_path, densities):
     curves = tree_density_sweep(PRESETS["urban"], gen, sweep, densities) if densities else {}
     assert sorted(p.name for p in run.glob("density_*.csv")) == sorted(f"density_{k}.csv" for k in curves)
     for k, curve in curves.items():
-        write_counts_csv(tmp_path / "direct.csv", ANGLE_KEY, curve)
+        write_counts_csv(tmp_path / "direct.csv", curve)
         assert (run / f"density_{k}.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 

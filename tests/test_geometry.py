@@ -24,13 +24,16 @@ from urbanlos.citygen import (
 )
 from urbanlos.errors import DegenerateLinkError, ParameterError
 from urbanlos.geometry import (
+    FAMILIES,
     LayoutGeometry,
     Link,
     LinkClass,
     blockage_height,
     tree_height_at,
 )
+from urbanlos.montecarlo import LOS, NLOS_B, NLOS_S, NLOS_T
 from urbanlos.oracle import check_links, classify_link_bruteforce, obstacle_families, random_links
+from urbanlos.outputs import P_COLUMNS
 
 URBAN = PRESETS["urban"]
 
@@ -396,6 +399,7 @@ SUB_STEP_LINKS = [
     ("high_rise", 3000, 178),
     ("high_rise", 7, 796),
     ("dense_urban", 3000, 88),
+    ("high_rise", 37, 132),
 ]
 
 
@@ -412,12 +416,22 @@ def test_oracle_sees_sub_step_dip_at_fine_step(env, seed, index):
     assert geom.classify(link) is brute.link_class is LinkClass.NLOS_BUILDING
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 1 cm oracle misses a sub-step roof dip")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the 1 cm oracle misses a sub-step roof dip")
 @pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
 def test_oracle_sees_sub_step_dip_at_default_step(env, seed, index):
     _, geom, link = _sub_step_link(env, seed, index)
     [(_, fast, brute)] = check_links(geom, [link])
     assert fast is brute.link_class
+
+
+def test_one_class_order_everywhere():
+    """The CSV probability columns, the sweep's class codes, the analytic
+    family precedence and the oracle's family list name the classes in
+    one order."""
+    assert P_COLUMNS == tuple(f"p_{c.value}" for c in LinkClass)
+    assert (LOS, NLOS_B, NLOS_T, NLOS_S) == (0, 1, 2, 3)
+    assert [c for _, c in FAMILIES] == list(LinkClass)[1:]
+    assert tuple((kind, c) for kind, c, *_ in obstacle_families(_fixture_layout())) == FAMILIES
 
 
 def _full_walk(link, families, step):

@@ -18,7 +18,7 @@ import pytest
 from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_city, sample_open_point
 from urbanlos.cli import main
 from urbanlos.geometry import LayoutGeometry, Link
-from urbanlos.montecarlo import ClassCounts
+from urbanlos.montecarlo import class_counts
 from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv
 from urbanlos.pathloss import VegetationParams, composite_bins, pl_vs_theta
 
@@ -89,27 +89,22 @@ def test_count_csv_round_trip(golden_run, tmp_path, prefix, key_column):
     paths = sorted(golden_run.glob(f"{prefix}_*.csv"))
     assert paths
     for path in paths:
-        write_counts_csv(tmp_path / path.name, key_column, read_counts_csv(path, key_column))
+        write_counts_csv(tmp_path / path.name, read_counts_csv(path, key_column))
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_pathloss_golden():
     """Composite rows with tree-blocked mass: vegetation keyed by distance
     bin index and by angle index, theta = 0 dropped, a non-default h_gu."""
-    stats = ClassCounts(
-        keys=(25.0, 125.0, 175.0, 975.0, 5025.0),
-        los=(5, 3, 0, 1, 0),
-        nlos_b=(0, 4, 2, 6, 7),
-        nlos_t=(2, 1, 3, 0, 2),
-        nlos_s=(1, 0, 1, 1, 0),
+    stats = class_counts(
+        (25.0, 125.0, 175.0, 975.0, 5025.0),
+        # los, nlos_b, nlos_t, nlos_s per row
+        [(5, 0, 2, 1), (3, 4, 1, 0), (0, 2, 3, 1), (1, 6, 0, 1), (0, 7, 2, 0)],
         mean_d=(0.0,) * 5,
     )
-    curve = ClassCounts(
-        keys=(0.0, 1.0, 30.0, 89.0, 90.0),
-        los=(0, 1, 4, 8, 9),
-        nlos_b=(9, 5, 2, 0, 0),
-        nlos_t=(0, 3, 2, 1, 0),
-        nlos_s=(0, 0, 1, 0, 0),
+    curve = class_counts(
+        (0.0, 1.0, 30.0, 89.0, 90.0),
+        [(0, 9, 0, 0), (1, 5, 3, 0), (4, 2, 2, 1), (8, 0, 1, 0), (9, 0, 0, 0)],
     )
     digest = hashlib.sha256()
     digest.update(repr(composite_bins(stats, params=VegetationParams(f_ghz=28.0), seed=4)).encode())

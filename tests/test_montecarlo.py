@@ -11,15 +11,19 @@ from urbanlos.montecarlo import (
     BUILDINGS_ONLY,
     DISTANCE_BIN_M,
     FULL,
+    LOS,
+    NLOS_B,
     SCENARIOS,
     WITH_TREES,
     SweepConfig,
+    class_counts,
     mean_abs_delta_p_los,
     parse_scenario,
     run_scenarios,
     run_simulation,
     tree_density_sweep,
 )
+from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv
 
 URBAN = PRESETS["urban"]
 SMALL_SWEEP = SweepConfig(n_cities=2)
@@ -97,14 +101,48 @@ def test_scenarios_are_paired(small_results):
     assert np.all(curve_b.p_los >= curve_t.p_los - 1e-15)
     assert np.all(curve_t.p_los >= curve_f.p_los - 1e-15)
     # building-blocked counts are identical across scenarios by construction
-    assert curve_b.nlos_b == curve_t.nlos_b == curve_f.nlos_b
+    nlos_b = [curve.counts[:, NLOS_B].tolist() for curve in (curve_b, curve_t, curve_f)]
+    assert nlos_b[0] == nlos_b[1] == nlos_b[2]
 
 
 def test_top_angle_is_los_maximum(small_results):
     curve = small_results["full"][0]
-    los = np.array(curve.los)
+    los = curve.counts[:, LOS]
     assert los[-1] == los.max()
     assert np.all(np.diff(los) >= 0)
+
+
+def test_count_table_is_a_read_only_value(small_results, tmp_path):
+    """A sweep's tables and a table read back from CSV hold read-only
+    counts; class_counts copies its input, and tables compare by value."""
+    curve, stats = small_results["full"]
+    write_counts_csv(tmp_path / "angles.csv", curve)
+    for table in (curve, stats, read_counts_csv(tmp_path / "angles.csv", ANGLE_KEY)):
+        with pytest.raises(ValueError):
+            table.counts[0, 0] = 0
+    keys, counts, mean_d = (1.0, 2.0), np.array([(1, 2, 3, 4), (5, 6, 7, 8)]), (10.0, 20.0)
+    table = class_counts(keys, counts, mean_d)
+    counts[0, 0] = 9
+    assert table.counts[0, 0] == 1
+    assert table == class_counts([1, 2], [(1, 2, 3, 4), (5, 6, 7, 8)], [10, 20])
+    assert table != class_counts((1.0, 3.0), table.counts, mean_d)
+    assert table != class_counts(keys, [(1, 2, 3, 4), (5, 6, 7, 9)], mean_d)
+    assert table != class_counts(keys, table.counts, (10.0, 21.0))
+    assert table != class_counts(keys, table.counts)
+
+
+def test_count_csv_header_follows_the_table(small_results, tmp_path):
+    """An angle table is written under theta_deg without mean_d_m, a
+    distance table under bin_center_m with mean_d_m last."""
+    curve, stats = small_results["full"]
+    probabilities = "p_los,p_nlos_b,p_nlos_t,p_nlos_s,n"
+    for table, key, header in (
+        (curve, ANGLE_KEY, f"theta_deg,{probabilities}"),
+        (stats, DISTANCE_KEY, f"bin_center_m,{probabilities},mean_d_m"),
+    ):
+        write_counts_csv(tmp_path / "table.csv", table)
+        assert (tmp_path / "table.csv").read_text().splitlines()[0] == header
+        assert read_counts_csv(tmp_path / "table.csv", key) == table
 
 
 def test_streetlight_delta_identity(small_results):
@@ -162,7 +200,8 @@ def test_fixed_altitude_policy(small_gen):
     )
     curve, stats = run_scenarios(URBAN, small_gen, sweep, [FULL])["full"]
     # altitude does not vary with angle, so every column is identical
-    assert curve.los[0] == curve.los[1] == curve.los[2]
+    los = curve.counts[:, LOS]
+    assert los[0] == los[1] == los[2]
     assert max(stats.keys) < 1600.0
 
 

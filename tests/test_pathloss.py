@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanlos.errors import AggregationError, ParameterError
-from urbanlos.montecarlo import ClassCounts
+from urbanlos.montecarlo import class_counts
 from urbanlos.pathloss import (
     VegGeometry,
     VegetationParams,
@@ -272,13 +272,7 @@ def test_fit_rank_deficient():
 def _curve(theta_list, p_los_list):
     n = 1000
     los = [int(round(p * n)) for p in p_los_list]
-    return ClassCounts(
-        keys=tuple(theta_list),
-        los=tuple(los),
-        nlos_b=tuple(n - v for v in los),
-        nlos_t=(0,) * len(los),
-        nlos_s=(0,) * len(los),
-    )
+    return class_counts(theta_list, [(v, n - v, 0, 0) for v in los])
 
 
 def test_pl_vs_theta_distances():
