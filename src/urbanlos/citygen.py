@@ -40,8 +40,8 @@ STREAM_ABS = 4
 
 RETRY_LIMIT = 10_000
 
-# CellGrid widens every box by this, so that rounding in a cell lookup or
-# a segment walk never drops a footprint an exact test would find.
+# CellGrid and place_buildings widen every box by this, so that rounding in a
+# cell lookup or segment walk never drops a footprint an exact test would find.
 GRID_PAD = 1e-6  # m
 
 SHAPE_FACTOR_LOW = 0.5
@@ -203,11 +203,23 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - (counts.cumsum() - counts).repeat(counts)
 
 
+def cells_under(cells: list[list[int]], side: float, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
+    """The lists of cells, a CellGrid's numbering over side, that the box
+    [x0, x1] x [y0, y1] meets."""
+    g = math.isqrt(len(cells))
+    s, top = g / side, g - 1
+    i0, i1 = int(min(max(x0 * s, 0.0), top)), int(min(max(x1 * s, 0.0), top))
+    j0, j1 = int(min(max(y0 * s, 0.0), top)), int(min(max(y1 * s, 0.0), top)) + 1
+    return [c for i in range(i0 * g, i1 * g + 1, g) for c in cells[i + j0 : i + j1]]
+
+
 class CellGrid:
-    """Uniform gdim x gdim cell table over the city square, each item in every
-    cell its box, widened by GRID_PAD, meets. Cell (i, j), i along x, is
-    number i * gdim + j, so a column's cells are consecutive; points beyond
-    the city fall into the border cells."""
+    """Uniform gdim x gdim cell table over the city square, built once from
+    all its boxes: each item in every cell its box, widened by GRID_PAD,
+    meets. Cell (i, j), i along x, is number i * gdim + j, so a column's
+    cells are consecutive; points beyond the city fall into the border
+    cells. place_buildings, which adds one building at a time, keeps lists
+    of its own on the same numbering (cells_under)."""
 
     def __init__(self, side: float, gdim: int, boxes: np.ndarray):
         """boxes: (N, 4) rows (x0, y0, x1, y1), registered as items 0..N-1."""
@@ -218,8 +230,6 @@ class CellGrid:
         order = np.argsort(cell, kind="stable")
         # the segment table: cell c holds items[start[c]:start[c + 1]]
         self.items, self.start = item[order], np.searchsorted(cell[order], np.arange(gdim * gdim + 1))
-        flat, bounds = self.items.tolist(), self.start.tolist()
-        self.cells = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def cells_of(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(v * self.scale, 0.0), self.gdim - 1).astype(np.intp)
@@ -238,18 +248,6 @@ class CellGrid:
         lo = self.start[cell]
         run, k = _ragged(self.start[cell + 1] - lo)
         return box[run], self.items[lo[run] + k]
-
-    def cells_under(self, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
-        """The cells that the box [x0, x1] x [y0, y1] meets."""
-        g, s, top, cells = self.gdim, self.scale, self.gdim - 1, self.cells
-        i0, i1 = int(min(max(x0 * s, 0.0), top)), int(min(max(x1 * s, 0.0), top))
-        j0, j1 = int(min(max(y0 * s, 0.0), top)), int(min(max(y1 * s, 0.0), top)) + 1
-        return [c for i in range(i0 * g, i1 * g + 1, g) for c in cells[i + j0 : i + j1]]
-
-    def add(self, item: int, x0: float, y0: float, x1: float, y1: float) -> None:
-        """Register one more item in the cells under (not for segment_pairs)."""
-        for cell in self.cells_under(x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
-            cell.append(item)
 
     def segment_pairs(self, ax: float, ay: float, bx, by) -> tuple[np.ndarray, np.ndarray]:
         """(row, item) of the items in the cells that the segment from
@@ -280,10 +278,11 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
     The grid has ceil(sqrt(n))^2 blocks; a random subset of n blocks each
     receives one building, jittered inside its block when the footprint
     fits and block-centered (spilling into the street) otherwise, with
-    overlap rejection. Long-and-thin shape draws can exceed the block
-    size, so a jammed block falls back to a uniform free position for the
-    second half of the retry budget before generation is declared
-    infeasible."""
+    overlap rejection against the buildings placed so far, which it keeps
+    in one growing list per block (the CellGrid numbering, cells_under).
+    Long-and-thin shape draws can exceed the block size, so a jammed block
+    falls back to a uniform free position for the second half of the retry
+    budget before generation is declared infeasible."""
     n = building_count(params, config.area)
     if n == 0:
         return table((), BUILDING)
@@ -302,7 +301,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
         c = uniform(lo + dim / 2.0, lo + block - dim / 2.0) if dim <= block else lo + block / 2.0
         return min(max(c, dim / 2.0), side - dim / 2.0)  # and always inside the city
 
-    grid = CellGrid(side, gdim, np.empty((0, 4)))  # the buildings placed so far
+    cells = [[] for _ in range(gdim * gdim)]  # the buildings placed so far, per CellGrid cell
     boxes, buildings = [], []  # (x0, y0, x1, y1) and the BUILDING row of each
     for i, blk in enumerate(blocks):
         bx, by = float(blk % gdim) * block, float(blk // gdim) * block
@@ -319,13 +318,14 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
             x0, y0 = cx - w / 2.0, cy - l / 2.0
             x1, y1 = x0 + w, y0 + l
             # Strict interior overlap; shared edges are allowed.
-            for k in [k for cell in grid.cells_under(x0, y0, x1, y1) for k in cell]:
+            for k in [k for cell in cells_under(cells, side, x0, y0, x1, y1) for k in cell]:
                 b = boxes[k]
                 if x0 < b[2] and x1 > b[0] and y0 < b[3] and y1 > b[1]:
                     break
             else:
                 h = rayleigh_icdf(params.gamma, uniform(0.0, 1.0))
-                grid.add(i, x0, y0, x1, y1)
+                for cell in cells_under(cells, side, x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
+                    cell.append(i)
                 boxes.append((x0, y0, x1, y1))
                 buildings.append((x0, y0, w, l, h))
                 break
@@ -509,18 +509,15 @@ def generate_obstacles(params: BuiltUpParams, config: GenConfig, city_index: int
     return CityLayout(params=params, config=config, buildings=buildings, trees=trees, lights=lights, users=users)
 
 
-def add_users(
-    city: CityLayout, n_trees: int, city_index: int, index: FootprintIndex | None = None
-) -> CityLayout:
+def add_users(city: CityLayout, n_trees: int, city_index: int) -> CityLayout:
     """The user half of :func:`generate_city`: city cut to its first
     n_trees trees, as if generated with n_trees, and its users placed
-    around them. index, when given, is the cut city's FootprintIndex,
-    which the caller keeps for its link geometry."""
+    around them, tested against the FootprintIndex of the cut city."""
     if not 0 <= n_trees <= len(city.trees):
         raise ParameterError(f"n_trees must be in [0, {len(city.trees)}], got {n_trees}")
     config = replace(city.config, n_trees=n_trees)
     trees = city.trees[:n_trees]
-    index = index or FootprintIndex(city.buildings, trees, city.lights, config.side)
+    index = FootprintIndex(city.buildings, trees, city.lights, config.side)
     users = place_users(index, config, city_rng(config.seed, city_index, STREAM_USERS))
     return replace(city, config=config, trees=trees, users=users)
 

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .citygen import PRESETS, BuiltUpParams, GenConfig, generate_city, layout_json
 from .errors import InfeasibleLayoutError, MissingInputError, ParameterError, UrbanLosError
@@ -218,13 +217,16 @@ def read_config(path: Path | None) -> dict:
         _put(config, key, copy.deepcopy(default))
     if path is None:
         return config
+    if path.suffix == ".json":  # YAML 1.1 reads JSON's exponent form (1e-05) as a string
+        parse, parse_error = json.loads, json.JSONDecodeError
+    else:  # PyYAML is imported only when a YAML file is read
+        import yaml
+        parse, parse_error = yaml.safe_load, yaml.YAMLError
     try:
-        text = path.read_text(encoding="utf-8")
-        # YAML 1.1 reads JSON's exponent form (1e-05) as a string
-        doc = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+        doc = parse(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise MissingInputError(f"cannot read config file {path}: {exc.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as exc:
+    except (UnicodeDecodeError, parse_error) as exc:
         raise ParameterError(f"config file {path} does not parse: {exc}") from None
     manifest = isinstance(doc, dict) and "config_hash" in doc
     if manifest:

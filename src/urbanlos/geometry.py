@@ -246,12 +246,12 @@ def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
 
 
 class LayoutGeometry:
-    """Crossing and blockage analysis against one fixed layout."""
+    """Crossing and blockage analysis against one fixed layout, through the
+    FootprintIndex built from its tables."""
 
-    def __init__(self, layout: CityLayout, index: FootprintIndex | None = None):
-        """index, when given, is the caller's FootprintIndex of layout."""
+    def __init__(self, layout: CityLayout):
         self.layout = layout
-        self.index = index or FootprintIndex(layout.buildings, layout.trees, layout.lights, layout.side)
+        self.index = FootprintIndex(layout.buildings, layout.trees, layout.lights, layout.side)
 
     # -- batched crossing analysis -------------------------------------
 

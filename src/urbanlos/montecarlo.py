@@ -30,7 +30,6 @@ from .citygen import (
     STREAM_ABS,
     BuiltUpParams,
     CityLayout,
-    FootprintIndex,
     GenConfig,
     add_users,
     city_rng,
@@ -171,12 +170,11 @@ def _city_worker(
     sweep: SweepConfig,
     scenarios: Sequence[Scenario],
     city_index: int,
-    index: FootprintIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d
-    sums. index, when given, is the layout's FootprintIndex."""
+    sums. The ABS draw and the kernel read the layout's LayoutGeometry."""
     gen = layout.config
-    geom = LayoutGeometry(layout, index)
+    geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
     ax, ay = sample_open_point(geom.index, abs_rng, what="abs")
 
@@ -236,12 +234,10 @@ def _run_passes(
     for city_index in range(sweep.n_cities):
         city = generate_obstacles(params, most_trees, city_index)
         for k, (n_trees, scenarios) in enumerate(passes):
-            # one index serves the users, the ABS draw and the kernel
-            index = FootprintIndex(city.buildings, city.trees[:n_trees], city.lights, city.side)
-            layout = add_users(city, n_trees, city_index, index)
+            layout = add_users(city, n_trees, city_index)
             if k == 0 and on_layout is not None:
                 on_layout(layout)
-            counts = _city_worker(layout, sweep, scenarios, city_index, index)
+            counts = _city_worker(layout, sweep, scenarios, city_index)
             if city_index == 0:
                 totals.append(counts)
             else:

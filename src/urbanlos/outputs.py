@@ -2,8 +2,9 @@
 
 Every run directory is keyed by a hash of its fully resolved
 configuration and carries a manifest sufficient to reproduce the run
-byte-for-byte. Floats are written with shortest-roundtrip repr so
-identical results always serialize to identical bytes.
+byte-for-byte. The csv module writes each cell as str, which for a
+float (Python or numpy) is the shortest round-trip repr, so identical
+results always serialize to identical bytes.
 
 This module owns the count CSV both ways: write_counts_csv writes a
 ClassCounts table under the key column its kind decides and
@@ -32,18 +33,11 @@ P_COLUMNS = ("p_los", "p_nlos_b", "p_nlos_t", "p_nlos_s")
 FITS_CSV_COLUMNS = ["environment", "scenario", "A_dB", "B", "rmse_dB", "n"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_counts_csv(path: Path, table: ClassCounts) -> None:

@@ -3,20 +3,24 @@ byte-identical reproduction from manifests."""
 
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import urbanlos
 from urbanlos import citygen, oracle
 from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
 from urbanlos.geometry import LayoutGeometry, LinkClass
 from urbanlos.montecarlo import SweepConfig, tree_density_sweep
-from urbanlos.outputs import layouts_hash, read_csv_dicts, write_counts_csv
+from urbanlos.outputs import layouts_hash, read_csv_dicts, write_counts_csv, write_csv
 
 SIM_ARGS = [
     "simulate",
@@ -203,6 +207,19 @@ def test_malformed_config_file_exit(tmp_path, capsys):
         assert code == 1
         assert name in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    """PyYAML is imported only when a YAML config file is read."""
+    src = str(Path(urbanlos.__file__).parents[1])
+    code = "import sys, urbanlos.cli; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
+def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [(np.float64(0.1), 0.1, 3)])
+    assert read_csv_dicts(path) == [{"a": "0.1", "b": "0.1", "c": "3"}]
 
 
 def test_manifest_replays_exponent_form_reals(tmp_path):

@@ -19,6 +19,7 @@ from urbanlos.citygen import (
     CityLayout,
     FootprintIndex,
     GenConfig,
+    cells_under,
     table,
 )
 from urbanlos.geometry import LayoutGeometry, _disc_chords, _rect_chords, _required_altitude, link_maxima
@@ -139,15 +140,18 @@ def test_disc_is_free_matches_dense(crowded_layout):
 
 
 def test_building_overlap_matches_dense(urban_layout):
-    """place_buildings' overlap test: boxes registered one by one with add,
-    then the strict-overlap test on the items under a query box."""
+    """place_buildings' overlap test: boxes registered one by one in
+    per-cell lists through cells_under, padded by GRID_PAD, then the
+    strict-overlap test on the items under a query box."""
     rects = _rects(urban_layout)
     gdim = FootprintIndex(urban_layout.buildings, NO_DISCS, NO_DISCS, SIDE).grid.gdim
-    grid = CellGrid(SIDE, gdim, np.empty((0, 4)))
+    cells = [[] for _ in range(gdim * gdim)]
     for i, (x0, y0, x1, y1) in enumerate(rects.tolist()):
-        grid.add(i, x0, y0, x1, y1)
-    # one registration rule: the incremental grid equals the one built at once
-    assert grid.cells == CellGrid(SIDE, gdim, rects).cells
+        for cell in cells_under(cells, SIDE, x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
+            cell.append(i)
+    # one registration rule: the incremental lists equal the segment table built at once
+    bulk = CellGrid(SIDE, gdim, rects)
+    assert cells == [bulk.items[bulk.start[c] : bulk.start[c + 1]].tolist() for c in range(gdim * gdim)]
     xs, ys = _sample_points(urban_layout, gdim, 4000, seed=4)
     rng = np.random.default_rng(5)
     w, h = rng.choice([0.0, 5.0, 40.0], xs.size), rng.choice([0.0, 5.0, 40.0], xs.size)
@@ -158,7 +162,7 @@ def test_building_overlap_matches_dense(urban_layout):
     h = np.concatenate([h, rects[:, 3] - rects[:, 1], rects[:, 3] - rects[:, 1]])
     got = [
         any(x0 < rects[k, 2] and x0 + ww > rects[k, 0] and y0 < rects[k, 3] and y0 + hh > rects[k, 1]
-            for k in [k for cell in grid.cells_under(x0, y0, x0 + ww, y0 + hh) for k in cell])
+            for k in [k for cell in cells_under(cells, SIDE, x0, y0, x0 + ww, y0 + hh) for k in cell])
         for x0, y0, ww, hh in zip(xs.tolist(), ys.tolist(), w.tolist(), h.tolist())
     ]
     x0, y0, x1, y1 = xs[:, None], ys[:, None], (xs + w)[:, None], (ys + h)[:, None]
