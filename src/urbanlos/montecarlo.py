@@ -5,11 +5,11 @@ uniformly over open space, and each user is evaluated at every elevation
 angle: the ABS altitude follows h = h_gu + g * tan(theta) for the user's
 own ground distance g, capped at a maximum altitude, with the 90 degree
 angle evaluated just below vertical. Per-link critical altitudes make the
-whole angle sweep a set of comparisons, and obstacle families can be
-toggled per scenario after the fact, so paired scenario runs share
-exactly the same cities, users, and ABS positions. The tree-density
-sweep reuses each city's buildings, lights and trees from the same
-build, with its own users and ABS position.
+whole angle sweep a set of comparisons, counted as blockage masks (one
+bit per obstacle family) of which each scenario is a fold, so paired
+scenario runs share exactly the same cities, users, and ABS positions.
+The tree-density sweep reuses each city's buildings, lights and trees
+from the same build, with its own users and ABS position.
 
 Counts are accumulated as integers and divided once at the end, so the
 reduction is independent of city evaluation order. Every result is one
@@ -48,6 +48,8 @@ ALTITUDE_CAP_M = 100_000.0
 DISTANCE_BIN_M = 50.0
 
 LOS, NLOS_B, NLOS_T, NLOS_S = 0, 1, 2, 3
+#: Class of each blockage mask (bit 0 building, 1 tree, 2 light): the lowest set bit's family; 0 is LoS.
+MASK_CLASS = np.array([LOS, NLOS_B, NLOS_T, NLOS_B, NLOS_S, NLOS_B, NLOS_T, NLOS_B])
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,8 @@ class SweepConfig:
             raise ParameterError(
                 f"altitude_policy must be 'per-angle' or 'fixed', got {self.altitude_policy!r}"
             )
-        if self.fixed_altitude_m <= 0.0:
-            raise ParameterError(f"fixed_altitude_m must be > 0, got {self.fixed_altitude_m}")
+        if not 0.0 < self.fixed_altitude_m <= ALTITUDE_CAP_M:
+            raise ParameterError(f"fixed_altitude_m must lie in (0, {ALTITUDE_CAP_M:g}], got {self.fixed_altitude_m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,24 +157,24 @@ def class_counts(keys, counts, mean_d=None) -> ClassCounts:
     return ClassCounts(tuple(float(k) for k in keys), counts, mean_d)
 
 
-def _classify_matrix(
-    h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt_s: np.ndarray
-) -> np.ndarray:
-    """Class codes for an (L, A) altitude matrix: the first family in
-    building > tree > light order whose (L,) critical altitudes reach h_abs.
-    A family left out reads -inf and never blocks."""
-    blocked = [h_abs <= alt[:, None] for alt in (alt_b, alt_t, alt_s)]
-    return np.select(blocked, [NLOS_B, NLOS_T, NLOS_S], LOS)
+def _blockage_masks(h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt_s: np.ndarray) -> np.ndarray:
+    """uint8 blockage masks of an (L, A) altitude matrix: bit i is set where
+    the (L,) critical altitudes of the i-th family in FAMILIES order reach
+    h_abs. A family left out reads -inf and never blocks."""
+    masks = np.zeros(h_abs.shape, dtype=np.uint8)
+    for bit, alt in enumerate((alt_b, alt_t, alt_s)):
+        masks |= np.uint8(1 << bit) * (h_abs <= alt[:, None])
+    return masks
 
 
 def _city_worker(
-    layout: CityLayout,
-    sweep: SweepConfig,
-    scenarios: Sequence[Scenario],
-    city_index: int,
+    layout: CityLayout, sweep: SweepConfig, scenarios: Sequence[Scenario], city_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d
-    sums. The ABS draw and the kernel read the layout's LayoutGeometry."""
+    sums. The ABS draw and the kernel read the layout's LayoutGeometry.
+    Blockage masks are counted once per tree prefix; each scenario folds
+    its prefix's count through MASK_CLASS with the bits of the families it
+    leaves out cleared, so a scenario with no trees reads any prefix."""
     gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
@@ -182,8 +184,6 @@ def _city_worker(
     alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes(
         (ax, ay), gu, gen.h_gu
     )
-    n_users = gu.shape[0]
-    no_lights = np.full(n_users, -np.inf)
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
     angles = np.asarray(sweep.angles)
     if sweep.altitude_policy == "per-angle":
@@ -191,22 +191,22 @@ def _city_worker(
         h_abs = gen.h_gu + g[:, None] * np.tan(np.radians(theta_eff))[None, :]
         h_abs = np.minimum(h_abs, ALTITUDE_CAP_M)
     else:
-        h_abs = np.full((n_users, angles.size), sweep.fixed_altitude_m)
+        h_abs = np.full((len(gu), angles.size), sweep.fixed_altitude_m)
     d = np.hypot(g[:, None], h_abs - gen.h_gu)
     # the bins cover the capped altitude over the city's diagonal
     n_bins = int(math.hypot(ALTITUDE_CAP_M, layout.side * math.sqrt(2.0)) / DISTANCE_BIN_M) + 2
     bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
 
-    # one bincount per view, keyed 4 * angle + class and 4 * bin + class
-    angle_key = 4 * np.arange(angles.size)
-    angle_counts = np.zeros((len(scenarios), angles.size, 4), dtype=np.int64)
-    dist_counts = np.zeros((len(scenarios), n_bins, 4), dtype=np.int64)
-    for vi, scenario in enumerate(scenarios):
-        keep = slice(None) if scenario.tree_limit is None else t_idx < scenario.tree_limit
-        alt_t = link_maxima(n_users, t_link[keep], t_alt[keep])
-        cls = _classify_matrix(h_abs, alt_b, alt_t, alt_s if scenario.lights else no_lights)
-        angle_counts[vi] = np.bincount((angle_key + cls).ravel(), minlength=4 * angles.size).reshape(-1, 4)
-        dist_counts[vi] = np.bincount((4 * bins + cls).ravel(), minlength=4 * n_bins).reshape(-1, 4)
+    # each prefix's masks, counted keyed 8 * angle + mask and 8 * bin + mask, fold at once into its views
+    kept_bits = np.array([1 | 2 * (s.tree_limit != 0) | 4 * s.lights for s in scenarios])
+    folds = np.eye(4, dtype=np.int64)[MASK_CLASS[np.arange(8) & kept_bits[:, None]]]  # (views, 8 masks, 4 classes)
+    angle_counts, dist_counts = (np.zeros((len(scenarios), n, 4), dtype=np.int64) for n in (angles.size, n_bins))
+    for k, limit in enumerate(dict.fromkeys(s.tree_limit for s in scenarios if s.tree_limit != 0) or [0]):
+        keep = slice(None) if limit is None else t_idx < limit
+        masks = _blockage_masks(h_abs, alt_b, link_maxima(len(gu), t_link[keep], t_alt[keep]), alt_s)
+        views = [v for v, s in enumerate(scenarios) if s.tree_limit == limit or (k == 0 and s.tree_limit == 0)]
+        for out, key in ((angle_counts, 8 * np.arange(angles.size)), (dist_counts, 8 * bins)):
+            out[views] = np.bincount((key + masks).ravel(), minlength=8 * out.shape[1]).reshape(-1, 8) @ folds[views]
     d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)
     return angle_counts, dist_counts, d_sums
 

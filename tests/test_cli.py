@@ -563,17 +563,22 @@ def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("altitude, code", [(0.5, 1), (1.5, 0)], ids=["below-users", "at-users"])
-def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code):
-    """A fixed ABS altitude below gen.h_gu (1.5 m by default) exits 1 and
-    leaves no run directory; equal to it is a valid link height."""
+@pytest.mark.parametrize(
+    "altitude, code, named",
+    [(0.5, 1, "gen.h_gu"), (1.5, 0, None), (100000.0, 0, None), (300000.0, 1, "100000")],
+    ids=["below-users", "at-users", "at-cap", "above-cap"],
+)
+def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code, named):
+    """A fixed ABS altitude below gen.h_gu (1.5 m by default) or above the
+    100 km altitude cap exits 1 and leaves no run directory; either bound
+    itself is a valid link height."""
     cfg = tmp_path / "f.yaml"
     cfg.write_text(f"sweep: {{altitude_policy: fixed, fixed_altitude_m: {altitude}}}\n")
     args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "1", "--n-gu", "5"]
     assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "runs")]) == code
     if code:
         err = capsys.readouterr().err
-        assert "error:" in err and "sweep.fixed_altitude_m" in err and "gen.h_gu" in err
+        assert "error:" in err and "fixed_altitude_m" in err and named in err
         assert not (tmp_path / "runs").exists()
 
 

@@ -28,10 +28,12 @@ from urbanlos.geometry import (
     LayoutGeometry,
     Link,
     LinkClass,
+    ObstructionHit,
     blockage_height,
+    classify_hits,
     tree_height_at,
 )
-from urbanlos.montecarlo import LOS, NLOS_B, NLOS_S, NLOS_T
+from urbanlos.montecarlo import LOS, MASK_CLASS, NLOS_B, NLOS_S, NLOS_T
 from urbanlos.oracle import check_links, classify_link_bruteforce, obstacle_families, random_links
 from urbanlos.outputs import P_COLUMNS
 
@@ -427,11 +429,17 @@ def test_oracle_sees_sub_step_dip_at_default_step(env, seed, index):
 def test_one_class_order_everywhere():
     """The CSV probability columns, the sweep's class codes, the analytic
     family precedence and the oracle's family list name the classes in
-    one order."""
+    one order, and the sweep's mask-to-class map is that precedence for
+    every subset of blocking families (bit i for the i-th family)."""
     assert P_COLUMNS == tuple(f"p_{c.value}" for c in LinkClass)
     assert (LOS, NLOS_B, NLOS_T, NLOS_S) == (0, 1, 2, 3)
     assert [c for _, c in FAMILIES] == list(LinkClass)[1:]
     assert tuple((kind, c) for kind, c, *_ in obstacle_families(_fixture_layout())) == FAMILIES
+    assert len(MASK_CLASS) == 2 ** len(FAMILIES)
+    for mask, code in enumerate(MASK_CLASS):
+        # one hit per family, blocking where its bit is set
+        hits = [ObstructionHit(kind, 0, 1.0, 5.0, 4.0, bool(mask >> bit & 1)) for bit, (kind, _) in enumerate(FAMILIES)]
+        assert list(LinkClass)[code] is classify_hits(hits), mask
 
 
 def _full_walk(link, families, step):

@@ -3,9 +3,11 @@
 The simulate, hit-dump and kernel digests were recorded before the
 critical-altitude derivation was unified, the fit, report and path-loss
 digests before the composite path-loss input was flattened into
-arguments; a refactor that keeps them keeps every CSV byte, the layout
-hash, the oracle hit dump and the kernel's floats unchanged. A deliberate
-change of outputs must re-record them and say why.
+arguments, and the crowded run's digests before the scenarios were
+folded from blockage masks; a refactor that keeps them keeps every CSV
+byte, the layout hash, the oracle hit dump and the kernel's floats
+unchanged. A deliberate change of outputs must re-record them and say
+why.
 """
 
 import hashlib
@@ -45,6 +47,28 @@ PATHLOSS_GOLDEN = {
     "report_tree_nlos_vs_theta.csv": "4879934b644c35af4c43bfd5a0b06f4f211dddfdc6b4c23469b615815ac7d6db",
 }
 PATHLOSS_SHA = "b56b2aa791d9e7db06df0e3421bac2ee55dea1590e6b321dd438c254575d28a8"
+# a small city crowded with trees and lights, so its links are blocked by
+# every family and the three scenarios differ; its fit and report included
+CROWDED_ARGS = ["--area", "250000", "--n-trees", "400", "--n-lights", "400", "--densities", "0,100,400"]
+CROWDED_BUILDINGS = "673bc21ae9fda6a76d5582fd4f83fbfe439d36c2e405d222c21257abbbc90bf8"
+CROWDED_TREES = "606e87ef69274d54e45b540c0e6f47c9c13c4a70248e8971811483e372daf9cd"
+CROWDED_GOLDEN = {
+    "angles_buildings-only.csv": CROWDED_BUILDINGS,
+    "angles_full.csv": "21c691a0975250e567d8193468533776c967c5f445e7265a821349981a026671",
+    "angles_trees.csv": CROWDED_TREES,
+    "delta_buildings-only_vs_trees.csv": "cecfad45087bf1094f15147d3453487cfd948cc4a86293f198c97338b5a91d73",
+    "density_0.csv": CROWDED_BUILDINGS,
+    "density_100.csv": "24064c9dc079872e7c0c52153e60df877ebab20e50616f6d8365b9d050cc3b2c",
+    "density_400.csv": CROWDED_TREES,
+    "distance_buildings-only.csv": "fc57ed2c5a13cbdbe775b42acc77331491689645b90c6a42a196b95d2ae35ba9",
+    "distance_full.csv": "f61f3619f3913bb57e7b9f724901431276f8a45cf2604566814d69a1e1b10c1d",
+    "distance_trees.csv": "ee1c638200562eb9a1fc97c49027540900f783455729476dc847bd36b2096413",
+    "fits.csv": "7714c86203b11ff4ab4954312a0ddd8f9a0c7042823df3fd6415994ed786cc57",
+    "report_density.csv": "8206d177399d784b2711a5d53dd1dd95357a7f2732c369094ad3c5bd5c5c65d9",
+    "report_pl_vs_theta.csv": "8b9d8430ef5d13f26d0410f072b19068580056857a2ed249f7914d1e77ee4eb4",
+    "report_plos_vs_distance.csv": "2aae62d4e9e79d1e2476b0c28652b1d0aabe36580393cdc8aac2510abe3a410b",
+    "report_tree_nlos_vs_theta.csv": "f81dc7304a0cdee1270f1c134f6417c0050ce0a29a8050194aa7c26c6429a5d8",
+}
 LAYOUT_HASH = "2b4a0690c41f38dbcac70aee8c9864cac444c51fc6e367ec74ecb09d07da4676"
 HITS_SHA = "eadf0e5ee34330dbcf08ae8ca0290aba6a081958da349a1a34b70aa73ff8bbc0"
 # the same dump for the layouts whose links cross trees and streetlights
@@ -79,6 +103,15 @@ def test_simulate_golden_bytes(golden_run):
     assert main(["report", "--run", str(golden_run)]) == 0
     written = {p.name: _sha(p) for p in golden_run.glob("*.csv") if p.name not in SIMULATE_GOLDEN}
     assert written == PATHLOSS_GOLDEN
+
+
+def test_simulate_golden_bytes_with_tree_and_light_blockage(tmp_path):
+    args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "2", "--n-gu", "1000"]
+    assert main(args + CROWDED_ARGS + ["--out", str(tmp_path)]) == 0
+    (run,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    assert main(["fit", "--run", str(run)]) == 0
+    assert main(["report", "--run", str(run)]) == 0
+    assert {p.name: _sha(p) for p in run.glob("*.csv")} == CROWDED_GOLDEN
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from dataclasses import replace
 from urbanlos.citygen import PRESETS, GenConfig
 from urbanlos.errors import AggregationError, ParameterError
 from urbanlos.montecarlo import (
+    ALTITUDE_CAP_M,
     BUILDINGS_ONLY,
     DISTANCE_BIN_M,
     FULL,
@@ -56,6 +57,9 @@ def test_sweep_config_validation():
         SweepConfig(altitude_policy="hover")
     with pytest.raises(ParameterError):
         SweepConfig(altitude_policy="fixed", fixed_altitude_m=-5.0)
+    for beyond_cap in (ALTITUDE_CAP_M * 3, float("nan")):
+        with pytest.raises(ParameterError, match="fixed_altitude_m"):
+            SweepConfig(altitude_policy="fixed", fixed_altitude_m=beyond_cap)
 
 
 def test_parse_scenario_aliases():
@@ -221,12 +225,15 @@ def test_city_order_independent(small_gen):
 
 
 def test_sweep_classes_match_single_link_classify():
-    """The sweep's class matrix, from the batch critical altitudes, equals
-    LayoutGeometry.classify of each (user, altitude) link. The layout is a
-    small urban city crowded with trees and lights, so every class occurs."""
+    """The sweep's blockage masks, from the batch critical altitudes, agree
+    with LayoutGeometry.crossings of each (user, altitude) link: bit i is
+    set iff some hit of the i-th family in FAMILIES blocks, and MASK_CLASS
+    of the mask is the link's class (classify is classify_hits of the
+    crossings). The layout is a small urban city crowded with trees and
+    lights, so every class and several multi-family masks occur."""
     from urbanlos.citygen import STREAM_ABS, city_rng, generate_city, sample_open_point
-    from urbanlos.geometry import LayoutGeometry, Link, LinkClass, link_maxima
-    from urbanlos.montecarlo import LOS, NLOS_B, NLOS_S, NLOS_T, _classify_matrix
+    from urbanlos.geometry import FAMILIES, LayoutGeometry, Link, LinkClass, classify_hits, link_maxima
+    from urbanlos.montecarlo import LOS, MASK_CLASS, NLOS_B, NLOS_S, NLOS_T, _blockage_masks
 
     gen = GenConfig(area=250_000.0, n_trees=400, n_lights=400, n_gu=200, seed=2)
     layout = generate_city(URBAN, gen)
@@ -236,12 +243,20 @@ def test_sweep_classes_match_single_link_classify():
     alt_b, alt_s, t_link, _, t_alt = geom.batch_critical_altitudes((ax, ay), gu, gen.h_gu)
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
     h_abs = gen.h_gu + g[:, None] * np.tan(np.radians(np.arange(1.0, 90.0, 4.0)))
-    cls = _classify_matrix(h_abs, alt_b, link_maxima(len(gu), t_link, t_alt), alt_s)
+    masks = _blockage_masks(h_abs, alt_b, link_maxima(len(gu), t_link, t_alt), alt_s)
+    assert masks.dtype == np.uint8
 
     code = {LinkClass.LOS: LOS, LinkClass.NLOS_BUILDING: NLOS_B, LinkClass.NLOS_TREE: NLOS_T, LinkClass.NLOS_LIGHT: NLOS_S}
-    single = [
-        [code[geom.classify(Link((ax, ay), float(h), (float(x), float(y)), gen.h_gu))] for h in row]
-        for (x, y), row in zip(gu, h_abs)
-    ]
-    assert np.array_equal(cls, single)
-    assert set(np.unique(cls)) == {LOS, NLOS_B, NLOS_T, NLOS_S}
+    single_bits, single_classes = [], []
+    for (x, y), row in zip(gu, h_abs):
+        for h in row:
+            hits = geom.crossings(Link((ax, ay), float(h), (float(x), float(y)), gen.h_gu))
+            blocking = {hit.kind for hit in hits if hit.blocks}
+            single_bits.append([bit for bit, (kind, _) in enumerate(FAMILIES) if kind in blocking])
+            single_classes.append(code[classify_hits(hits)])
+    bits = [[bit for bit in range(len(FAMILIES)) if mask >> bit & 1] for mask in masks.ravel().tolist()]
+    assert bits == single_bits
+    assert MASK_CLASS[masks].ravel().tolist() == single_classes
+    assert set(np.unique(MASK_CLASS[masks])) == {LOS, NLOS_B, NLOS_T, NLOS_S}
+    # building and tree, building and light, all three
+    assert {3, 5, 7}.issubset(np.unique(masks).tolist())
