@@ -161,20 +161,17 @@ def _blockage_masks(h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt
     """uint8 blockage masks of an (L, A) altitude matrix: bit i is set where
     the (L,) critical altitudes of the i-th family in FAMILIES order reach
     h_abs. A family left out reads -inf and never blocks."""
-    masks = np.zeros(h_abs.shape, dtype=np.uint8)
-    for bit, alt in enumerate((alt_b, alt_t, alt_s)):
-        masks |= np.uint8(1 << bit) * (h_abs <= alt[:, None])
-    return masks
+    blocked = [h_abs <= alt[:, None] for alt in (alt_b, alt_t, alt_s)]
+    return np.packbits(blocked, axis=0, bitorder="little")[0]
 
 
 def _city_worker(
     layout: CityLayout, sweep: SweepConfig, scenarios: Sequence[Scenario], city_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d
-    sums. The ABS draw and the kernel read the layout's LayoutGeometry.
-    Blockage masks are counted once per tree prefix; each scenario folds
-    its prefix's count through MASK_CLASS with the bits of the families it
-    leaves out cleared, so a scenario with no trees reads any prefix."""
+    sums. The ABS draw and the kernel read the layout's LayoutGeometry. Each
+    scenario is its tree prefix's blockage mask count folded by MASK_CLASS,
+    with the bits of the families it leaves out cleared."""
     gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
@@ -197,14 +194,17 @@ def _city_worker(
     n_bins = int(math.hypot(ALTITUDE_CAP_M, layout.side * math.sqrt(2.0)) / DISTANCE_BIN_M) + 2
     bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
 
-    # each prefix's masks, counted keyed 8 * angle + mask and 8 * bin + mask, fold at once into its views
+    # one mask count per tree prefix, keyed 8 * angle + mask and 8 * bin + mask; a treeless view reads the first
+    first = next((s.tree_limit for s in scenarios if s.tree_limit != 0), 0)
+    prefix = [first if s.tree_limit == 0 else s.tree_limit for s in scenarios]
     kept_bits = np.array([1 | 2 * (s.tree_limit != 0) | 4 * s.lights for s in scenarios])
-    folds = np.eye(4, dtype=np.int64)[MASK_CLASS[np.arange(8) & kept_bits[:, None]]]  # (views, 8 masks, 4 classes)
-    angle_counts, dist_counts = (np.zeros((len(scenarios), n, 4), dtype=np.int64) for n in (angles.size, n_bins))
-    for k, limit in enumerate(dict.fromkeys(s.tree_limit for s in scenarios if s.tree_limit != 0) or [0]):
+    folds = np.eye(4, dtype=np.int64)[MASK_CLASS[np.arange(8) & kept_bits[:, None]]]  # (views, 8, 4)
+    angle_counts = np.zeros((len(scenarios), angles.size, 4), dtype=np.int64)
+    dist_counts = np.zeros((len(scenarios), n_bins, 4), dtype=np.int64)
+    for limit in dict.fromkeys(prefix):
         keep = slice(None) if limit is None else t_idx < limit
         masks = _blockage_masks(h_abs, alt_b, link_maxima(len(gu), t_link[keep], t_alt[keep]), alt_s)
-        views = [v for v, s in enumerate(scenarios) if s.tree_limit == limit or (k == 0 and s.tree_limit == 0)]
+        views = [v for v, p in enumerate(prefix) if p == limit]
         for out, key in ((angle_counts, 8 * np.arange(angles.size)), (dist_counts, 8 * bins)):
             out[views] = np.bincount((key + masks).ravel(), minlength=8 * out.shape[1]).reshape(-1, 8) @ folds[views]
     d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)

@@ -565,7 +565,12 @@ def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code):
 
 @pytest.mark.parametrize(
     "altitude, code, named",
-    [(0.5, 1, "gen.h_gu"), (1.5, 0, None), (100000.0, 0, None), (300000.0, 1, "100000")],
+    [
+        (0.5, 1, ("sweep.fixed_altitude_m", "gen.h_gu")),
+        (1.5, 0, ()),
+        (100000.0, 0, ()),
+        (300000.0, 1, ("fixed_altitude_m", "100000")),
+    ],
     ids=["below-users", "at-users", "at-cap", "above-cap"],
 )
 def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code, named):
@@ -578,7 +583,7 @@ def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code,
     assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "runs")]) == code
     if code:
         err = capsys.readouterr().err
-        assert "error:" in err and "fixed_altitude_m" in err and named in err
+        assert "error:" in err and all(fragment in err for fragment in named)
         assert not (tmp_path / "runs").exists()
 
 
