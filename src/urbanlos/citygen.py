@@ -249,14 +249,17 @@ class CellGrid:
         run, k = _ragged(self.start[cell + 1] - lo)
         return box[run], self.items[lo[run] + k]
 
-    def segment_pairs(self, ax: float, ay: float, bx, by) -> tuple[np.ndarray, np.ndarray]:
+    def segment_pairs(self, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
         """(row, item) of the items in the cells that the segment from
         (ax, ay) to (bx[row], by[row]) meets, widened by GRID_PAD, each
-        pair once and row-major. In each column the segment spans, its y
-        range between the column's padded walls picks one run of cells."""
+        pair once and row-major; ax and ay are one shared start or one per
+        row. In each column the segment spans, its y range between the
+        column's padded walls picks one run of cells."""
         c0 = self.cells_of(np.minimum(bx, ax) - GRID_PAD)
         link, k = _ragged(self.cells_of(np.maximum(bx, ax) + GRID_PAD) - c0 + 1)
         col = c0[link] + k
+        if isinstance(ax, np.ndarray):  # one start per row: each column reads its row's
+            ax, ay = ax[link], ay[link]
         dx, dy = bx[link] - ax, by[link] - ay
         with np.errstate(all="ignore"):  # a vertical or near-vertical link
             ta, tb = (self.west[col] - ax) / dx, (self.east[col] - ax) / dx

@@ -21,15 +21,17 @@ interior stationary point with a closed-form quadratic solution, or the
 point nearest the tree axis.
 
 One array pass, LayoutGeometry._critical_points, derives every critical
-point for L links sharing an ABS position, as flat parallel arrays over
-the crossed (link, obstacle) pairs of each family: _rect_chords and
-_disc_chords test only the pairs the layout's cell grid hands out. One
-_required_altitude rule serves all three families, and _tree_critical
-evaluates the tree candidate set for all crossed (link, tree) pairs at
-once. The batch view reduces the pairs to per-link maxima with
-link_maxima; the single-link views read the same pairs, and classify is
-the family precedence over the blocking flags of crossings, so one link
-costs one pass.
+point for L links sharing one ground-user height, from one shared ABS
+position or one per link, as flat parallel arrays over the crossed
+(link, obstacle) pairs of each family: _rect_chords and _disc_chords test
+only the pairs the layout's cell grid hands out. One _required_altitude
+rule serves all three families, and _tree_critical evaluates the tree
+candidate set for all crossed (link, tree) pairs at once. The batch view
+reduces the pairs to per-link maxima with link_maxima; crossings_of
+turns the pairs of many links, each with its own ABS, into their hit
+lists, and the single-link views read the same pairs. classify is the
+family precedence over the blocking flags of crossings, so one link
+costs one pass, and so does a list of links.
 """
 
 from __future__ import annotations
@@ -144,18 +146,20 @@ def link_maxima(n_links: int, row: np.ndarray, alt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slab(a: float, d, lo, hi):
+def _slab(a, d, lo, hi):
     """Liang-Barsky fractions (t_min, t_max) of links from a with step d
-    through the slabs [lo, hi] of one axis, entries per pair."""
+    through the slabs [lo, hi] of one axis, entries per pair (a shared or
+    per pair)."""
     t1, t2 = (lo - a) / d, (hi - a) / d
     zero, inside = np.abs(d) < 1e-300, (a >= lo) & (a <= hi)
     t_min = np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
     return t_min, np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
 
 
-def _rect_chords(ax: float, ay: float, dx, dy, g2, x0, y0, x1, y1):
-    """Chords of P (link, building) pairs, entries per pair but the ABS
-    position (g2 unused). Returns (crossed, u_in, u_out), each (P,)."""
+def _rect_chords(ax, ay, dx, dy, g2, x0, y0, x1, y1):
+    """Chords of P (link, building) pairs, entries per pair, the ABS
+    position shared or per pair (g2 unused). Returns (crossed, u_in,
+    u_out), each (P,)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         (txmin, txmax), (tymin, tymax) = _slab(ax, dx, x0, x1), _slab(ay, dy, y0, y1)
     u_in = np.maximum(np.maximum(txmin, tymin), 0.0)
@@ -163,9 +167,9 @@ def _rect_chords(ax: float, ay: float, dx, dy, g2, x0, y0, x1, y1):
     return u_in <= u_out, u_in, u_out
 
 
-def _disc_chords(ax: float, ay: float, dx, dy, g2, cx, cy, r):
-    """Chords of P (link, disc) pairs, entries per pair but the ABS
-    position. Returns (crossed, u_in, u_out), each (P,)."""
+def _disc_chords(ax, ay, dx, dy, g2, cx, cy, r):
+    """Chords of P (link, disc) pairs, entries per pair, the ABS position
+    shared or per pair. Returns (crossed, u_in, u_out), each (P,)."""
     ex = ax - cx
     ey = ay - cy
     b = 2.0 * (ex * dx + ey * dy)
@@ -256,16 +260,20 @@ class LayoutGeometry:
     # -- batched crossing analysis -------------------------------------
 
     def _critical_points(
-        self, abs_xy: tuple[float, float], gu_xy: np.ndarray, h_gu: float
+        self, abs_xy, gu_xy: np.ndarray, h_gu: float
     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Critical point of every crossed (link, obstacle) pair.
 
         The one derivation of u_crit (the fraction along the link needing
         the highest ABS altitude to clear the obstacle), the profile height
         there and the critical altitude; every view below reads it. For L
-        links sharing one ABS position returns one family per entry in
-        FAMILIES order, each as flat parallel arrays (link row, obstacle
-        index, u_crit, profile, alt) over the crossed pairs only, row-major.
+        links to users at gu_xy (L, 2), all at height h_gu, from one shared
+        ABS position abs_xy = (x, y) or from one per link, abs_xy = (xs, ys)
+        with xs and ys (L,) arrays, returns one family per entry in FAMILIES
+        order, each as flat parallel arrays (link row, obstacle index,
+        u_crit, profile, alt) over the crossed pairs only, row-major. A
+        shared position stays a scalar, gathered per pair only when there
+        is one per link.
         """
         ax, ay = abs_xy
         dx, dy = gu_xy[:, 0] - ax, gu_xy[:, 1] - ay
@@ -276,10 +284,13 @@ class LayoutGeometry:
         link, item = idx.grid.segment_pairs(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
         nb, nt = idx.bx0.size, len(idx.trees)
 
+        def at(r):  # the ABS position of the pairs in link rows r
+            return (ax[r], ay[r]) if isinstance(ax, np.ndarray) else (ax, ay)
+
         def chords(pick, first, clip, *obstacle):
             # the crossed pairs among the picked ones, with obstacles numbered from first
             r, c = link[pick], item[pick] - first
-            crossed, u_in, u_out = clip(ax, ay, dx[r], dy[r], g2[r], *(a[c] for a in obstacle))
+            crossed, u_in, u_out = clip(*at(r), dx[r], dy[r], g2[r], *(a[c] for a in obstacle))
             return r[crossed], c[crossed], u_in[crossed], u_out[crossed]
 
         def constant_height(heights, row, col, u_in, u_out):
@@ -297,8 +308,9 @@ class LayoutGeometry:
         row, col, lo, hi = row[~light], col[~light], lo[~light], hi[~light]
         if not row.size:  # most single links cross no tree
             return buildings, (row, col, lo, lo, lo), lights
+        tx, ty = at(row[:, None])
         trees = (row, col) + _tree_critical(
-            ax - idx.cx[col, None], ay - idx.cy[col, None], dx[row, None], dy[row, None], g2[row, None],
+            tx - idx.cx[col, None], ty - idx.cy[col, None], dx[row, None], dy[row, None], g2[row, None],
             idx.cr[col, None], layout.trees.h[col, None], lo[:, None], hi[:, None], h_gu,
         )
         return buildings, trees, lights
@@ -326,16 +338,24 @@ class LayoutGeometry:
         families = self._critical_points(link.abs_xy, np.array([link.gu_xy]), link.h_gu)
         return tuple(float(np.max(alt, initial=-np.inf)) for *_, alt in families)
 
-    def crossings(self, link: Link) -> list[ObstructionHit]:
-        """All footprints crossed by the link, ordered by ground distance
-        from the ABS to each crossing's critical point."""
-        families = self._critical_points(link.abs_xy, np.array([link.gu_xy]), link.h_gu)
-        g = link.ground_distance
-        hits: list[ObstructionHit] = []
-        for (kind, _), (_, *pairs) in zip(FAMILIES, families):
-            for i, u, prof, alt in zip(*(a.tolist() for a in pairs)):
+    def crossings_of(self, links: list[Link]) -> list[list[ObstructionHit]]:
+        """The crossings of each link, from one pass over all of them. The
+        links may start at different ABS positions but share one h_gu."""
+        if not links:
+            return []
+        h_gu = links[0].h_gu
+        if any(link.h_gu != h_gu for link in links):
+            raise ParameterError(f"crossings_of needs links of one h_gu, got {sorted({link.h_gu for link in links})}")
+        starts = {link.abs_xy for link in links}  # one shared start stays a scalar pair
+        abs_xy = starts.pop() if len(starts) == 1 else np.array([link.abs_xy for link in links]).T
+        families = self._critical_points(abs_xy, np.array([link.gu_xy for link in links]), h_gu)
+        hits: list[list[ObstructionHit]] = [[] for _ in links]
+        for (kind, _), pairs in zip(FAMILIES, families):
+            for row, i, u, prof, alt in zip(*(a.tolist() for a in pairs)):
+                link = links[row]
+                g = link.ground_distance
                 r_i = u * g
-                hits.append(
+                hits[row].append(
                     ObstructionHit(
                         kind=kind,
                         index=i,
@@ -345,8 +365,14 @@ class LayoutGeometry:
                         blocks=link.h_abs <= alt,
                     )
                 )
-        hits.sort(key=lambda hit: hit.r_i)
+        for link_hits in hits:
+            link_hits.sort(key=lambda hit: hit.r_i)
         return hits
+
+    def crossings(self, link: Link) -> list[ObstructionHit]:
+        """All footprints crossed by the link, ordered by ground distance
+        from the ABS to each crossing's critical point."""
+        return self.crossings_of([link])[0]
 
     def classify(self, link: Link) -> LinkClass:
         """The FAMILIES precedence over blocking obstacles."""

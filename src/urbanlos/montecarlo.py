@@ -278,6 +278,8 @@ def run_simulation(
     names = [s.name for s in scenarios]
     if len(set(names)) < len(names):
         raise ParameterError(f"each scenario may be given once, got {names}")
+    if gen.h_gu > ALTITUDE_CAP_M:  # every capped ABS would sit below its users
+        raise ParameterError(f"gen.h_gu ({gen.h_gu}) must be <= the ABS altitude cap {ALTITUDE_CAP_M:g}")
     if sweep.altitude_policy == "fixed" and sweep.fixed_altitude_m < gen.h_gu:
         raise ParameterError(
             f"sweep.fixed_altitude_m ({sweep.fixed_altitude_m}) must be >= gen.h_gu ({gen.h_gu})"

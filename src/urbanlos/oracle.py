@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .citygen import CONE_DROP_FRAC, TRUNK_RADIUS_FRAC, CityLayout, sample_open_point
-from .errors import DegenerateLinkError
+from .errors import DegenerateLinkError, ParameterError
 from .geometry import LayoutGeometry, Link, LinkClass, ObstructionHit, classify_hits
 
 DEFAULT_STEP_M = 0.01
@@ -69,7 +69,8 @@ def obstacle_families(layout: CityLayout) -> list[tuple]:
     of a link it blocks, its obstacles as rows of Python floats in table
     column order, their covering discs (centres x and y, radii), and the
     point test that gives the step points inside one obstacle's footprint
-    and the obstacle's height there."""
+    and the obstacle's height there: one number for a building or a light,
+    one per point for a tree."""
     bs, trees, lights = layout.buildings, layout.trees, layout.lights
     building_discs = (
         (bs.x + (bs.x + bs.w)) / 2.0,
@@ -106,6 +107,7 @@ def classify_link_bruteforce(
     n = int(math.floor(g / step))
     last = n + 1 if g - n * step > 1e-12 else n
     (ax, ay), (bx, by) = link.abs_xy, link.gu_xy
+    ex, ey, h_abs, dh = bx - ax, by - ay, link.h_abs, link.h_abs - link.h_gu
     link_class = LinkClass.LOS
     crossed: dict[str, frozenset[int]] = {}
     blocked: dict[str, frozenset[int]] = {}
@@ -115,16 +117,21 @@ def classify_link_bruteforce(
         near = np.nonzero(dist <= reach + 1e-9)[0]
         first = np.maximum(np.floor((along[near] - reach[near]) / step) - 1, 0).astype(int)
         stop = np.minimum(np.ceil((along[near] + reach[near]) / step) + 1, last).astype(int)
-        for i, k0, k1 in zip(near, first, stop):
-            k = np.arange(k0, k1 + 1)
-            u = np.where(k > n, g, k * step) / g
-            inside, height = point_test(obstacles[i], ax + u * (bx - ax), ay + u * (by - ay))
-            if not inside.any():
+        for i, k0, k1 in zip(near.tolist(), first.tolist(), stop.tolist()):
+            u = np.arange(k0, k1 + 1) * step
+            if k1 > n:  # only the last step can pass n: the GU end
+                u[-1] = g
+            u /= g
+            inside, height = point_test(obstacles[i], ax + u * ex, ay + u * ey)
+            at = inside.nonzero()[0]
+            if not at.size:
                 continue
-            hit.add(int(i))
-            h_line = link.h_abs - u * (link.h_abs - link.h_gu)
-            if (inside & (h_line <= height)).any():
-                low.add(int(i))
+            hit.add(i)
+            if isinstance(height, np.ndarray):  # a tree's height varies per point
+                height = height[at]
+            # the line height against the obstacle's, at the inside points only
+            if (h_abs - u[at] * dh <= height).any():
+                low.add(i)
         crossed[kind], blocked[kind] = frozenset(hit), frozenset(low)
         if low and link_class is LinkClass.LOS:
             link_class = blocked_class
@@ -134,9 +141,12 @@ def classify_link_bruteforce(
 def random_links(geom: LayoutGeometry, rng: Generator, n: int) -> list[Link]:
     """Sample sweep-like links in geom's layout: a random user, a random
     open ABS ground position, and an elevation angle uniform over
-    LINK_ANGLES_DEG, the altitude capped at LINK_ALTITUDE_CAP_M."""
+    LINK_ANGLES_DEG, the altitude capped at LINK_ALTITUDE_CAP_M, which the
+    layout's h_gu may reach but not exceed."""
     links = []
     users, h_gu = geom.layout.users.tolist(), geom.layout.config.h_gu
+    if h_gu > LINK_ALTITUDE_CAP_M:  # every capped ABS would sit below its users
+        raise ParameterError(f"gen.h_gu ({h_gu}) must be <= the link altitude cap {LINK_ALTITUDE_CAP_M:g}")
     for _ in range(n):
         x, y, _ = users[int(rng.integers(len(users)))]
         ax, ay = sample_open_point(geom.index, rng, what="abs")
@@ -152,8 +162,9 @@ def check_links(
 ) -> Iterator[tuple[list[ObstructionHit], LinkClass, BruteForceResult]]:
     """Run both classifiers on each link of geom's layout, the oracle at
     DEFAULT_STEP_M; yield the analytic crossings, the analytic class and
-    the oracle's BruteForceResult."""
+    the oracle's BruteForceResult. The links share one h_gu, as
+    random_links draws them: their crossings come from one crossings_of
+    pass."""
     families = obstacle_families(geom.layout)
-    for link in links:
-        hits = geom.crossings(link)
+    for link, hits in zip(links, geom.crossings_of(links)):
         yield hits, classify_hits(hits), classify_link_bruteforce(link, families)

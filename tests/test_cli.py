@@ -4,6 +4,7 @@ byte-identical reproduction from manifests."""
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -587,6 +588,32 @@ def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code,
         assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "args, h_gu, code",
+    [
+        (["simulate", "--n-cities", "1", "--n-gu", "5"], 200000.0, 1),
+        (["simulate", "--n-cities", "1", "--n-gu", "5"], 100000.0, 0),
+        (["oracle-check", "--n-links", "5"], 20000.0, 1),
+        (["oracle-check", "--n-links", "5"], 10000.0, 0),
+    ],
+    ids=["simulate-above-cap", "simulate-at-cap", "oracle-check-above-cap", "oracle-check-at-cap"],
+)
+def test_ground_users_not_above_altitude_cap(tmp_path, capsys, args, h_gu, code):
+    """gen.h_gu above the ABS altitude cap (100 km for simulate, 10 km for
+    oracle-check's links) exits 1 and names gen.h_gu and the cap, and
+    simulate leaves no run directory; h_gu at the cap is a valid link
+    height. Before, simulate capped every ABS below its users and exited 0."""
+    cfg = tmp_path / "h.json"
+    cfg.write_text(json.dumps({"gen": {"h_gu": h_gu}}))
+    out = ["--out", str(tmp_path / "runs")] if args[0] == "simulate" else []
+    assert main(args + ["--env", "urban", "--seed", "1", "--config", str(cfg), *out]) == code
+    if code:
+        err = capsys.readouterr().err
+        cap = "100000" if args[0] == "simulate" else "10000"
+        assert "error:" in err and "gen.h_gu" in err and re.search(rf"\b{cap}\b", err)
+        assert not (tmp_path / "runs").exists()
+
+
 def test_report_rerun_identical_bytes(sim_run):
     before = {
         p.name: p.read_bytes() for p in sim_run.glob("report_*.csv")
@@ -711,7 +738,7 @@ def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):
     args = ["oracle-check", "--env", "high_rise", "--seed", "1", "--n-links", "50"]
     assert main(args + ["--dump-hits", str(tmp_path / "hits.json")]) == 0
     assert calls["classify_link_bruteforce"] == 50
-    assert kernel["_critical_points"] == 50  # the analytic side, once per link too
+    assert kernel["_critical_points"] == 1  # the analytic side, once for all links
 
 
 @pytest.mark.parametrize(

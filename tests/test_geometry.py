@@ -286,6 +286,62 @@ def test_hits_sorted_by_distance_from_abs():
         assert link.h_gu <= h.blockage_height <= link.h_abs
 
 
+def _assert_crossings_of_per_link(geom, links):
+    """crossings_of over all links gives each link's own crossings, in order."""
+    batch = geom.crossings_of(links)
+    assert batch == [geom.crossings(link) for link in links]
+    return batch
+
+
+@pytest.mark.parametrize("env", ["urban", "dense_urban", "high_rise"])
+def test_crossings_of_matches_crossings(env):
+    geom = LayoutGeometry(generate_city(PRESETS[env], GenConfig(seed=17)))
+    batch = _assert_crossings_of_per_link(geom, random_links(geom, default_rng(5), 200))
+    kinds = {hit.kind for hits in batch for hit in hits}
+    assert kinds >= {"building", "tree"} and any(hit.blocks for hits in batch for hit in hits)
+
+
+def test_crossings_of_without_trees_or_lights():
+    geom = LayoutGeometry(generate_city(URBAN, GenConfig(n_trees=0, n_lights=0, seed=4)))
+    batch = _assert_crossings_of_per_link(geom, random_links(geom, default_rng(6), 100))
+    assert {hit.kind for hits in batch for hit in hits} == {"building"}
+
+
+def test_crossings_of_axis_parallel_links_from_distinct_abs(urban_layout, urban_geometry):
+    """Links with dx == 0 or dy == 0, each from its own ABS, among oblique
+    ones: the cell walk's vertical branch reads each link's own ABS."""
+    links = []
+    for k, (x, y, h) in enumerate(urban_layout.users.tolist()[:40]):
+        reach = 30.0 + 7.0 * k
+        links += [
+            Link(abs_xy=(x, y + reach), h_abs=20.0 + k, gu_xy=(x, y), h_gu=h),
+            Link(abs_xy=(x - reach, y), h_abs=20.0 + k, gu_xy=(x, y), h_gu=h),
+            Link(abs_xy=(x + reach, y - reach / 3.0), h_abs=20.0 + k, gu_xy=(x, y), h_gu=h),
+        ]
+    batch = _assert_crossings_of_per_link(urban_geometry, links)
+    assert sum(map(len, batch[0::3])) > 0 and sum(map(len, batch[1::3])) > 0
+
+
+def test_shared_and_per_link_abs_give_the_same_pairs(urban_layout, urban_geometry):
+    gu = np.column_stack((urban_layout.users.x, urban_layout.users.y))
+    ax, ay = sample_open_point(urban_geometry.index, default_rng(8))
+    shared = urban_geometry._critical_points((ax, ay), gu, 1.5)
+    per_link = urban_geometry._critical_points((np.full(len(gu), ax), np.full(len(gu), ay)), gu, 1.5)
+    assert sum(pairs[0].size for pairs in shared) > 0
+    for a, b in zip(shared, per_link):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_crossings_of_needs_one_h_gu(urban_geometry):
+    assert urban_geometry.crossings_of([]) == []
+    links = [
+        Link(abs_xy=(100.0, 0.0), h_abs=50.0, gu_xy=(0.0, 0.0), h_gu=1.5),
+        Link(abs_xy=(100.0, 0.0), h_abs=50.0, gu_xy=(0.0, 0.0), h_gu=2.0),
+    ]
+    with pytest.raises(ParameterError, match="h_gu"):
+        urban_geometry.crossings_of(links)
+
+
 # -- classification ---------------------------------------------------------------
 
 
