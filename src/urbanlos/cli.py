@@ -423,7 +423,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     params = VegetationParams(f_ghz=config["freq_ghz"])
     if WITH_TREES.name not in scenarios:
         raise MissingInputError("report requires the trees scenario for the tree-NLoS table")
-    densities = sorted(set(config["densities"] or ()))  # one file per distinct count
+    densities = config["densities"] or ()
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     _require(run_dir, [f"angles_{s}.csv" for s in scenarios])
     _require(run_dir, [f"density_{k}.csv" for k in densities])
@@ -520,9 +520,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except InfeasibleLayoutError as exc:
         print(f"error: infeasible generation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -90,6 +90,8 @@ class SweepConfig:
             raise ParameterError("n_cities must be >= 1")
         if not self.angles:
             raise ParameterError("angles must be non-empty")
+        if len(set(self.angles)) < len(self.angles):
+            raise ParameterError(f"each angle may be given once, got {list(self.angles)}")
         if any(not 0.0 <= a <= 90.0 for a in self.angles):
             raise ParameterError("angles must lie in [0, 90] degrees")
         if self.altitude_policy not in ("per-angle", "fixed"):
@@ -211,42 +213,6 @@ def _city_worker(
     return angle_counts, dist_counts, d_sums
 
 
-def _run_passes(
-    params: BuiltUpParams,
-    gen: GenConfig,
-    sweep: SweepConfig,
-    passes: Sequence[tuple[int, Sequence[Scenario]]],
-    on_layout: Callable[[CityLayout], None] | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Summed counts of each (tree count, scenarios) pass over one build
-    per city.
-
-    Each city's buildings, trees and lights are placed once, with the
-    largest tree count of any pass. A pass sees the first n trees of that
-    draw, which is the n-tree draw, and gets its own users and ABS
-    position. on_layout receives each city's layout of the first pass.
-    Each pass's total starts as its first city's counts.
-    """
-    if not passes:
-        return []
-    totals = []
-    most_trees = replace(gen, n_trees=max(n_trees for n_trees, _ in passes))
-    for city_index in range(sweep.n_cities):
-        city = generate_obstacles(params, most_trees, city_index)
-        for k, (n_trees, scenarios) in enumerate(passes):
-            layout = add_users(city, n_trees, city_index)
-            if k == 0 and on_layout is not None:
-                on_layout(layout)
-            counts = _city_worker(layout, sweep, scenarios, city_index)
-            if city_index == 0:
-                totals.append(counts)
-            else:
-                for acc, c in zip(totals[k], counts):
-                    acc += c
-            del counts  # not held while the next city is built
-    return totals
-
-
 def run_simulation(
     params: BuiltUpParams,
     gen: GenConfig,
@@ -259,9 +225,9 @@ def run_simulation(
     the scenarios by name, then each tree density k as ``density_<k>``.
 
     The scenario pass generates each city as ``generate_city(params, gen,
-    i)`` does and hands that layout to on_layout. All scenarios see
-    identical layouts, users, and ABS positions; only the obstacle toggles
-    differ, which makes the outputs exactly paired.
+    i)`` does; on_layout gets each city's layout of the first pass (the
+    density pass when there is no scenario). All scenarios see the same
+    layouts, users and ABS positions, so their outputs are exactly paired.
 
     The density pass (lights excluded) sees the city with max(densities)
     trees; lower densities use a prefix of the same tree population, so
@@ -269,10 +235,8 @@ def run_simulation(
     density. Both passes share the buildings, lights and trees of each
     city; users and the ABS position are drawn per pass.
     """
-    if list(densities) != sorted(densities):
-        raise ParameterError("densities must be sorted ascending")
-    if len(set(densities)) < len(densities):
-        raise ParameterError(f"each density may be given once, got {list(densities)}")
+    if any(a >= b for a, b in zip(densities, densities[1:])):
+        raise ParameterError(f"densities must be strictly ascending, got {list(densities)}")
     if any(d < 0 for d in densities):
         raise ParameterError("densities must be >= 0")
     names = [s.name for s in scenarios]
@@ -289,7 +253,23 @@ def run_simulation(
         passes.append((gen.n_trees, scenarios))
     if densities:
         passes.append((max(densities), [Scenario(f"density_{k}", k, False) for k in densities]))
-    totals = _run_passes(params, gen, sweep, passes, on_layout)
+    if not passes:
+        return {}
+    totals = []  # each pass's sums, starting as its first city's counts
+    most_trees = replace(gen, n_trees=max(n_trees for n_trees, _ in passes))
+    for city_index in range(sweep.n_cities):
+        city = generate_obstacles(params, most_trees, city_index)
+        for k, (n_trees, pass_views) in enumerate(passes):
+            layout = add_users(city, n_trees, city_index)
+            if k == 0 and on_layout is not None:
+                on_layout(layout)
+            counts = _city_worker(layout, sweep, pass_views, city_index)
+            if city_index == 0:
+                totals.append(counts)
+            else:
+                for acc, c in zip(totals[k], counts):
+                    acc += c
+            del counts  # not held while the next city is built
     views = {}
     for (_, pass_views), (angle_counts, dist_counts, d_sums) in zip(passes, totals):
         for view, angles, bins in zip(pass_views, angle_counts, dist_counts):

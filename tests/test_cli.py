@@ -588,6 +588,19 @@ def test_fixed_altitude_not_below_ground_users(tmp_path, capsys, altitude, code,
         assert not (tmp_path / "runs").exists()
 
 
+def test_repeated_sweep_angle_exit(tmp_path, capsys):
+    """A sweep angle given twice exits 1 and leaves no run directory.
+    Before, every angles CSV held the angle's row twice, and report gave
+    that angle two tree path losses."""
+    cfg = tmp_path / "a.json"
+    cfg.write_text(json.dumps({"sweep": {"angles": [5, 5, 10]}}))
+    args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "1", "--n-gu", "5"]
+    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "angle" in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "args, h_gu, code",
     [

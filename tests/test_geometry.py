@@ -458,6 +458,9 @@ SUB_STEP_LINKS = [
     ("high_rise", 7, 796),
     ("dense_urban", 3000, 88),
     ("high_rise", 37, 132),
+    ("dense_urban", 22, 13),
+    ("urban", 16, 24),
+    ("urban", 24, 41),
 ]
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from urbanlos.citygen import PRESETS, GenConfig
+from urbanlos import montecarlo
+from urbanlos.citygen import PRESETS, GenConfig, generate_city, generate_obstacles, layout_json
 from urbanlos.errors import AggregationError, ParameterError
 from urbanlos.montecarlo import (
     ALTITUDE_CAP_M,
@@ -53,6 +54,8 @@ def test_sweep_config_validation():
         SweepConfig(n_cities=0)
     with pytest.raises(ParameterError):
         SweepConfig(angles=(95.0,))
+    with pytest.raises(ParameterError, match="each angle may be given once"):
+        SweepConfig(angles=(5.0, 5.0, 10.0))
     with pytest.raises(ParameterError):
         SweepConfig(altitude_policy="hover")
     with pytest.raises(ParameterError):
@@ -197,6 +200,34 @@ def test_run_simulation_returns_every_view():
     assert {k: views[f"density_{k}"][0] for k in (0, 10, 30)} == curves
 
 
+@pytest.mark.parametrize(
+    "scenarios, densities",
+    [((), ()), ([FULL], ()), ((), [0, 10, 30]), ([BUILDINGS_ONLY, FULL], [0, 30])],
+    ids=["no-view", "scenarios-only", "densities-only", "both"],
+)
+def test_run_simulation_builds_each_city_once(monkeypatch, scenarios, densities):
+    """No view builds no city; otherwise each city's obstacles are placed
+    once, and on_layout gets each city's layout of the first pass, as
+    generate_city gives it at that pass's tree count."""
+    gen = GenConfig(n_trees=20, n_lights=30, n_gu=5, seed=4)
+    built = []
+
+    def counting_generate_obstacles(params, config, city_index):
+        built.append(city_index)
+        return generate_obstacles(params, config, city_index)
+
+    monkeypatch.setattr(montecarlo, "generate_obstacles", counting_generate_obstacles)
+    layouts = []
+    views = run_simulation(URBAN, gen, SMALL_SWEEP, scenarios, densities, on_layout=layouts.append)
+    if not scenarios and not densities:
+        assert (views, built, layouts) == ({}, [], [])
+        return
+    assert built == list(range(SMALL_SWEEP.n_cities))
+    first = replace(gen, n_trees=gen.n_trees if scenarios else max(densities))
+    expected = [layout_json(generate_city(URBAN, first, i)) for i in range(SMALL_SWEEP.n_cities)]
+    assert [layout_json(layout) for layout in layouts] == expected
+
+
 def test_fixed_altitude_policy(small_gen):
     sweep = SweepConfig(
         n_cities=2, angles=(30.0, 60.0, 90.0), altitude_policy="fixed",
@@ -210,7 +241,6 @@ def test_fixed_altitude_policy(small_gen):
 
 
 def test_city_order_independent(small_gen):
-    from urbanlos.citygen import generate_city
     from urbanlos.montecarlo import _city_worker
 
     per_city = [
