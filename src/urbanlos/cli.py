@@ -44,6 +44,7 @@ from .outputs import (
     write_counts_csv,
     write_csv,
     write_delta_csv,
+    write_json_list,
     write_manifest,
 )
 from .pathloss import VegetationParams, composite_bins, fit_ab, pl_vs_theta
@@ -498,7 +499,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                 }
             )
     if args.dump_hits:
-        args.dump_hits.write_text(json.dumps(dump, indent=2) + "\n")
+        write_json_list(args.dump_hits, dump)
     print(f"{len(links)} links, {len(disagreements)} disagreements (step {DEFAULT_STEP_M} m)")
     if disagreements:
         print(*disagreements[:10], sep="\n")

@@ -6,14 +6,18 @@ against the obstacle height at that point. Each candidate obstacle is
 tested only at the steps within its covering radius of its centre's
 projection onto the link (one step of margin each side): projection onto
 the link is 1-Lipschitz, so no step point outside that window can lie in
-the covering disc, let alone the footprint. This shares no intersection
-math with the analytic classifier, so agreement between the two is strong
-evidence both are right.
+the covering disc, let alone the footprint. A building's inside steps form
+one run, because each step's point and line height are monotone in k, so
+bisection finds its ends, and the line is lowest at one of them; trees and
+lights are tested at every step of their window. This shares no
+intersection math with the analytic classifier, so agreement between the
+two is strong evidence both are right.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,9 +52,23 @@ def _project(link: Link, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np
     return np.hypot(cx - (ax + t * dx), cy - (ay + t * dy)), s * link.ground_distance
 
 
-def _in_building(b: tuple, px: np.ndarray, py: np.ndarray):
+def _box_hits(b: tuple, ks: range, at, x_falls: bool, y_falls: bool) -> tuple[bool, bool]:
+    """Whether a step of ks is in box b, and one with the line at or below the
+    roof; at(k) is step k's (x, y, line height), each monotone in k."""
     x, y, w, l, h = b
-    return (px >= x) & (px <= x + w) & (py >= y) & (py <= y + l), h
+    x1, y1 = x + w, y + l
+
+    def reached(k):  # on or past both near edges
+        px, py, _ = at(k)
+        return (px <= x1 if x_falls else px >= x) and (py <= y1 if y_falls else py >= y)
+
+    def passed(k):  # past a far edge
+        px, py, _ = at(k)
+        return (px < x if x_falls else px > x1) or (py < y if y_falls else py > y1)
+
+    lo = bisect_left(ks, True, key=reached)
+    hi = bisect_left(ks, True, lo, key=passed) - 1  # passed is false before lo unless the run is empty
+    return lo <= hi, lo <= hi and min(at(ks[lo])[2], at(ks[hi])[2]) <= h
 
 
 def _in_tree(t: tuple, px: np.ndarray, py: np.ndarray):
@@ -69,8 +87,9 @@ def obstacle_families(layout: CityLayout) -> list[tuple]:
     of a link it blocks, its obstacles as rows of Python floats in table
     column order, their covering discs (centres x and y, radii), and the
     point test that gives the step points inside one obstacle's footprint
-    and the obstacle's height there: one number for a building or a light,
-    one per point for a tree."""
+    and the obstacle's height there: one number for a light, one per point
+    for a tree. Buildings have none: classify_link_bruteforce finds each
+    box's one run of inside steps by bisection."""
     bs, trees, lights = layout.buildings, layout.trees, layout.lights
     building_discs = (
         (bs.x + (bs.x + bs.w)) / 2.0,
@@ -78,7 +97,7 @@ def obstacle_families(layout: CityLayout) -> list[tuple]:
         np.array([math.hypot(w, l) / 2.0 for w, l in zip(bs.w.tolist(), bs.l.tolist())]),
     )
     return [
-        ("building", LinkClass.NLOS_BUILDING, bs.tolist(), *building_discs, _in_building),
+        ("building", LinkClass.NLOS_BUILDING, bs.tolist(), *building_discs, None),
         ("tree", LinkClass.NLOS_TREE, trees.tolist(), trees.x, trees.y, trees.r, _in_tree),
         ("streetlight", LinkClass.NLOS_LIGHT, lights.tolist(), lights.x, lights.y, lights.r, _in_light),
     ]
@@ -99,8 +118,14 @@ def classify_link_bruteforce(
     |k * step - along| <= reach, along being the centre's projection onto
     the link, widened by one step each side against rounding: a step point
     outside that window is farther than reach from the centre, so outside
-    the footprint.
+    the footprint. Rounding is monotone, so each step's fraction of the link
+    (k * step) / g, its point and the line height are monotone in k: each
+    of a box's four edge tests changes state at most once, and bisecting
+    them finds the box's one run of inside steps, with the lowest line at
+    an end. That gives what a test of every step would give.
     """
+    if not 0.0 < step < math.inf:
+        raise ParameterError(f"oracle step must be finite and > 0, got {step}")
     g = link.ground_distance
     if g <= 0.0:
         raise DegenerateLinkError("link has zero ground distance")
@@ -108,6 +133,11 @@ def classify_link_bruteforce(
     last = n + 1 if g - n * step > 1e-12 else n
     (ax, ay), (bx, by) = link.abs_xy, link.gu_xy
     ex, ey, h_abs, dh = bx - ax, by - ay, link.h_abs, link.h_abs - link.h_gu
+
+    def at(k):  # step k's ground point and line height, as the array walk computes them
+        u = (k * step if k <= n else g) / g
+        return ax + u * ex, ay + u * ey, h_abs - u * dh
+
     link_class = LinkClass.LOS
     crossed: dict[str, frozenset[int]] = {}
     blocked: dict[str, frozenset[int]] = {}
@@ -118,19 +148,21 @@ def classify_link_bruteforce(
         first = np.maximum(np.floor((along[near] - reach[near]) / step) - 1, 0).astype(int)
         stop = np.minimum(np.ceil((along[near] + reach[near]) / step) + 1, last).astype(int)
         for i, k0, k1 in zip(near.tolist(), first.tolist(), stop.tolist()):
-            u = np.arange(k0, k1 + 1) * step
-            if k1 > n:  # only the last step can pass n: the GU end
-                u[-1] = g
-            u /= g
-            inside, height = point_test(obstacles[i], ax + u * ex, ay + u * ey)
-            at = inside.nonzero()[0]
-            if not at.size:
-                continue
-            hit.add(i)
-            if isinstance(height, np.ndarray):  # a tree's height varies per point
-                height = height[at]
-            # the line height against the obstacle's, at the inside points only
-            if (h_abs - u[at] * dh <= height).any():
+            if point_test is None:  # a box: bisect its run of inside steps
+                crossed_i, blocked_i = _box_hits(obstacles[i], range(k0, k1 + 1), at, ex < 0, ey < 0)
+            else:
+                u = np.arange(k0, k1 + 1) * step
+                if k1 > n:  # only the last step can pass n: the GU end
+                    u[-1] = g
+                u /= g
+                inside, height = point_test(obstacles[i], ax + u * ex, ay + u * ey)
+                if isinstance(height, np.ndarray):  # a tree's height varies per point
+                    height = height[inside]
+                # the line height against the obstacle's, at the inside points only
+                crossed_i, blocked_i = inside.any(), (h_abs - u[inside] * dh <= height).any()
+            if crossed_i:
+                hit.add(i)
+            if blocked_i:
                 low.add(i)
         crossed[kind], blocked[kind] = frozenset(hit), frozenset(low)
         if low and link_class is LinkClass.LOS:

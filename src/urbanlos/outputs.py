@@ -111,6 +111,13 @@ def write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def write_json_list(path: Path, records: list) -> None:
+    """json.dumps(records, indent=2) + "\n", a record at a time: JSON escapes
+    newlines in strings, so indenting each record's lines nests it."""
+    items = ["  " + json.dumps(r, indent=2).replace("\n", "\n  ") for r in records]
+    path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
+
+
 def read_csv_dicts(path: Path) -> list[dict[str, str]]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

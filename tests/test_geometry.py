@@ -34,7 +34,7 @@ from urbanlos.geometry import (
     tree_height_at,
 )
 from urbanlos.montecarlo import LOS, MASK_CLASS, NLOS_B, NLOS_S, NLOS_T
-from urbanlos.oracle import check_links, classify_link_bruteforce, obstacle_families, random_links
+from urbanlos.oracle import _project, check_links, classify_link_bruteforce, obstacle_families, random_links
 from urbanlos.outputs import P_COLUMNS
 
 URBAN = PRESETS["urban"]
@@ -501,34 +501,54 @@ def test_one_class_order_everywhere():
         assert list(LinkClass)[code] is classify_hits(hits), mask
 
 
-def _full_walk(link, families, step):
-    """Reference walk: every step point (one step apart from the ABS end,
-    plus the GU end when the distance is no multiple of the step) against
-    every obstacle, with no prefilter and no window."""
+def _in_box(b, px, py):
+    """The reference point-in-box test: which points lie in box b, and its roof."""
+    x, y, w, l, h = b
+    return (px >= x) & (px <= x + w) & (py >= y) & (py <= y + l), h
+
+
+def _scan(link, families, step, windowed=True):
+    """Reference scan, testing buildings with _in_box and trees and lights
+    with their families' point tests. windowed: each obstacle near the link
+    at every step of its covering-disc window, the per-candidate array scan
+    the oracle ran before it bisected building runs. Otherwise every
+    obstacle at every step point (one step apart from the ABS end, plus the
+    GU end when the distance is no multiple of the step), with no prefilter
+    and no window."""
     g = link.ground_distance
     n = int(math.floor(g / step))
-    dists = np.arange(n + 1, dtype=float) * step
-    if g - dists[-1] > 1e-12:
-        dists = np.append(dists, g)
-    u = dists / g
-    ax, ay = link.abs_xy
-    px = ax + u * (link.gu_xy[0] - ax)
-    py = ay + u * (link.gu_xy[1] - ay)
-    h_line = link.h_abs - u * (link.h_abs - link.h_gu)
+    last = n + 1 if g - n * step > 1e-12 else n
+    (ax, ay), (bx, by) = link.abs_xy, link.gu_xy
     crossed, blocked = {}, {}
-    for kind, _, obstacles, _, _, _, point_test in families:
-        tests = [point_test(o, px, py) for o in obstacles]
-        crossed[kind] = {i for i, (inside, _) in enumerate(tests) if inside.any()}
-        blocked[kind] = {i for i, (inside, h) in enumerate(tests) if (inside & (h_line <= h)).any()}
+    for kind, _, obstacles, cx, cy, reach, point_test in families:
+        windows = [(i, 0, last) for i in range(len(obstacles))]
+        if windowed:
+            dist, along = _project(link, cx, cy)
+            near = np.nonzero(dist <= reach + 1e-9)[0]
+            first = np.maximum(np.floor((along[near] - reach[near]) / step) - 1, 0).astype(int)
+            stop = np.minimum(np.ceil((along[near] + reach[near]) / step) + 1, last).astype(int)
+            windows = zip(near.tolist(), first.tolist(), stop.tolist())
+        crossed[kind], blocked[kind] = set(), set()
+        for i, k0, k1 in windows:
+            u = np.arange(k0, k1 + 1) * step
+            if k1 > n:
+                u[-1] = g
+            u /= g
+            inside, h = (point_test or _in_box)(obstacles[i], ax + u * (bx - ax), ay + u * (by - ay))
+            if inside.any():
+                crossed[kind].add(i)
+            if (inside & (link.h_abs - u * (link.h_abs - link.h_gu) <= h)).any():
+                blocked[kind].add(i)
     return crossed, blocked
 
 
-# (layout, link, step, the families the link crosses)
+# (layout, link, step, the families the link crosses, those that block it)
 WINDOW_CASES = {
     "abs-end": (
         _fixture_layout(buildings=[(-2.0, -2.0, 4.0, 4.0, 20.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.3, 7.1), h_gu=1.5),
         0.01,
+        {"building"},
         {"building"},
     ),
     # only the appended point at g = 10.005 m lies inside the tree
@@ -537,6 +557,15 @@ WINDOW_CASES = {
         Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.005, 0.0), h_gu=1.5),
         0.01,
         {"tree"},
+        {"tree"},
+    ),
+    # the same for a box: its run is the GU end alone
+    "gu-end-tail-box": (
+        _fixture_layout(buildings=[(10.004, -1.0, 0.5, 2.0, 5.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.005, 0.0), h_gu=1.5),
+        0.01,
+        {"building"},
+        {"building"},
     ),
     # centres past the GU and ABS ends, the footprints reaching over them
     "past-ends": (
@@ -548,6 +577,7 @@ WINDOW_CASES = {
         Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(21.0, 0.0), h_gu=1.5),
         0.01,
         {"building", "tree", "streetlight"},
+        {"building", "streetlight"},
     ),
     # a covering disc that reaches the link while the footprint does not
     "disc-only": (
@@ -555,11 +585,13 @@ WINDOW_CASES = {
         Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(11.0, 0.0), h_gu=1.5),
         0.01,
         set(),
+        set(),
     ),
     "shorter-than-a-step": (
         _fixture_layout(trees=[(0.002, 0.001, 0.5, 5.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(0.004, 0.0), h_gu=1.5),
         0.01,
+        {"tree"},
         {"tree"},
     ),
     # g / step = 40 exactly: the last step point is the GU end, no tail
@@ -567,6 +599,7 @@ WINDOW_CASES = {
         _fixture_layout(trees=[(6.0, 8.0, 0.003, 5.0)]),
         Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(6.0, 8.0), h_gu=1.5),
         0.25,
+        {"tree"},
         {"tree"},
     ),
     "coarse-step-diagonal": (
@@ -578,27 +611,131 @@ WINDOW_CASES = {
         Link(abs_xy=(100.0, 60.0), h_abs=12.0, gu_xy=(1.0, 0.5), h_gu=1.5),
         0.37,
         {"building", "tree", "streetlight"},
+        {"building"},
     ),
     "empty-families": (
         _fixture_layout(),
         Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.0, 40.0), h_gu=1.5),
         0.01,
         set(),
+        set(),
+    ),
+    # ex == 0 with y rising, then ey == 0 with x falling: one coordinate constant
+    "axis-parallel-x": (
+        _fixture_layout(buildings=[(2.0, 10.0, 2.0, 5.0, 8.0), (3.5, 20.0, 1.0, 1.0, 30.0)]),
+        Link(abs_xy=(3.0, 0.0), h_abs=10.0, gu_xy=(3.0, 30.0), h_gu=1.5),
+        0.01,
+        {"building"},
+        {"building"},
+    ),
+    "axis-parallel-y": (
+        _fixture_layout(buildings=[(10.0, 3.0, 5.0, 3.0, 4.0), (20.0, 4.5, 1.0, 1.0, 30.0)]),
+        Link(abs_xy=(30.0, 4.0), h_abs=10.0, gu_xy=(0.0, 4.0), h_gu=1.5),
+        0.01,
+        {"building"},
+        set(),
+    ),
+    # the link runs along a box's bottom edge (y = 0) and another's top edge (y = 1 + 2)
+    "on-box-edges": (
+        _fixture_layout(buildings=[(5.0, 0.0, 4.0, 3.0, 20.0), (12.0, -2.0, 3.0, 2.0, 1.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(20.0, 0.0), h_gu=1.5),
+        0.25,
+        {"building"},
+        {"building"},
+    ),
+    # step points exactly on a box's near and far edges: x from 4.5 to 5.0
+    "step-on-edges": (
+        _fixture_layout(buildings=[(4.5, -1.0, 0.5, 2.0, 20.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.0, 0.0), h_gu=1.5),
+        0.25,
+        {"building"},
+        {"building"},
+    ),
+    # the box starts at step 7's x as the walk rounds it, (7 * 0.1) / 3 * 3,
+    # one ulp above 0.7, and ends before step 8: step 7 alone is inside
+    "rounded-step-on-edge": (
+        _fixture_layout(buildings=[(0.7000000000000001, -1.0, 0.05, 2.0, 20.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(3.0, 0.0), h_gu=1.5),
+        0.1,
+        {"building"},
+        {"building"},
+    ),
+    # step 10 (u = 0.5) is exactly the box's corner (1.5, 2.0); no other step is inside
+    "corner-graze": (
+        _fixture_layout(buildings=[(1.5, 1.0, 1.0, 1.0, 20.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(3.0, 4.0), h_gu=2.0),
+        0.25,
+        {"building"},
+        {"building"},
+    ),
+    # the run's last step is u = 0.5, where the line is exactly 6 m: a 6 m
+    # roof blocks, one just below does not
+    "roof-at-line-height": (
+        _fixture_layout(buildings=[(1.0, 0.0, 0.5, 3.0, 6.0), (1.0, 0.0, 0.5, 3.0, math.nextafter(6.0, 0.0))]),
+        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(3.0, 4.0), h_gu=2.0),
+        0.25,
+        {"building"},
+        {"building"},
+    ),
+    # one box covers the whole link: its window is clipped at k = 0 and at
+    # the appended GU end
+    "clipped-window": (
+        _fixture_layout(buildings=[(-5.0, -5.0, 20.0, 20.0, 20.0)]),
+        Link(abs_xy=(0.0, 0.0), h_abs=30.0, gu_xy=(7.0, 3.2), h_gu=1.5),
+        0.01,
+        {"building"},
+        {"building"},
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_oracle_window_matches_full_walk(case):
-    """The per-candidate step windows find exactly what a walk of every
-    step point against every obstacle finds."""
-    layout, link, step, families_crossed = WINDOW_CASES[case]
+    """The oracle finds exactly what a walk of every step point against
+    every obstacle finds."""
+    layout, link, step, families_crossed, families_blocked = WINDOW_CASES[case]
     families = obstacle_families(layout)
-    crossed, blocked = _full_walk(link, families, step)
+    crossed, blocked = _scan(link, families, step, windowed=False)
     assert {kind for kind, hit in crossed.items() if hit} == families_crossed
+    assert {kind for kind, low in blocked.items() if low} == families_blocked
     brute = classify_link_bruteforce(link, families, step)
     assert {kind: set(hit) for kind, hit in brute.crossed.items()} == crossed
     assert {kind: set(low) for kind, low in brute.blocked.items()} == blocked
+
+
+def _assert_matches_scan(link, families, step):
+    brute = classify_link_bruteforce(link, families, step)
+    crossed, blocked = _scan(link, families, step)
+    assert {kind: set(hit) for kind, hit in brute.crossed.items()} == crossed
+    assert {kind: set(low) for kind, low in brute.blocked.items()} == blocked
+
+
+@pytest.mark.parametrize("env", ["urban", "dense_urban", "high_rise"])
+def test_building_runs_match_array_scan(env):
+    """Bisected building runs cross and block exactly the obstacles the
+    per-step array scan does, on random links at the 1 cm step."""
+    layout = generate_city(PRESETS[env], GenConfig(seed=17))
+    links = random_links(LayoutGeometry(layout), default_rng(41), 200)
+    families = obstacle_families(layout)
+    for link in links:
+        _assert_matches_scan(link, families, 0.01)
+
+
+@pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
+def test_building_runs_match_array_scan_on_sub_step_links(env, seed, index):
+    layout, _, link = _sub_step_link(env, seed, index)
+    families = obstacle_families(layout)
+    for step in (0.01, 1e-4):
+        _assert_matches_scan(link, families, step)
+
+
+@pytest.mark.parametrize("step", [-0.01, math.inf, 0.0, math.nan])
+def test_oracle_rejects_bad_step(step):
+    layout = _fixture_layout(buildings=[(40.0, -10.0, 20.0, 20.0, 20.0)])
+    link = Link(abs_xy=(100.0, 0.0), h_abs=25.0, gu_xy=(0.0, 0.0), h_gu=1.5)
+    assert classify_link_bruteforce(link, obstacle_families(layout)).link_class is LinkClass.NLOS_BUILDING
+    with pytest.raises(ParameterError, match="step"):
+        classify_link_bruteforce(link, obstacle_families(layout), step)
 
 
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):

@@ -21,7 +21,7 @@ from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_
 from urbanlos.cli import main
 from urbanlos.geometry import LayoutGeometry, Link
 from urbanlos.montecarlo import class_counts
-from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv
+from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv, write_json_list
 from urbanlos.pathloss import VegetationParams, composite_bins, pl_vs_theta
 
 ANGLES_SHA = "b7ad24ada62bfb63e0eae5519a1dc5c34354496d511fe685f0469cd913baf671"
@@ -76,6 +76,11 @@ OBSTACLE_HITS_SHA = {
     "urban": "8218f9ac1e922824022d63b7588aa21d73f83b86b1955735e42c540c6bb28cf4",
     "dense_urban": "7b270d6e04d5a5fb227b073c7a6cf4fd9717b4ad1982c94babe7fef5a915974e",
 }
+# oracle-check --env high_rise --seed 37 --n-links 300, which exits 1 on
+# link 132, a known sub-step miss of the 1 cm oracle: its summary and dump
+MISS_ARGS = ["oracle-check", "--env", "high_rise", "--seed", "37", "--n-links", "300"]
+MISS_STDOUT = "300 links, 1 disagreements (step 0.01 m)\n  link 132: analytic=nlos_b bruteforce=los\n"
+MISS_HITS_SHA = "4dd0fcadae610d01c4f3d6da31a7fb67fc8f3f32dd66a0f078d38fc548b8e51b"
 # dense_urban, seed 2, 1000 users: batch arrays, and the crossings, class and
 # critical altitudes of 300 links at 20 m (these include blocking tree and
 # streetlight hits, which the small simulate run above never produces)
@@ -159,6 +164,22 @@ def test_oracle_hit_dump_golden_with_trees_and_lights(tmp_path, env):
     args = ["oracle-check", "--env", env, "--seed", "1", "--n-links", "50"]
     assert main(args + ["--dump-hits", str(dump)]) == 0
     assert _sha(dump) == OBSTACLE_HITS_SHA[env]
+
+
+def test_oracle_hit_dump_golden_on_a_known_miss(tmp_path, capsys):
+    """A seed where the 1 cm oracle disagrees keeps its exit code, summary
+    and dump bytes: a faster oracle must miss exactly what it missed."""
+    dump = tmp_path / "hits.json"
+    assert main(MISS_ARGS + ["--dump-hits", str(dump)]) == 1
+    assert capsys.readouterr().out == MISS_STDOUT
+    assert _sha(dump) == MISS_HITS_SHA
+
+
+@pytest.mark.parametrize("records", [[], [{}], [{"a": [1, {"b": "x\ny"}], "c": {}}, [2.5, []], "s"]])
+def test_json_list_is_indented_json(tmp_path, records):
+    """The hit dump's writer gives json.dumps(records, indent=2) + "\n"."""
+    write_json_list(tmp_path / "out.json", records)
+    assert (tmp_path / "out.json").read_text() == json.dumps(records, indent=2) + "\n"
 
 
 def test_kernel_golden():
