@@ -32,7 +32,7 @@ from .montecarlo import (
     parse_scenario,
     run_simulation,
 )
-from .oracle import DEFAULT_STEP_M, check_links, random_links
+from .oracle import check_links, random_links
 from .outputs import (
     ANGLE_KEY,
     DISTANCE_KEY,
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit plot-ready CSV bundle from a run")
     p.add_argument("--run", type=Path, required=True, help="simulate run directory")
 
-    p = sub.add_parser("oracle-check", help="compare the classifier against rasterization")
+    p = sub.add_parser("oracle-check", help="compare the classifier against exact predicates")
     _add_param_flags(p)
     p.add_argument("--n-links", type=positive_integer, dest="n_links", default=1000)
     p.add_argument("--dump-hits", type=Path, dest="dump_hits", help="write per-link hit lists as JSON")
@@ -500,7 +500,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             )
     if args.dump_hits:
         write_json_list(args.dump_hits, dump)
-    print(f"{len(links)} links, {len(disagreements)} disagreements (step {DEFAULT_STEP_M} m)")
+    print(f"{len(links)} links, {len(disagreements)} disagreements")
     if disagreements:
         print(*disagreements[:10], sep="\n")
         return EXIT_VALIDATION

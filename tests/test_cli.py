@@ -722,6 +722,13 @@ def test_oracle_check(tmp_path, capsys):
     assert {"abs_xy", "gu_xy", "h_abs", "analytic_hits", "bruteforce_crossed"} <= set(hits[0])
 
 
+def test_oracle_check_with_heights_off_the_coarse_grid(capsys):
+    """gamma = 1e-300 puts every building height off the 2**-128 grid, so
+    each link the oracle tests against a building takes the 2**-1074 grid."""
+    assert main(["oracle-check", "--env", "urban", "--seed", "1", "--n-links", "50", "--gamma", "1e-300"]) == 0
+    assert capsys.readouterr().out == "50 links, 0 disagreements\n"
+
+
 def test_oracle_check_reports_first_ten_disagreements(monkeypatch, capsys):
     """With the oracle made to disagree on 12 of 25 links, the summary
     counts all 12 and the first 10 are listed with both classes."""
@@ -742,7 +749,7 @@ def test_oracle_check_reports_first_ten_disagreements(monkeypatch, capsys):
     assert main(["oracle-check", "--env", "urban", "--seed", "7", "--n-links", "25"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert len(expected) == 12
-    assert out == ["25 links, 12 disagreements (step 0.01 m)", *expected[:10]]
+    assert out == ["25 links, 12 disagreements", *expected[:10]]
 
 
 def test_oracle_check_runs_oracle_once_per_link(tmp_path, monkeypatch):

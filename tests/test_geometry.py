@@ -1,8 +1,10 @@
 """Link classification: blockage-line math, tree profile, crossing
-detection, precedence, monotonicity, and agreement with the
-rasterization oracle."""
+detection, precedence, monotonicity, and agreement with the exact
+oracle."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+from urbanlos import oracle
 from urbanlos.citygen import (
     BUILDING,
     DISC,
@@ -34,7 +37,7 @@ from urbanlos.geometry import (
     tree_height_at,
 )
 from urbanlos.montecarlo import LOS, MASK_CLASS, NLOS_B, NLOS_S, NLOS_T
-from urbanlos.oracle import _project, check_links, classify_link_bruteforce, obstacle_families, random_links
+from urbanlos.oracle import check_links, classify_link_bruteforce, obstacle_families, random_links
 from urbanlos.outputs import P_COLUMNS
 
 URBAN = PRESETS["urban"]
@@ -450,7 +453,7 @@ def test_oracle_agreement(env):
 
 
 # (env, seed, link index) of oracle-check --env <env> --seed <seed> links
-# that dip under a roof for less than the 1 cm oracle step
+# that dip under a roof for less than 1 cm, which a 1 cm raster missed
 SUB_STEP_LINKS = [
     ("high_rise", 101, 146),
     ("high_rise", 72012, 123),
@@ -461,6 +464,9 @@ SUB_STEP_LINKS = [
     ("dense_urban", 22, 13),
     ("urban", 16, 24),
     ("urban", 24, 41),
+    ("high_rise", 44, 253),
+    ("urban", 44, 92),
+    ("urban", 50, 177),
 ]
 
 
@@ -470,19 +476,40 @@ def _sub_step_link(env: str, seed: int, index: int):
     return layout, geom, random_links(geom, default_rng(seed), index + 1)[index]
 
 
-@pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
-def test_oracle_sees_sub_step_dip_at_fine_step(env, seed, index):
-    layout, geom, link = _sub_step_link(env, seed, index)
-    brute = classify_link_bruteforce(link, obstacle_families(layout), step=1e-4)
-    assert geom.classify(link) is brute.link_class is LinkClass.NLOS_BUILDING
+def _assert_matches_kernel(geom, links):
+    """The oracle crosses and blocks exactly the obstacles of each family
+    that the kernel's array pass, crossings_of, reports; returns the
+    oracle's results."""
+    results = []
+    for hits, _, brute in check_links(geom, links):
+        for kind in brute.crossed:
+            assert brute.crossed[kind] == {hit.index for hit in hits if hit.kind == kind}, kind
+            assert brute.blocked[kind] == {hit.index for hit in hits if hit.kind == kind and hit.blocks}, kind
+        results.append(brute)
+    return results
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the 1 cm oracle misses a sub-step roof dip")
 @pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
 def test_oracle_sees_sub_step_dip_at_default_step(env, seed, index):
+    """The oracle, classify and crossings_of all read nlos_b, and the
+    oracle blocks under the buildings the kernel does: on a link that cuts
+    a footprint corner between two 1 cm steps too."""
     _, geom, link = _sub_step_link(env, seed, index)
-    [(_, fast, brute)] = check_links(geom, [link])
-    assert fast is brute.link_class
+    [(hits, fast, brute)] = check_links(geom, [link])
+    assert brute.link_class is geom.classify(link) is fast is LinkClass.NLOS_BUILDING
+    blocking = {hit.index for hit in hits if hit.kind == "building" and hit.blocks}
+    assert blocking == brute.blocked["building"] <= brute.crossed["building"]
+
+
+@pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
+def test_oracle_sees_sub_step_dip_at_fine_step(monkeypatch, env, seed, index):
+    """On the 2**-1074 grid, which a link takes when it meets a value off
+    the 2**-128 one, the oracle finds what it finds on the coarser grid."""
+    layout, _, link = _sub_step_link(env, seed, index)
+    families = obstacle_families(layout)
+    coarse = classify_link_bruteforce(link, families)
+    monkeypatch.setattr(oracle, "_GRID", 1.0)  # h_gu = 1.5 is no integer
+    assert classify_link_bruteforce(link, families) == coarse
 
 
 def test_one_class_order_everywhere():
@@ -501,241 +528,207 @@ def test_one_class_order_everywhere():
         assert list(LinkClass)[code] is classify_hits(hits), mask
 
 
-def _in_box(b, px, py):
-    """The reference point-in-box test: which points lie in box b, and its roof."""
-    x, y, w, l, h = b
-    return (px >= x) & (px <= x + w) & (py >= y) & (py <= y + l), h
-
-
-def _scan(link, families, step, windowed=True):
-    """Reference scan, testing buildings with _in_box and trees and lights
-    with their families' point tests. windowed: each obstacle near the link
-    at every step of its covering-disc window, the per-candidate array scan
-    the oracle ran before it bisected building runs. Otherwise every
-    obstacle at every step point (one step apart from the ABS end, plus the
-    GU end when the distance is no multiple of the step), with no prefilter
-    and no window."""
-    g = link.ground_distance
-    n = int(math.floor(g / step))
-    last = n + 1 if g - n * step > 1e-12 else n
-    (ax, ay), (bx, by) = link.abs_xy, link.gu_xy
-    crossed, blocked = {}, {}
-    for kind, _, obstacles, cx, cy, reach, point_test in families:
-        windows = [(i, 0, last) for i in range(len(obstacles))]
-        if windowed:
-            dist, along = _project(link, cx, cy)
-            near = np.nonzero(dist <= reach + 1e-9)[0]
-            first = np.maximum(np.floor((along[near] - reach[near]) / step) - 1, 0).astype(int)
-            stop = np.minimum(np.ceil((along[near] + reach[near]) / step) + 1, last).astype(int)
-            windows = zip(near.tolist(), first.tolist(), stop.tolist())
-        crossed[kind], blocked[kind] = set(), set()
-        for i, k0, k1 in windows:
-            u = np.arange(k0, k1 + 1) * step
-            if k1 > n:
-                u[-1] = g
-            u /= g
-            inside, h = (point_test or _in_box)(obstacles[i], ax + u * (bx - ax), ay + u * (by - ay))
-            if inside.any():
-                crossed[kind].add(i)
-            if (inside & (link.h_abs - u * (link.h_abs - link.h_gu) <= h)).any():
-                blocked[kind].add(i)
-    return crossed, blocked
-
-
-# (layout, link, step, the families the link crosses, those that block it)
-WINDOW_CASES = {
+# (layout, link, the oracle's crossed and blocked obstacles per family)
+EXACT_CASES = {
     "abs-end": (
         _fixture_layout(buildings=[(-2.0, -2.0, 4.0, 4.0, 20.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.3, 7.1), h_gu=1.5),
-        0.01,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 10.0, (30.3, 7.1), 1.5), {"building": {0}}, {"building": {0}},
     ),
-    # only the appended point at g = 10.005 m lies inside the tree
+    # a 3 mm tree around the GU end
     "gu-end-tail": (
         _fixture_layout(trees=[(10.005, 0.0, 0.003, 5.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.005, 0.0), h_gu=1.5),
-        0.01,
-        {"tree"},
-        {"tree"},
+        Link((0.0, 0.0), 10.0, (10.005, 0.0), 1.5), {"tree": {0}}, {"tree": {0}},
     ),
-    # the same for a box: its run is the GU end alone
+    # a box that starts 1 mm before the GU end
     "gu-end-tail-box": (
         _fixture_layout(buildings=[(10.004, -1.0, 0.5, 2.0, 5.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.005, 0.0), h_gu=1.5),
-        0.01,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 10.0, (10.005, 0.0), 1.5), {"building": {0}}, {"building": {0}},
     ),
     # centres past the GU and ABS ends, the footprints reaching over them
     "past-ends": (
         _fixture_layout(
-            buildings=[(20.9, -3.0, 6.0, 6.0, 30.0)],
-            trees=[(-0.6, -0.2, 1.0, 5.0)],
-            lights=[(21.05, 0.0, 0.1, 5.0)],
+            buildings=[(20.9, -3.0, 6.0, 6.0, 30.0)], trees=[(-0.6, -0.2, 1.0, 5.0)], lights=[(21.05, 0.0, 0.1, 5.0)]
         ),
-        Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(21.0, 0.0), h_gu=1.5),
-        0.01,
-        {"building", "tree", "streetlight"},
-        {"building", "streetlight"},
+        Link((0.0, 0.0), 6.0, (21.0, 0.0), 1.5),
+        {"building": {0}, "tree": {0}, "streetlight": {0}},
+        {"building": {0}, "streetlight": {0}},
     ),
     # a covering disc that reaches the link while the footprint does not
     "disc-only": (
-        _fixture_layout(buildings=[(10.5, 0.5, 4.0, 4.0, 30.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=6.0, gu_xy=(11.0, 0.0), h_gu=1.5),
-        0.01,
-        set(),
-        set(),
+        _fixture_layout(buildings=[(10.5, 0.5, 4.0, 4.0, 30.0)]), Link((0.0, 0.0), 6.0, (11.0, 0.0), 1.5), {}, {}
     ),
+    # a 4 mm link
     "shorter-than-a-step": (
         _fixture_layout(trees=[(0.002, 0.001, 0.5, 5.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(0.004, 0.0), h_gu=1.5),
-        0.01,
-        {"tree"},
-        {"tree"},
+        Link((0.0, 0.0), 3.0, (0.004, 0.0), 1.5), {"tree": {0}}, {"tree": {0}},
     ),
-    # g / step = 40 exactly: the last step point is the GU end, no tail
+    # a 3 mm tree centred on the GU end
     "exact-multiple": (
         _fixture_layout(trees=[(6.0, 8.0, 0.003, 5.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=3.0, gu_xy=(6.0, 8.0), h_gu=1.5),
-        0.25,
-        {"tree"},
-        {"tree"},
+        Link((0.0, 0.0), 3.0, (6.0, 8.0), 1.5), {"tree": {0}}, {"tree": {0}},
     ),
     "coarse-step-diagonal": (
         _fixture_layout(
-            buildings=[(40.0, 25.0, 12.0, 8.0, 30.0)],
-            trees=[(20.0, 13.5, 1.5, 5.0)],
-            lights=[(70.3, 42.3, 0.6, 5.0)],
+            buildings=[(40.0, 25.0, 12.0, 8.0, 30.0)], trees=[(20.0, 13.5, 1.5, 5.0)], lights=[(70.3, 42.3, 0.6, 5.0)]
         ),
-        Link(abs_xy=(100.0, 60.0), h_abs=12.0, gu_xy=(1.0, 0.5), h_gu=1.5),
-        0.37,
-        {"building", "tree", "streetlight"},
-        {"building"},
+        Link((100.0, 60.0), 12.0, (1.0, 0.5), 1.5),
+        {"building": {0}, "tree": {0}, "streetlight": {0}},
+        {"building": {0}},
     ),
-    "empty-families": (
-        _fixture_layout(),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(30.0, 40.0), h_gu=1.5),
-        0.01,
-        set(),
-        set(),
-    ),
+    "empty-families": (_fixture_layout(), Link((0.0, 0.0), 10.0, (30.0, 40.0), 1.5), {}, {}),
     # ex == 0 with y rising, then ey == 0 with x falling: one coordinate constant
     "axis-parallel-x": (
         _fixture_layout(buildings=[(2.0, 10.0, 2.0, 5.0, 8.0), (3.5, 20.0, 1.0, 1.0, 30.0)]),
-        Link(abs_xy=(3.0, 0.0), h_abs=10.0, gu_xy=(3.0, 30.0), h_gu=1.5),
-        0.01,
-        {"building"},
-        {"building"},
+        Link((3.0, 0.0), 10.0, (3.0, 30.0), 1.5), {"building": {0}}, {"building": {0}},
     ),
     "axis-parallel-y": (
         _fixture_layout(buildings=[(10.0, 3.0, 5.0, 3.0, 4.0), (20.0, 4.5, 1.0, 1.0, 30.0)]),
-        Link(abs_xy=(30.0, 4.0), h_abs=10.0, gu_xy=(0.0, 4.0), h_gu=1.5),
-        0.01,
-        {"building"},
-        set(),
+        Link((30.0, 4.0), 10.0, (0.0, 4.0), 1.5), {"building": {0}}, {},
     ),
-    # the link runs along a box's bottom edge (y = 0) and another's top edge (y = 1 + 2)
+    # the link runs along a box's bottom edge (y = 0) and another's top edge (y = -2 + 2)
     "on-box-edges": (
         _fixture_layout(buildings=[(5.0, 0.0, 4.0, 3.0, 20.0), (12.0, -2.0, 3.0, 2.0, 1.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(20.0, 0.0), h_gu=1.5),
-        0.25,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 10.0, (20.0, 0.0), 1.5), {"building": {0, 1}}, {"building": {0}},
     ),
-    # step points exactly on a box's near and far edges: x from 4.5 to 5.0
+    # the run is u in [0.45, 0.5], both ends on the box's edges
     "step-on-edges": (
         _fixture_layout(buildings=[(4.5, -1.0, 0.5, 2.0, 20.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(10.0, 0.0), h_gu=1.5),
-        0.25,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 10.0, (10.0, 0.0), 1.5), {"building": {0}}, {"building": {0}},
     ),
-    # the box starts at step 7's x as the walk rounds it, (7 * 0.1) / 3 * 3,
-    # one ulp above 0.7, and ends before step 8: step 7 alone is inside
+    # a box that starts one ulp above 0.7
     "rounded-step-on-edge": (
         _fixture_layout(buildings=[(0.7000000000000001, -1.0, 0.05, 2.0, 20.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(3.0, 0.0), h_gu=1.5),
-        0.1,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 10.0, (3.0, 0.0), 1.5), {"building": {0}}, {"building": {0}},
     ),
-    # step 10 (u = 0.5) is exactly the box's corner (1.5, 2.0); no other step is inside
+    # the link meets box 0 at its corner (1.5, 2.0) alone, at u = 0.5, and
+    # passes 2**-52 m above box 1's corner (1.5, 2 - 2**-52)
     "corner-graze": (
-        _fixture_layout(buildings=[(1.5, 1.0, 1.0, 1.0, 20.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(3.0, 4.0), h_gu=2.0),
-        0.25,
-        {"building"},
-        {"building"},
+        _fixture_layout(buildings=[(1.5, 1.0, 1.0, 1.0, 20.0), (1.5, 0.5, 1.0, 1.4999999999999998, 20.0)]),
+        Link((0.0, 0.0), 10.0, (3.0, 4.0), 2.0), {"building": {0}}, {"building": {0}},
     ),
-    # the run's last step is u = 0.5, where the line is exactly 6 m: a 6 m
-    # roof blocks, one just below does not
+    # the run's end is u = 0.5, where the line is exactly 6 m: a 6 m roof
+    # blocks, one an ulp lower does not
     "roof-at-line-height": (
         _fixture_layout(buildings=[(1.0, 0.0, 0.5, 3.0, 6.0), (1.0, 0.0, 0.5, 3.0, math.nextafter(6.0, 0.0))]),
-        Link(abs_xy=(0.0, 0.0), h_abs=10.0, gu_xy=(3.0, 4.0), h_gu=2.0),
-        0.25,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 10.0, (3.0, 4.0), 2.0), {"building": {0, 1}}, {"building": {0}},
     ),
-    # one box covers the whole link: its window is clipped at k = 0 and at
-    # the appended GU end
+    # one box covers the whole link
     "clipped-window": (
         _fixture_layout(buildings=[(-5.0, -5.0, 20.0, 20.0, 20.0)]),
-        Link(abs_xy=(0.0, 0.0), h_abs=30.0, gu_xy=(7.0, 3.2), h_gu=1.5),
-        0.01,
-        {"building"},
-        {"building"},
+        Link((0.0, 0.0), 30.0, (7.0, 3.2), 1.5), {"building": {0}}, {"building": {0}},
+    ),
+    # the link touches light 0's disc at (5, 0), where the line is 2.25 m,
+    # and passes an ulp outside light 1's
+    "disc-tangent": (
+        _fixture_layout(lights=[(5.0, 1.0, 1.0, 5.0), (5.0, 1.0, math.nextafter(1.0, 0.0), 5.0)]),
+        Link((0.0, 0.0), 3.0, (10.0, 0.0), 1.5), {"streetlight": {0}}, {"streetlight": {0}},
+    ),
+    # the line passes 0.1 m from both axes at u = 0.5 at the trees' full 4 m:
+    # on tree 0's trunk rim, an ulp outside tree 1's, and above both crowns
+    "trunk-cap-boundary": (
+        _fixture_layout(trees=[(5.0, 0.1, 1.0, 4.0), (5.0, math.nextafter(0.1, 1.0), 1.0, 4.0)]),
+        Link((0.0, 0.0), 6.5, (10.0, 0.0), 1.5), {"tree": {0, 1}}, {"tree": {0}},
+    ),
+    # the line crosses the axis at 4.5 m, above the 4 m trunk, and falls
+    # 4 m per m: under tree 0's crown at the rim (0.5 m against 0.8 m) but
+    # not under tree 1's, which drops to 0.4 m
+    "across-tree-axis": (
+        _fixture_layout(trees=[(5.0, 0.0, 1.0, 4.0), (5.0, 0.0, 1.0, 2.0)]),
+        Link((0.0, 0.0), 24.5, (6.0, 0.0), 0.5), {"tree": {0, 1}}, {"tree": {0}},
+    ),
+    # h_abs == h_gu: the line is 5 m all along, at the roof of box 0 and of
+    # the light, an ulp over box 1, and over the tree it passes 0.5 m off axis
+    "flat-link": (
+        _fixture_layout(
+            buildings=[(2.0, -1.0, 1.0, 2.0, 5.0), (4.0, -1.0, 1.0, 2.0, math.nextafter(5.0, 0.0))],
+            trees=[(9.0, 0.5, 1.0, 5.0)],
+            lights=[(7.0, 0.0, 0.1, 5.0)],
+        ),
+        Link((0.0, 0.0), 5.0, (10.0, 0.0), 5.0),
+        {"building": {0, 1}, "tree": {0}, "streetlight": {0}},
+        {"building": {0}, "streetlight": {0}},
+    ),
+    # "corner-graze" from 1e-30 m off the ABS, off the 2**-128 grid: the line
+    # now passes just below the corner (1.5, 2.0), through box 0 and past box 1
+    "off-grid-inside": (
+        _fixture_layout(buildings=[(1.5, 1.0, 1.0, 1.0, 20.0), (1.5, 0.5, 1.0, 1.4999999999999998, 20.0)]),
+        Link((1e-30, 0.0), 10.0, (3.0, 4.0), 2.0), {"building": {0}}, {"building": {0}},
+    ),
+    # and from 1e-30 m the other way, just above the corner: past box 0
+    "off-grid-outside": (
+        _fixture_layout(buildings=[(1.5, 1.0, 1.0, 1.0, 20.0)]), Link((-1e-30, 0.0), 10.0, (3.0, 4.0), 2.0), {}, {}
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
 def test_oracle_window_matches_full_walk(case):
-    """The oracle finds exactly what a walk of every step point against
-    every obstacle finds."""
-    layout, link, step, families_crossed, families_blocked = WINDOW_CASES[case]
+    """The oracle, which tests only the obstacles whose covering disc
+    reaches the link, finds the case's exact sets, as a walk that tests
+    every obstacle does."""
+    layout, link, crossed, blocked = EXACT_CASES[case]
     families = obstacle_families(layout)
-    crossed, blocked = _scan(link, families, step, windowed=False)
-    assert {kind for kind, hit in crossed.items() if hit} == families_crossed
-    assert {kind for kind, low in blocked.items() if low} == families_blocked
-    brute = classify_link_bruteforce(link, families, step)
-    assert {kind: set(hit) for kind, hit in brute.crossed.items()} == crossed
-    assert {kind: set(low) for kind, low in brute.blocked.items()} == blocked
-
-
-def _assert_matches_scan(link, families, step):
-    brute = classify_link_bruteforce(link, families, step)
-    crossed, blocked = _scan(link, families, step)
-    assert {kind: set(hit) for kind, hit in brute.crossed.items()} == crossed
-    assert {kind: set(low) for kind, low in brute.blocked.items()} == blocked
+    every = [(*family[:5], np.full(len(family[2]), np.inf), family[6]) for family in families]
+    for fams in (families, every):
+        brute = classify_link_bruteforce(link, fams)
+        assert brute.crossed == {kind: crossed.get(kind, set()) for kind, _ in FAMILIES}
+        assert brute.blocked == {kind: blocked.get(kind, set()) for kind, _ in FAMILIES}
 
 
 @pytest.mark.parametrize("env", ["urban", "dense_urban", "high_rise"])
 def test_building_runs_match_array_scan(env):
-    """Bisected building runs cross and block exactly the obstacles the
-    per-step array scan does, on random links at the 1 cm step."""
-    layout = generate_city(PRESETS[env], GenConfig(seed=17))
-    links = random_links(LayoutGeometry(layout), default_rng(41), 200)
-    families = obstacle_families(layout)
-    for link in links:
-        _assert_matches_scan(link, families, 0.01)
+    """The exact building runs, and the disc tests, cross and block what the
+    kernel's array pass does, on random links."""
+    geom = LayoutGeometry(generate_city(PRESETS[env], GenConfig(seed=17)))
+    _assert_matches_kernel(geom, random_links(geom, default_rng(41), 200))
 
 
 @pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
 def test_building_runs_match_array_scan_on_sub_step_links(env, seed, index):
-    layout, _, link = _sub_step_link(env, seed, index)
-    families = obstacle_families(layout)
-    for step in (0.01, 1e-4):
-        _assert_matches_scan(link, families, step)
+    _, geom, link = _sub_step_link(env, seed, index)
+    _assert_matches_kernel(geom, [link])
 
 
-@pytest.mark.parametrize("step", [-0.01, math.inf, 0.0, math.nan])
-def test_oracle_rejects_bad_step(step):
-    layout = _fixture_layout(buildings=[(40.0, -10.0, 20.0, 20.0, 20.0)])
-    link = Link(abs_xy=(100.0, 0.0), h_abs=25.0, gu_xy=(0.0, 0.0), h_gu=1.5)
-    assert classify_link_bruteforce(link, obstacle_families(layout)).link_class is LinkClass.NLOS_BUILDING
-    with pytest.raises(ParameterError, match="step"):
-        classify_link_bruteforce(link, obstacle_families(layout), step)
+def _links_over(discs, rng):
+    """One short link over each disc (x, y, r, h): it passes within 0.2 r of
+    the axis at a height in [0.85 h, 1.05 h], falling 0.1 to 1 m per m, from
+    1 to 10 m before that point down to a GU at 1.5 m."""
+    x, y, r, h = np.array(discs).T
+    n = len(x)
+    phi, off = rng.uniform(0.0, 2 * np.pi, n), rng.uniform(-0.2, 0.2, n) * r
+    level, slope, before = rng.uniform(0.85, 1.05, n) * h, rng.uniform(0.1, 1.0, n), rng.uniform(1.0, 10.0, n)
+    ux, uy = np.cos(phi), np.sin(phi)
+    px, py, after = x - off * uy, y + off * ux, (level - 1.5) / slope
+    ends = np.column_stack([
+        px - before * ux, py - before * uy, level + slope * before, px + after * ux, py + after * uy
+    ])
+    return [Link((ax, ay), top, (gx, gy), 1.5) for ax, ay, top, gx, gy in ends.tolist()]
+
+
+def test_tree_and_light_sets_match_the_kernel_in_a_crowded_city():
+    """3,000 trees and 3,000 lights on 0.25 km², with short, low links over
+    200 of each, which the default links barely reach."""
+    layout = generate_city(URBAN, GenConfig(area=250_000.0, n_trees=3000, n_lights=3000, n_gu=1, seed=2))
+    geom, rng = LayoutGeometry(layout), default_rng(2)
+    links = _links_over(layout.trees.tolist()[:200], rng) + _links_over(layout.lights.tolist()[:200], rng)
+    results = _assert_matches_kernel(geom, links)
+    assert sum(bool(brute.blocked["tree"]) for brute in results) >= 36
+    assert sum(bool(brute.blocked["streetlight"]) for brute in results) >= 36
+
+
+def test_oracle_takes_no_intersection_math_from_geometry():
+    """oracle.py imports only the link types, the family precedence and the
+    layout wrapper from geometry.py, so none of its intersection math."""
+    source = ast.parse(Path(oracle.__file__).read_text())
+    imported = [
+        (getattr(node, "module", None), alias.name)
+        for node in ast.walk(source)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    from_geometry = {name for module, name in imported if module and module.endswith("geometry")}
+    assert from_geometry == {"Link", "LinkClass", "ObstructionHit", "classify_hits", "LayoutGeometry"}
+    assert not [pair for pair in imported if "geometry" in pair[1]]
 
 
 def test_oracle_hit_sets_match(urban_layout, urban_geometry):
