@@ -75,10 +75,10 @@ class BuiltUpParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
-        if self.gamma <= 0.0:
-            raise ParameterError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.beta < math.inf:
+            raise ParameterError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ParameterError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 #: Standard environment presets (built-area ratio, density per km^2, height scale).
@@ -102,15 +102,15 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.area <= 0.0:
-            raise ParameterError(f"area must be > 0, got {self.area}")
+        if not 0.0 < self.area < math.inf:
+            raise ParameterError(f"area must be finite and > 0, got {self.area}")
         for name in ("n_trees", "n_lights", "n_gu"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
-        if self.d_o <= 0.0:
-            raise ParameterError(f"d_o must be > 0, got {self.d_o}")
-        if self.h_gu < 0.0:
-            raise ParameterError(f"h_gu must be >= 0, got {self.h_gu}")
+        if not 0.0 < self.d_o < math.inf:
+            raise ParameterError(f"d_o must be finite and > 0, got {self.d_o}")
+        if not 0.0 <= self.h_gu < math.inf:
+            raise ParameterError(f"h_gu must be finite and >= 0, got {self.h_gu}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 

@@ -346,8 +346,7 @@ class LayoutGeometry:
         h_gu = links[0].h_gu
         if any(link.h_gu != h_gu for link in links):
             raise ParameterError(f"crossings_of needs links of one h_gu, got {sorted({link.h_gu for link in links})}")
-        starts = {link.abs_xy for link in links}  # one shared start stays a scalar pair
-        abs_xy = starts.pop() if len(starts) == 1 else np.array([link.abs_xy for link in links]).T
+        abs_xy = np.array([link.abs_xy for link in links]).T
         families = self._critical_points(abs_xy, np.array([link.gu_xy for link in links]), h_gu)
         hits: list[list[ObstructionHit]] = [[] for _ in links]
         for (kind, _), pairs in zip(FAMILIES, families):

@@ -5,17 +5,18 @@ uniformly over open space, and each user is evaluated at every elevation
 angle: the ABS altitude follows h = h_gu + g * tan(theta) for the user's
 own ground distance g, capped at a maximum altitude, with the 90 degree
 angle evaluated just below vertical. Per-link critical altitudes make the
-whole angle sweep a set of comparisons, counted as blockage masks (one
-bit per obstacle family) of which each scenario is a fold, so paired
-scenario runs share exactly the same cities, users, and ABS positions.
-The tree-density sweep reuses each city's buildings, lights and trees
-from the same build, with its own users and ABS position.
+whole angle sweep a set of comparisons, whose one product is a count of
+blockage masks (one bit per obstacle family) per angle and per 3-D
+distance bin, once per tree limit a pass needs. The counts are summed
+over cities as integers, so the reduction is independent of city order,
+and each view (a scenario or a tree density) is folded once from the sums
+through MASK_CLASS. Paired views share exactly the same cities, users and
+ABS positions; the tree-density sweep reuses each city's buildings,
+lights and trees from the same build, with its own users and ABS position.
 
-Counts are accumulated as integers and divided once at the end, so the
-reduction is independent of city evaluation order. Every result is one
-ClassCounts table, a read-only (rows, 4) count matrix: per elevation
-angle, or per non-empty 3-D distance bin with the bin's mean distance;
-outputs writes it to its CSV and reads it back.
+Every result is one ClassCounts table, a read-only (rows, 4) count
+matrix: per elevation angle, or per non-empty distance bin with the bin's
+mean distance; outputs writes it to its CSV and reads it back.
 """
 
 from __future__ import annotations
@@ -168,12 +169,12 @@ def _blockage_masks(h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt
 
 
 def _city_worker(
-    layout: CityLayout, sweep: SweepConfig, scenarios: Sequence[Scenario], city_index: int
+    layout: CityLayout, sweep: SweepConfig, limits: Sequence[int | None], city_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts for one city: (scenarios, angles, 4), (scenarios, bins, 4), d
-    sums. The ABS draw and the kernel read the layout's LayoutGeometry. Each
-    scenario is its tree prefix's blockage mask count folded by MASK_CLASS,
-    with the bits of the families it leaves out cleared."""
+    """Blockage mask counts for one city: (limits, angles, 8), (limits,
+    bins, 8) and the d sums per bin. A limit is how many of the city's trees
+    block (None = all); the masks of each limit are counted once. The ABS
+    draw and the kernel read the layout's LayoutGeometry."""
     gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
@@ -196,19 +197,14 @@ def _city_worker(
     n_bins = int(math.hypot(ALTITUDE_CAP_M, layout.side * math.sqrt(2.0)) / DISTANCE_BIN_M) + 2
     bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
 
-    # one mask count per tree prefix, keyed 8 * angle + mask and 8 * bin + mask; a treeless view reads the first
-    first = next((s.tree_limit for s in scenarios if s.tree_limit != 0), 0)
-    prefix = [first if s.tree_limit == 0 else s.tree_limit for s in scenarios]
-    kept_bits = np.array([1 | 2 * (s.tree_limit != 0) | 4 * s.lights for s in scenarios])
-    folds = np.eye(4, dtype=np.int64)[MASK_CLASS[np.arange(8) & kept_bits[:, None]]]  # (views, 8, 4)
-    angle_counts = np.zeros((len(scenarios), angles.size, 4), dtype=np.int64)
-    dist_counts = np.zeros((len(scenarios), n_bins, 4), dtype=np.int64)
-    for limit in dict.fromkeys(prefix):
+    # one count per tree limit, keyed 8 * angle + mask and 8 * bin + mask
+    angle_counts = np.zeros((len(limits), angles.size, 8), dtype=np.int64)
+    dist_counts = np.zeros((len(limits), n_bins, 8), dtype=np.int64)
+    for v, limit in enumerate(limits):
         keep = slice(None) if limit is None else t_idx < limit
         masks = _blockage_masks(h_abs, alt_b, link_maxima(len(gu), t_link[keep], t_alt[keep]), alt_s)
-        views = [v for v, p in enumerate(prefix) if p == limit]
         for out, key in ((angle_counts, 8 * np.arange(angles.size)), (dist_counts, 8 * bins)):
-            out[views] = np.bincount((key + masks).ravel(), minlength=8 * out.shape[1]).reshape(-1, 8) @ folds[views]
+            out[v] = np.bincount((key + masks).ravel(), minlength=out[v].size).reshape(-1, 8)
     d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)
     return angle_counts, dist_counts, d_sums
 
@@ -255,24 +251,25 @@ def run_simulation(
         passes.append((max(densities), [Scenario(f"density_{k}", k, False) for k in densities]))
     if not passes:
         return {}
-    totals = []  # each pass's sums, starting as its first city's counts
+    # each pass's distinct tree limits, whose mask counts its views read; a treeless view reads the first
+    limits = [list(dict.fromkeys(v.tree_limit for v in pass_views if v.tree_limit != 0)) or [0] for _, pass_views in passes]
+    totals = [[0, 0, 0] for _ in passes]  # each pass's sums over cities, summed in place after the first
     most_trees = replace(gen, n_trees=max(n_trees for n_trees, _ in passes))
     for city_index in range(sweep.n_cities):
         city = generate_obstacles(params, most_trees, city_index)
-        for k, (n_trees, pass_views) in enumerate(passes):
+        for k, (n_trees, _) in enumerate(passes):
             layout = add_users(city, n_trees, city_index)
             if k == 0 and on_layout is not None:
                 on_layout(layout)
-            counts = _city_worker(layout, sweep, pass_views, city_index)
-            if city_index == 0:
-                totals.append(counts)
-            else:
-                for acc, c in zip(totals[k], counts):
-                    acc += c
-            del counts  # not held while the next city is built
+            for i, counts in enumerate(_city_worker(layout, sweep, limits[k], city_index)):
+                totals[k][i] += counts
     views = {}
-    for (_, pass_views), (angle_counts, dist_counts, d_sums) in zip(passes, totals):
-        for view, angles, bins in zip(pass_views, angle_counts, dist_counts):
+    for (_, pass_views), pass_limits, (angle_counts, dist_counts, d_sums) in zip(passes, limits, totals):
+        for view in pass_views:
+            at = 0 if view.tree_limit == 0 else pass_limits.index(view.tree_limit)
+            kept_bits = 1 | 2 * (view.tree_limit != 0) | 4 * view.lights  # the families the view counts
+            fold = np.eye(4, dtype=np.int64)[MASK_CLASS[np.arange(8) & kept_bits]]  # (8, 4), one class per mask
+            angles, bins = angle_counts[at] @ fold, dist_counts[at] @ fold
             keep = np.nonzero(bins.sum(axis=1) > 0)[0]  # non-empty bins only
             kept = bins[keep]
             views[view.name] = (

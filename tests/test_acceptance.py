@@ -183,7 +183,7 @@ def test_high_elevation_limit(env_results):
 
 
 def test_oracle_equivalence():
-    """Analytic classifier vs 1 cm rasterization on 1000 links per environment."""
+    """Analytic classifier vs the exact-predicate oracle on 1000 links per environment."""
     rng = default_rng(ACCEPT_SEED)
     total = 0
     for env in ENVS:

@@ -71,6 +71,25 @@ def test_dims_domain_errors():
         BuiltUpParams(alpha=0.3, beta=0, gamma=15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: GenConfig(area=v), "area"),
+        (lambda v: GenConfig(d_o=v), "d_o"),
+        (lambda v: GenConfig(h_gu=v), "h_gu"),
+        (lambda v: BuiltUpParams(alpha=0.3, beta=v, gamma=15.0), "beta"),
+        (lambda v: BuiltUpParams(alpha=0.3, beta=500.0, gamma=v), "gamma"),
+    ],
+    ids=["area", "d_o", "h_gu", "beta", "gamma"],
+)
+def test_config_rejects_non_finite_values(make, name, value):
+    """A NaN or infinite real fails where it is given, not later in
+    generation or binning."""
+    with pytest.raises(ParameterError, match=name):
+        make(value)
+
+
 @given(
     alpha=st.floats(0.05, 0.9),
     beta=st.floats(10.0, 2000.0),

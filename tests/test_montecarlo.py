@@ -244,7 +244,7 @@ def test_city_order_independent(small_gen):
     from urbanlos.montecarlo import _city_worker
 
     per_city = [
-        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, [FULL], idx)
+        _city_worker(generate_city(URBAN, small_gen, idx), SMALL_SWEEP, [None], idx)
         for idx in range(SMALL_SWEEP.n_cities)
     ]
     forward = sum(ac.sum() for ac, _, _ in per_city)
@@ -252,6 +252,47 @@ def test_city_order_independent(small_gen):
     angle_sum_rev = np.sum([ac for ac, _, _ in reversed(per_city)], axis=0)
     assert np.array_equal(angle_sum_fwd, angle_sum_rev)
     assert forward == angle_sum_fwd.sum()
+
+
+def _fold(mask_counts, kept_bits):
+    """(rows, 4) class counts of (rows, 8) blockage mask counts, each mask
+    read with the bits not in kept_bits cleared."""
+    from urbanlos.montecarlo import MASK_CLASS
+
+    classes = MASK_CLASS[np.arange(8) & kept_bits]
+    return np.stack([mask_counts[:, classes == c].sum(axis=1) for c in range(4)], axis=1)
+
+
+def test_every_view_folds_from_city_summed_mask_counts(small_gen):
+    """Each table run_simulation returns is its view's fold of
+    _city_worker's mask counts for the view's tree limit, summed over
+    cities; a treeless view folded from any limit's counts is the same.
+    small_gen's 40 trees stand on 0.0625 km² with 600 lights and 60 users,
+    so every class occurs and the tree limits count different masks."""
+    from urbanlos.montecarlo import _city_worker
+
+    gen, densities = replace(small_gen, area=62_500.0, n_lights=600, n_gu=60), [0, 10, 40]
+    assert gen.n_trees == max(densities)  # both passes see generate_city's layouts
+    tables = run_simulation(URBAN, gen, SMALL_SWEEP, [BUILDINGS_ONLY, WITH_TREES, FULL], densities)
+    limits = [None, 0, 10, 40]
+    per_city = [
+        _city_worker(generate_city(URBAN, gen, idx), SMALL_SWEEP, limits, idx) for idx in range(SMALL_SWEEP.n_cities)
+    ]
+    angle_sums, dist_sums, d_sums = (sum(counts[j] for counts in per_city) for j in range(3))
+    assert len({counts.tobytes() for counts in angle_sums[1:]}) == 3
+    # view -> (its tree limit's position in limits, the bits of the families it counts)
+    reads = {"buildings-only": (0, 1), "trees": (0, 3), "full": (0, 7), "density_0": (1, 1)}
+    reads |= {"density_10": (2, 3), "density_40": (3, 3)}
+    assert list(tables) == list(reads)
+    treeless = [("buildings-only", (at, 1)) for at in range(len(limits))]
+    for name, (at, kept_bits) in list(reads.items()) + treeless:
+        curve, stats = tables[name]
+        assert curve.counts.tolist() == _fold(angle_sums[at], kept_bits).tolist(), name
+        keep = np.flatnonzero(dist_sums[at].sum(axis=1))
+        assert stats.keys == tuple((keep + 0.5) * DISTANCE_BIN_M)
+        assert stats.counts.tolist() == _fold(dist_sums[at], kept_bits)[keep].tolist(), name
+        assert stats.mean_d == tuple(d_sums[keep] / dist_sums[at][keep].sum(axis=1))
+    assert tables["full"][0].counts.sum(axis=0).all()
 
 
 def test_sweep_classes_match_single_link_classify():
