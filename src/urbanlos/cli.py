@@ -47,7 +47,7 @@ from .outputs import (
     write_json_list,
     write_manifest,
 )
-from .pathloss import VegetationParams, composite_bins, fit_ab, pl_vs_theta
+from .pathloss import PL_THETA_ALTITUDE_M, VegetationParams, composite_bins, fit_ab, pl_vs_theta
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -407,9 +407,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _require(run_dir, [f"distance_{s}.csv" for s in scenarios])
     rows = []
     for scenario in scenarios:
-        stats = read_counts_csv(run_dir / f"distance_{scenario}.csv", DISTANCE_KEY)
-        bins = composite_bins(stats, params=params, seed=config["seed"])
-        fit = fit_ab([(d, pl) for d, pl, _ in bins], weights=[n for *_, n in bins])
+        path = run_dir / f"distance_{scenario}.csv"
+        bins = composite_bins(read_counts_csv(path, DISTANCE_KEY), params=params, seed=config["seed"])
+        try:
+            fit = fit_ab([(d, pl) for d, pl, _ in bins], weights=[n for *_, n in bins])
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: {exc}") from None
         rows.append((env, scenario, fit.a_db, fit.b, fit.rmse_db, fit.n_points))
     write_csv(run_dir / "fits.csv", FITS_CSV_COLUMNS, rows)
     print(run_dir / "fits.csv")
@@ -421,6 +424,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     config, scenarios = _simulate_run(run_dir)
     _require(run_dir, ["fits.csv"])
     seed, h_gu = config["seed"], config["gen"]["h_gu"]
+    if h_gu >= PL_THETA_ALTITUDE_M:
+        raise ParameterError(
+            f"report needs gen.h_gu ({h_gu:g}) below {PL_THETA_ALTITUDE_M:g} m, the ABS altitude of report_pl_vs_theta.csv"
+        )
     params = VegetationParams(f_ghz=config["freq_ghz"])
     if WITH_TREES.name not in scenarios:
         raise MissingInputError("report requires the trees scenario for the tree-NLoS table")

@@ -1,23 +1,26 @@
 """Exact brute-force check for link classification.
 
 Decides each footprint and blocking test in integers, with no step and no
-tolerance: every value is a binary float, so an integer on the 2**-1074
-grid, and a link's values and its candidates' go onto the 2**-128 grid
-when they all lie on it. A building is crossed over one Liang-Barsky run
-of the link, and blocks iff the line is at or below its roof at the run's
-end, because the line falls along the link. A streetlight or a tree trunk
-blocks iff the link comes within its radius of its axis where the line is
-at or below its top; a tree crown iff three quadratic constraints hold at
-one point of the link. Only obstacles whose covering disc reaches the
-link's ground segment are tested. This shares no intersection math with
-the analytic classifier, so agreement between the two is strong evidence
-both are right.
+tolerance: every value is a binary float, so a link's values and its
+candidates' are integers on one grid, the coarsest power of two they all
+lie on. A building is crossed over one Liang-Barsky run of the link, and
+blocks iff the line is at or below its roof at the run's end, because the
+line falls along the link. Every disc test is one feasibility question:
+whether some quadratic constraints hold at one point of the link. A
+streetlight or a tree's disc is crossed where the link is within its
+radius of its axis; a streetlight or a tree trunk blocks where that holds
+and the line is at or below its top; a tree crown where the link is within
+the disc, below the top and under the cone. Only obstacles whose covering
+disc reaches the link's ground segment are tested. This shares no
+intersection math with the analytic classifier, so agreement between the
+two is strong evidence both are right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterator
 
@@ -30,8 +33,6 @@ from .geometry import LayoutGeometry, Link, LinkClass, ObstructionHit, classify_
 
 LINK_ANGLES_DEG = (1.0, 89.9)  # elevation range of random_links
 LINK_ALTITUDE_CAP_M = 10_000.0
-
-_GRID = 2.0**128  # v * _GRID is exact for every finite v that does not overflow
 
 
 @dataclass(frozen=True)
@@ -50,21 +51,12 @@ def _project(link: Link, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
 
 
 def _integers(values: list[float]) -> list[int]:
-    """The values as integers on one grid: 2**-128 if all of them lie on it,
-    else 2**-1074, where every finite float does."""
-    scaled = [v * _GRID for v in values]
-    if all(s.is_integer() for s in scaled):
-        return [int(s) for s in scaled]
-    return [n << 1074 >> d.bit_length() - 1 for n, d in map(float.as_integer_ratio, values)]
-
-
-def _nearest(dx: int, dy: int, ex: int, ey: int, lo: tuple[int, int]) -> tuple[int, int]:
-    """The least |D - u E|^2 over u in [lo, 1], lo = n / d, as a fraction
-    (num, den): at the vertex u = D.E / E.E, clamped to the interval."""
-    a, b = ex * ex + ey * ey, dx * ex + dy * ey
-    n, m = lo if b * lo[1] < lo[0] * a else (1, 1) if b > a else (b, a)
-    qx, qy = dx * m - n * ex, dy * m - n * ey
-    return qx * qx + qy * qy, m * m
+    """The values as integers on the coarsest power-of-two grid that all of
+    them lie on: each is n / d with d a power of two, so n scaled by the
+    largest d over its own d."""
+    ratios = [v.as_integer_ratio() for v in values]
+    top = max(d.bit_length() for _, d in ratios)
+    return [n << top - d.bit_length() for n, d in ratios]
 
 
 def _feasible(polys: list[tuple[int, int, int]]) -> bool:
@@ -106,62 +98,62 @@ def _box(ax, ay, ex, ey, h_abs, dh, x0, y0, x1, y1, h) -> tuple[bool, bool]:
     return True, h_abs * hi_d - hi_n * dh <= h * hi_d
 
 
-def _light(ax, ay, ex, ey, h_abs, dh, x, y, r, h, trunk=(1, 1)) -> tuple[bool, bool]:
-    """Whether the link crosses a disc of radius r, and comes within r * trunk
-    (trunk = n / d) of its axis from u_h on, under the height h."""
-    dx, dy = x - ax, y - ay
-    num, den = _nearest(dx, dy, ex, ey, (0, 1))
-    if num > r * r * den:
-        return False, False
-    if h_abs - h > dh:  # the line stays above h, as a flat link above h does
-        return True, False
-    num, den = _nearest(dx, dy, ex, ey, (max(h_abs - h, 0), dh or 1))
-    return True, num * trunk[1] ** 2 <= (trunk[0] * r) ** 2 * den
-
-
-def _tree(ax, ay, ex, ey, h_abs, dh, x, y, r, h) -> tuple[bool, bool]:
-    """Whether the link crosses a tree's disc, and blocks under its trunk or
-    its crown: rho^2 = a u^2 - 2 b u + c, h - L = w + dh u >= 0 and
+def _disc(ax, ay, ex, ey, h_abs, dh, x, y, r, h, tree=False) -> tuple[bool, bool]:
+    """Whether the link crosses a disc of radius r, and blocks: within r of
+    the axis (a tree: within its trunk's TRUNK_RADIUS_FRAC r, or under its
+    crown) where the line is at or below the top h. Along the link,
+    rho^2 = a u^2 - 2 b u + c and h - L = w + dh u; the crown is
     (kd r)^2 (h - L)^2 >= (kn h)^2 rho^2 for the drop kn / kd."""
-    crossed, blocked = _light(ax, ay, ex, ey, h_abs, dh, x, y, r, h, TRUNK_RADIUS_FRAC.as_integer_ratio())
-    if blocked or not crossed:
-        return crossed, blocked
-    dx, dy, (kn, kd) = x - ax, y - ay, CONE_DROP_FRAC.as_integer_ratio()
-    a, b, c, w = ex * ex + ey * ey, dx * ex + dy * ey, dx * dx + dy * dy, h - h_abs
+    dx, dy, w = x - ax, y - ay, h - h_abs
+    a, b, c = ex * ex + ey * ey, dx * ex + dy * ey, dx * dx + dy * dy
+    disc, below = (-a, 2 * b, r * r - c), (0, dh, w)
+    if not _feasible([disc]):
+        return False, False
+    if not tree:
+        return True, _feasible([disc, below])
+    (tn, td), (kn, kd) = TRUNK_RADIUS_FRAC.as_integer_ratio(), CONE_DROP_FRAC.as_integer_ratio()
+    trunk = (-a * td * td, 2 * b * td * td, (tn * r) ** 2 - c * td * td)
     s, t = (kd * r) ** 2, (kn * h) ** 2
     crown = (s * dh * dh - t * a, 2 * (s * w * dh + t * b), s * w * w - t * c)
-    return True, _feasible([(-a, 2 * b, r * r - c), (0, dh, w), crown])
+    return True, _feasible([trunk, below]) or _feasible([disc, below, crown])
 
 
-def obstacle_families(layout: CityLayout) -> list[tuple]:
+def obstacle_families(layout: CityLayout) -> tuple[list[tuple], np.ndarray]:
     """One row per obstacle family, in precedence order: its kind, the class
     of a link it blocks, its obstacles as rows of Python floats (a building
-    as its box x0, y0, x1, y1 and roof h; a tree or light as x, y, r, h),
-    their covering discs (centres x and y, radii), and its exact test."""
+    as its box x0, y0, x1, y1 and roof h; a tree or light as x, y, r, h) and
+    its exact test; and the covering discs of all obstacles, family after
+    family, as rows of centres x, centres y and radii."""
     bs, trees, lights = layout.buildings, layout.trees, layout.lights
     x1, y1 = bs.x + bs.w, bs.y + bs.l
     boxes = list(zip(*(column.tolist() for column in (bs.x, bs.y, x1, y1, bs.h))))
-    return [
-        ("building", LinkClass.NLOS_BUILDING, boxes, (bs.x + x1) / 2, (bs.y + y1) / 2, np.hypot(bs.w, bs.l) / 2, _box),
-        ("tree", LinkClass.NLOS_TREE, trees.tolist(), trees.x, trees.y, trees.r, _tree),
-        ("streetlight", LinkClass.NLOS_LIGHT, lights.tolist(), lights.x, lights.y, lights.r, _light),
+    families = [
+        ("building", LinkClass.NLOS_BUILDING, boxes, _box),
+        ("tree", LinkClass.NLOS_TREE, trees.tolist(), partial(_disc, tree=True)),
+        ("streetlight", LinkClass.NLOS_LIGHT, lights.tolist(), _disc),
     ]
+    covering = [((bs.x + x1) / 2, (bs.y + y1) / 2, np.hypot(bs.w, bs.l) / 2), *((d.x, d.y, d.r) for d in (trees, lights))]
+    return families, np.hstack(covering)
 
 
-def classify_link_bruteforce(link: Link, families: list[tuple]) -> BruteForceResult:
-    """Exact classification of one link; the first family that blocks it
-    names its class. Only obstacles within their covering radius of the
-    ground segment, with a margin against rounding, are tested, on one
-    integer grid for the link and all of them."""
+def classify_link_bruteforce(link: Link, families: tuple[list[tuple], np.ndarray]) -> BruteForceResult:
+    """Exact classification of one link against obstacle_families' output;
+    the first family that blocks it names its class. Only obstacles within
+    their covering radius of the ground segment, with a margin against
+    rounding, are tested, on one integer grid for the link and all of them."""
     if link.ground_distance <= 0.0:
         raise DegenerateLinkError("link has zero ground distance")
-    near = [np.nonzero(_project(link, cx, cy) <= reach + 1e-9)[0].tolist() for _, _, _, cx, cy, reach, _ in families]
-    rows = [v for (_, _, obstacles, *_), ids in zip(families, near) for i in ids for v in obstacles[i]]
-    ax, ay, bx, by, h_abs, h_gu, *ints = _integers([*link.abs_xy, *link.gu_xy, link.h_abs, link.h_gu, *rows])
+    rows, (cx, cy, reach) = families
+    near = np.nonzero(_project(link, cx, cy) <= reach + 1e-9)[0]
+    starts = np.cumsum([0, *(len(obstacles) for _, _, obstacles, _ in rows)])
+    cuts = np.searchsorted(near, starts).tolist()
+    near = [(near[i:j] - start).tolist() for i, j, start in zip(cuts, cuts[1:], starts)]
+    values = [v for (_, _, obstacles, _), ids in zip(rows, near) for i in ids for v in obstacles[i]]
+    ax, ay, bx, by, h_abs, h_gu, *ints = _integers([*link.abs_xy, *link.gu_xy, link.h_abs, link.h_gu, *values])
     segment, it = (ax, ay, bx - ax, by - ay, h_abs, h_abs - h_gu), iter(ints)
     link_class = LinkClass.LOS
     crossed, blocked = {}, {}
-    for (kind, blocked_class, obstacles, *_, test), ids in zip(families, near):
+    for (kind, blocked_class, obstacles, test), ids in zip(rows, near):
         tested = {i: test(*segment, *islice(it, len(obstacles[i]))) for i in ids}
         crossed[kind] = frozenset({i for i, (hit, _) in tested.items() if hit})
         blocked[kind] = frozenset({i for i, (_, low) in tested.items() if low})

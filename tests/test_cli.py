@@ -315,6 +315,21 @@ def test_fit_missing_inputs(tmp_path, capsys):
     assert main(["fit", "--run", str(tmp_path / "nope")]) == 3
 
 
+def test_fit_names_the_distance_csv_it_cannot_fit(tmp_path, capsys):
+    """A 10 m fixed altitude over 900 m² puts every sample in one distance
+    bin, too few to fit: the error names the scenario's distance CSV."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("sweep: {altitude_policy: fixed, fixed_altitude_m: 10.0}\ngen: {area: 900.0}\n")
+    root = tmp_path / "r"
+    args = ["simulate", "--env", "urban", "--seed", "2", "--n-cities", "1", "--n-gu", "5", "--n-trees", "0", "--n-lights", "0"]
+    assert main(args + ["--config", str(cfg), "--out", str(root)]) == 0
+    run = _run_dir(root)
+    capsys.readouterr()
+    assert main(["fit", "--run", str(run)]) == 1
+    assert f"{run / 'distance_buildings-only.csv'}: need at least 2 samples" in capsys.readouterr().err
+    assert not (run / "fits.csv").exists()
+
+
 CORRUPTIONS = {
     "off-count": lambda v: repr(float(v) + 0.01),
     "off-partition": lambda v: "2.0",
@@ -465,6 +480,23 @@ def test_report_uses_run_ground_user_height(tmp_path):
         theta = float(row["theta_deg"])
         expected = (100.0 - 3.0) / math.sin(math.radians(theta))
         assert float(row["d_m"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_report_names_ground_user_height_above_its_fixed_altitude(tmp_path, capsys):
+    """A run whose users stand at 150 m simulates and fits, but report's
+    PL-vs-theta table puts the ABS at a fixed 100 m: the error names both."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("gen: {h_gu: 150.0}\n")
+    root = tmp_path / "r"
+    args = ["simulate", "--env", "urban", "--seed", "2", "--n-cities", "1", "--n-gu", "5"]
+    assert main(args + ["--config", str(cfg), "--out", str(root)]) == 0
+    run = _run_dir(root)
+    assert main(["fit", "--run", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "gen.h_gu (150)" in err and "below 100 m" in err
+    assert not list(run.glob("report_*"))
 
 
 def test_report_ignores_stray_density_file(sim_run, tmp_path):
@@ -723,8 +755,8 @@ def test_oracle_check(tmp_path, capsys):
 
 
 def test_oracle_check_with_heights_off_the_coarse_grid(capsys):
-    """gamma = 1e-300 puts every building height off the 2**-128 grid, so
-    each link the oracle tests against a building takes the 2**-1074 grid."""
+    """gamma = 1e-300 puts every building height on a grid finer than
+    2**-1000, so each link the oracle tests against a building takes it."""
     assert main(["oracle-check", "--env", "urban", "--seed", "1", "--n-links", "50", "--gamma", "1e-300"]) == 0
     assert capsys.readouterr().out == "50 links, 0 disagreements\n"
 

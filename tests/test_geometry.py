@@ -495,12 +495,14 @@ def test_oracle_sees_sub_step_dip_at_default_step(env, seed, index):
 
 @pytest.mark.parametrize("env, seed, index", SUB_STEP_LINKS)
 def test_oracle_sees_sub_step_dip_at_fine_step(monkeypatch, env, seed, index):
-    """On the 2**-1074 grid, which a link takes when it meets a value off
-    the 2**-128 one, the oracle finds what it finds on the coarser grid."""
+    """On a grid 2**1074 times finer than the coarsest one the link's values
+    share, the oracle finds what it finds on that one: every predicate is
+    homogeneous in scale."""
     layout, _, link = _sub_step_link(env, seed, index)
     families = obstacle_families(layout)
     coarse = classify_link_bruteforce(link, families)
-    monkeypatch.setattr(oracle, "_GRID", 1.0)  # h_gu = 1.5 is no integer
+    integers = oracle._integers
+    monkeypatch.setattr(oracle, "_integers", lambda values: [n << 1074 for n in integers(values)])
     assert classify_link_bruteforce(link, families) == coarse
 
 
@@ -512,7 +514,8 @@ def test_one_class_order_everywhere():
     assert P_COLUMNS == tuple(f"p_{c.value}" for c in LinkClass)
     assert (LOS, NLOS_B, NLOS_T, NLOS_S) == (0, 1, 2, 3)
     assert [c for _, c in FAMILIES] == list(LinkClass)[1:]
-    assert tuple((kind, c) for kind, c, *_ in obstacle_families(_fixture_layout())) == FAMILIES
+    families, _ = obstacle_families(_fixture_layout())
+    assert tuple((kind, c) for kind, c, *_ in families) == FAMILIES
     assert len(MASK_CLASS) == 2 ** len(FAMILIES)
     for mask, code in enumerate(MASK_CLASS):
         # one hit per family, blocking where its bit is set
@@ -640,7 +643,18 @@ EXACT_CASES = {
         {"building": {0, 1}, "tree": {0}, "streetlight": {0}},
         {"building": {0}, "streetlight": {0}},
     ),
-    # "corner-graze" from 1e-30 m off the ABS, off the 2**-128 grid: the line
+    # the link crosses the light's disc for u in [0.4, 0.6] and the line
+    # reaches 5 m at u = 0.6, on the rim: a 5 m light blocks, while under one
+    # an ulp lower the line falls below the top only past the disc
+    "light-top-on-rim": (
+        _fixture_layout(lights=[(5.0, 0.0, 1.0, 5.0)]),
+        Link((0.0, 0.0), 11.0, (10.0, 0.0), 1.0), {"streetlight": {0}}, {"streetlight": {0}},
+    ),
+    "light-top-past-rim": (
+        _fixture_layout(lights=[(5.0, 0.0, 1.0, math.nextafter(5.0, 0.0))]),
+        Link((0.0, 0.0), 11.0, (10.0, 0.0), 1.0), {"streetlight": {0}}, {},
+    ),
+    # "corner-graze" from 1e-30 m off the ABS, on a grid finer than 2**-128: the line
     # now passes just below the corner (1.5, 2.0), through box 0 and past box 1
     "off-grid-inside": (
         _fixture_layout(buildings=[(1.5, 1.0, 1.0, 1.0, 20.0), (1.5, 0.5, 1.0, 1.4999999999999998, 20.0)]),
@@ -660,7 +674,8 @@ def test_oracle_window_matches_full_walk(case):
     every obstacle does."""
     layout, link, crossed, blocked = EXACT_CASES[case]
     families = obstacle_families(layout)
-    every = [(*family[:5], np.full(len(family[2]), np.inf), family[6]) for family in families]
+    rows, (cx, cy, reach) = families
+    every = (rows, np.array([cx, cy, np.full(len(reach), np.inf)]))
     for fams in (families, every):
         brute = classify_link_bruteforce(link, fams)
         assert brute.crossed == {kind: crossed.get(kind, set()) for kind, _ in FAMILIES}
@@ -710,7 +725,9 @@ def test_tree_and_light_sets_match_the_kernel_in_a_crowded_city():
 
 def test_oracle_takes_no_intersection_math_from_geometry():
     """oracle.py imports only the link types, the family precedence and the
-    layout wrapper from geometry.py, so none of its intersection math."""
+    layout wrapper from geometry.py, so none of its intersection math, and
+    neither of citygen's spatial indexes, so it never takes its candidates
+    from the kernel's grid."""
     source = ast.parse(Path(oracle.__file__).read_text())
     imported = [
         (getattr(node, "module", None), alias.name)
@@ -721,3 +738,5 @@ def test_oracle_takes_no_intersection_math_from_geometry():
     from_geometry = {name for module, name in imported if module and module.endswith("geometry")}
     assert from_geometry == {"Link", "LinkClass", "ObstructionHit", "classify_hits", "LayoutGeometry"}
     assert not [pair for pair in imported if "geometry" in pair[1]]
+    from_citygen = {name for module, name in imported if module and module.endswith("citygen")}
+    assert from_citygen and not from_citygen & {"FootprintIndex", "CellGrid"}

@@ -15,6 +15,8 @@ from urbanlos.montecarlo import (
     FULL,
     LOS,
     NLOS_B,
+    NLOS_S,
+    NLOS_T,
     SCENARIOS,
     WITH_TREES,
     SweepConfig,
@@ -36,6 +38,18 @@ def small_results(small_gen):
     return run_scenarios(
         URBAN, small_gen, SMALL_SWEEP, [BUILDINGS_ONLY, WITH_TREES, FULL]
     )
+
+
+@pytest.fixture(scope="module")
+def crowded_gen(small_gen):
+    """small_gen's 40 trees on 0.0625 km² with 600 lights and 60 users, so
+    that trees and lights block samples of the two-city sweep."""
+    return replace(small_gen, area=62_500.0, n_lights=600, n_gu=60)
+
+
+@pytest.fixture(scope="module")
+def crowded_results(crowded_gen):
+    return run_scenarios(URBAN, crowded_gen, SMALL_SWEEP, [BUILDINGS_ONLY, WITH_TREES, FULL])
 
 
 def test_default_angle_grid():
@@ -101,10 +115,12 @@ def test_deterministic_rerun(small_gen):
     assert a == b
 
 
-def test_scenarios_are_paired(small_results):
-    curve_b = small_results["buildings-only"][0]
-    curve_t = small_results["trees"][0]
-    curve_f = small_results["full"][0]
+def test_scenarios_are_paired(crowded_results):
+    curve_b = crowded_results["buildings-only"][0]
+    curve_t = crowded_results["trees"][0]
+    curve_f = crowded_results["full"][0]
+    # trees and lights block samples, so the orderings below are not all ties
+    assert curve_t.counts[:, NLOS_T].sum() > 0 and curve_f.counts[:, NLOS_S].sum() > 0
     assert np.all(curve_b.p_los >= curve_t.p_los - 1e-15)
     assert np.all(curve_t.p_los >= curve_f.p_los - 1e-15)
     # building-blocked counts are identical across scenarios by construction
@@ -157,10 +173,12 @@ def test_streetlight_delta_identity(small_results):
     assert mean_abs_delta_p_los(curve, curve) == 0.0
 
 
-def test_streetlight_delta_zero_lights(small_gen):
-    gen = replace(small_gen, n_lights=0)
+def test_streetlight_delta_zero_lights(crowded_gen, crowded_results):
+    gen = replace(crowded_gen, n_lights=0)
     res = run_scenarios(URBAN, gen, SMALL_SWEEP, [WITH_TREES, FULL])
     assert mean_abs_delta_p_los(res["trees"][0], res["full"][0]) == 0.0
+    # with its lights, the same city's trees and full views differ
+    assert mean_abs_delta_p_los(crowded_results["trees"][0], crowded_results["full"][0]) > 0.0
 
 
 def test_streetlight_delta_grid_mismatch(small_results):
@@ -175,11 +193,13 @@ def test_density_zero_matches_buildings_only(small_gen, small_results):
     assert curves[0] == small_results["buildings-only"][0]
 
 
-def test_density_monotone(small_gen):
-    curves = tree_density_sweep(URBAN, small_gen, SMALL_SWEEP, [0, 50, 200])
+def test_density_monotone(crowded_gen):
+    curves = tree_density_sweep(URBAN, crowded_gen, SMALL_SWEEP, [0, 50, 200])
     p0, p50, p200 = (curves[k].p_los for k in (0, 50, 200))
     assert np.all(p0 >= p50 - 1e-15)
     assert np.all(p50 >= p200 - 1e-15)
+    # trees block samples, so the curves differ
+    assert np.any(p0 > p50) and curves[200].counts[:, NLOS_T].sum() > 0
 
 
 def test_density_validation(small_gen):
@@ -263,15 +283,15 @@ def _fold(mask_counts, kept_bits):
     return np.stack([mask_counts[:, classes == c].sum(axis=1) for c in range(4)], axis=1)
 
 
-def test_every_view_folds_from_city_summed_mask_counts(small_gen):
+def test_every_view_folds_from_city_summed_mask_counts(crowded_gen):
     """Each table run_simulation returns is its view's fold of
     _city_worker's mask counts for the view's tree limit, summed over
     cities; a treeless view folded from any limit's counts is the same.
-    small_gen's 40 trees stand on 0.0625 km² with 600 lights and 60 users,
-    so every class occurs and the tree limits count different masks."""
+    In crowded_gen's cities every class occurs and the tree limits count
+    different masks."""
     from urbanlos.montecarlo import _city_worker
 
-    gen, densities = replace(small_gen, area=62_500.0, n_lights=600, n_gu=60), [0, 10, 40]
+    gen, densities = crowded_gen, [0, 10, 40]
     assert gen.n_trees == max(densities)  # both passes see generate_city's layouts
     tables = run_simulation(URBAN, gen, SMALL_SWEEP, [BUILDINGS_ONLY, WITH_TREES, FULL], densities)
     limits = [None, 0, 10, 40]
