@@ -337,6 +337,7 @@ CORRUPTIONS = {
     "inf": lambda v: "inf",
     "text": lambda v: "x",
     "short": None,  # the row cut to its first three cells
+    "zero": lambda v: "0",
 }
 # the corruptions of a probability cell; an inf one takes nan's path
 P_CORRUPTIONS = ["off-count", "off-partition", "nan", "text", "short"]
@@ -353,6 +354,8 @@ CORRUPT_INPUTS = [("fit", "distance_trees.csv", "p_los", kind) for kind in P_COR
     ("fit", "distance_trees.csv", "bin_center_m", "inf"),
     ("fit", "distance_trees.csv", "mean_d_m", "nan"),
     ("report", "angles_trees.csv", "theta_deg", "nan"),
+    ("fit", "distance_trees.csv", "n", "zero"),
+    ("report", "distance_full.csv", "n", "zero"),
 ]
 
 
