@@ -540,11 +540,17 @@ def generate_city(params: BuiltUpParams, config: GenConfig, city_index: int = 0)
 
 def layout_json(layout: CityLayout) -> str:
     """Canonical JSON text for a layout (stable byte-for-byte): every column
-    of each table, plus each tree's derived trunk; lengths in meters."""
-    doc = {"params": vars(layout.params), "config": vars(layout.config)}
+    of each table, plus each tree's derived trunk; lengths in meters. Each
+    row comes from one %r template of its sorted keys, as json.dumps(doc,
+    sort_keys=True, separators=(",", ":")) writes it: JSON writes a finite
+    float as float.__repr__ does, and a layout holds finite values only."""
+    parts = {k: json.dumps(vars(getattr(layout, k)), sort_keys=True, separators=(",", ":")) for k in ("params", "config")}
     for family in ("buildings", "trees", "lights", "users"):
         t = getattr(layout, family)
-        doc[family] = [dict(zip(t.dtype.names, row)) for row in t.tolist()]
-    for tree in doc["trees"]:
-        tree.update(r_trunk=TRUNK_RADIUS_FRAC * tree["r"], h_trunk=TRUNK_HEIGHT_FRAC * tree["h"])
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        columns = {k: t[k] for k in t.dtype.names}
+        if family == "trees":
+            columns.update(r_trunk=TRUNK_RADIUS_FRAC * t.r, h_trunk=TRUNK_HEIGHT_FRAC * t.h)
+        keys = sorted(columns)
+        row = "{" + ",".join(f'"{k}":%r' for k in keys) + "}"
+        parts[family] = "[" + ",".join(row % r for r in zip(*(columns[k].tolist() for k in keys))) + "]"
+    return "{" + ",".join(f'"{k}":{parts[k]}' for k in sorted(parts)) + "}"

@@ -32,7 +32,6 @@ from .montecarlo import (
     parse_scenario,
     run_simulation,
 )
-from .oracle import check_links, random_links
 from .outputs import (
     ANGLE_KEY,
     DISTANCE_KEY,
@@ -481,6 +480,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .oracle import check_links, random_links  # imported only by the one command that uses it
     if args.dump_hits and (args.dump_hits.is_dir() or not args.dump_hits.parent.is_dir()):
         raise ParameterError(f"--dump-hits: {args.dump_hits} is not a file in an existing directory")
     config = resolve_config(args, "oracle-check")

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .citygen import CityLayout, layout_json
 from .errors import AggregationError
@@ -50,40 +52,52 @@ def write_counts_csv(path: Path, table: ClassCounts) -> None:
         write_csv(path, [DISTANCE_KEY, *P_COLUMNS, "n", "mean_d_m"], zip(*columns, table.mean_d))
 
 
+def _count(cell) -> int:
+    """cell as a sample count: an integer in [1, 2**63)."""
+    if 1 <= (n := int(cell)) < 2**63:
+        return n
+    raise ValueError(f"n = {n} is not a sample count in [1, 2**63)")
+
+
 def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
     """The table write_counts_csv wrote to path, of key_column's kind.
 
     Each class count comes back as round(p * n). A missing or non-finite
-    cell, products farther than 1e-6 from a nonnegative integer, or counts
-    not summing to n mean the file does not hold counts, and raise
-    AggregationError naming it.
+    cell, n < 1, products farther than 1e-6 from a nonnegative integer, or
+    counts not summing to n mean the file does not hold counts, and raise
+    AggregationError naming it and the line of the first faulty row.
     """
-    with_mean = key_column == DISTANCE_KEY
-    keys, counts, mean_d = [], [], []
-    for line, r in enumerate(read_csv_dicts(path), start=2):
-        try:
-            n = int(r["n"])
-            products = [float(r[p]) * n for p in P_COLUMNS]
-            reals = {key_column: float(r[key_column])}
-            if with_mean:
-                reals["mean_d_m"] = float(r["mean_d_m"])
-        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None cells
-            raise AggregationError(f"{path} line {line}: {exc}") from None
-        if not all(map(math.isfinite, reals.values())):
-            raise AggregationError(f"{path} line {line}: {reals} must be finite")
-        row = [round(x) if math.isfinite(x) else -1 for x in products]
-        if (
-            min(row) < 0
-            or sum(row) != n
-            or any(abs(x - c) > 1e-6 for x, c in zip(products, row))
-        ):
-            raise AggregationError(
-                f"{path} line {line}: p * n = {products} are not class counts summing to n = {n}"
-            )
-        keys.append(reals[key_column])
-        mean_d.append(reals.get("mean_d_m"))
-        counts.append(row)
-    return class_counts(keys, counts, mean_d if with_mean else None)
+    with open(path, newline="") as fh:  # as csv.DictReader: the first row is the header, blank rows are skipped
+        header, *rows = [r for i, r in enumerate(csv.reader(fh)) if r or i == 0] or [[]]
+    names = ["n", *P_COLUMNS, key_column] + (["mean_d_m"] if key_column == DISTANCE_KEY else [])
+    if rows and (missing := [name for name in names if name not in header]):
+        raise AggregationError(f"{path} line 2: no column {missing[0]!r}")
+    at, cells = {name: i for i, name in enumerate(header)}, list(itertools.zip_longest(*rows))  # short rows read None
+    columns, end, error = [], len(rows), None
+    for name in names:  # each column up to the first row whose cell does not parse
+        column = cells[at[name]] if at[name] < len(cells) else [None] * len(rows)
+        columns.append([])
+        try:  # extend keeps the values parsed before the cell that raises
+            columns[-1].extend(map(_count if name == "n" else float, column[:end]))
+        except (TypeError, ValueError) as exc:
+            end, error = len(columns[-1]), exc
+    n = np.array(columns[0][:end], dtype=np.int64)
+    reals = np.array([col[:end] for col in columns[5:]], dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite product is a fault, not a warning
+        products = np.array([col[:end] for col in columns[1:5]], dtype=float).T * n[:, None]
+        c = np.rint(products)
+        counted = ((c >= 0) & (c <= n[:, None]) & (abs(products - c) <= 1e-6)).all(axis=1)
+    counts = np.where(counted[:, None], c, 0).astype(np.int64)
+    finite = np.isfinite(reals).all(axis=0)
+    faulty = np.flatnonzero(~finite | ~counted | (counts.sum(axis=1) != n))
+    if faulty.size:
+        end = faulty[0]
+        error = f"p * n = {products[end].tolist()} are not class counts summing to n = {n[end]}"
+        if not finite[end]:
+            error = f"{dict(zip(names[5:], reals[:, end].tolist()))} must be finite"
+    if error is not None:
+        raise AggregationError(f"{path} line {end + 2}: {error}")
+    return class_counts(reals[0], counts, reals[1] if len(reals) > 1 else None)
 
 
 def write_delta_csv(path: Path, curve_a: ClassCounts, curve_b: ClassCounts) -> None:

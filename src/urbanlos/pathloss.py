@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import AggregationError, ParameterError
-from .montecarlo import DISTANCE_BIN_M, ClassCounts
+from .montecarlo import DISTANCE_BIN_M, NLOS_T, ClassCounts
 
 C_M_PER_NS = 0.299792458  # speed of light, meters per nanosecond (m * GHz)
 
@@ -154,35 +154,32 @@ def pl_nlos_tree(d: float, geom: VegGeometry, params: VegetationParams) -> float
     return float(fspl(d)) + veg_attenuation(geom, params)
 
 
-def composite_pl(
-    p_los: float,
-    p_nlos_b: float,
-    p_nlos_t: float,
-    p_nlos_s: float,
-    d_m: float,
-    veg: VegGeometry | None = None,
-    params: VegetationParams = VegetationParams(),
-) -> float:
-    """Probability-weighted mixture of the per-class path losses, dB.
+def composite_pl(p_los, p_nlos_b, p_nlos_t, p_nlos_s, d_m, veg=(), params: VegetationParams = VegetationParams()):
+    """Probability-weighted mixture of the per-class path losses, dB, of
+    each row of the arguments: scalars, or arrays of one length. veg holds
+    the VegGeometry of each row with p_nlos_t > 0, in row order, or is one
+    for all of them.
 
     Streetlight-blocked links carry no excess loss, so their probability
     is charged free-space loss together with the LoS term.
     """
-    probs = (p_los, p_nlos_b, p_nlos_t, p_nlos_s)
-    if any(p < 0.0 for p in probs):
-        raise AggregationError(f"negative probability in partition {probs}")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise AggregationError(f"probability partition {probs} does not sum to 1")
-    if d_m <= 0.0:
+    rows = np.broadcast_arrays(*(np.asarray(v, float) for v in (p_los, p_nlos_b, p_nlos_t, p_nlos_s, d_m)))
+    p_los, p_b, p_t, p_s, d = np.reshape(rows, (5, -1))
+    probs = np.stack((p_los, p_b, p_t, p_s))
+    bad = (probs < 0.0).any(axis=0) | (abs(probs.sum(axis=0) - 1.0) > 1e-9)
+    if bad.any():
+        raise AggregationError(f"probabilities {tuple(probs[:, bad.argmax()].tolist())} are negative or do not sum to 1")
+    if np.any(d <= 0.0):
         raise ParameterError("bin distance must be > 0")
+    treed = p_t > 0.0
+    veg = [veg] * np.count_nonzero(treed) if isinstance(veg, VegGeometry) else veg
+    if len(veg) != np.count_nonzero(treed):
+        raise ParameterError("vegetation geometry required for each row with p_nlos_t > 0")
 
-    pl = p_nlos_b * float(pl_nlos_building(d_m))
-    if p_nlos_t > 0.0:
-        if veg is None:
-            raise ParameterError("vegetation geometry required when p_nlos_t > 0")
-        pl += p_nlos_t * pl_nlos_tree(d_m, veg, params)
-    pl += (p_los + p_nlos_s) * float(fspl(d_m))
-    return pl
+    pl = p_b * pl_nlos_building(d)
+    pl[treed] += p_t[treed] * [pl_nlos_tree(x, g, params) for x, g in zip(d[treed].tolist(), veg)]
+    pl += (p_los + p_s) * fspl(d)
+    return pl if rows[0].ndim else float(pl[0])
 
 
 def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
@@ -198,21 +195,13 @@ def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
     return VegGeometry(d1=d_m - d2, d2=d2, d_t=d_t, r_t=TREE_MEAN_RADIUS_M)
 
 
-def _composite_rows(
-    counts: ClassCounts,
-    rows: Sequence[tuple[int, float, int]],
-    params: VegetationParams,
-    seed: int,
-) -> list[float]:
+def _composite_rows(counts: ClassCounts, rows: Sequence[tuple[int, float, int]], params: VegetationParams, seed: int) -> list[float]:
     """Composite PL for each (row index, distance, vegetation key) of a
     class-count table; vegetation is drawn only for rows with tree mass."""
-    probs = counts.p.tolist()
-    out = []
-    for i, d, key in rows:
-        p_los, p_b, p_t, p_s = probs[i]
-        veg = sample_veg_geometry(d, seed, key) if p_t > 0.0 else None
-        out.append(composite_pl(p_los, p_b, p_t, p_s, d, veg, params))
-    return out
+    index, d, key = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    p = counts.p[index]
+    veg = [sample_veg_geometry(d[i], seed, key[i]) for i in np.flatnonzero(p[:, NLOS_T] > 0.0)]
+    return composite_pl(*p.T, d, veg, params).tolist()
 
 
 def composite_bins(

@@ -317,6 +317,31 @@ def test_layout_json_writes_every_field(urban_layout):
         assert tree["r_trunk"] == 0.1 * tree["r"] and tree["h_trunk"] == 0.2 * tree["h"]
 
 
+def _reference_layout_json(layout):
+    """The layout document built as dicts and written by json.dumps: the
+    form layout_json writes row by row from templates."""
+    doc = {"params": vars(layout.params), "config": vars(layout.config)}
+    for family in FAMILIES:
+        t = getattr(layout, family)
+        doc[family] = [dict(zip(t.dtype.names, row)) for row in t.tolist()]
+    for tree in doc["trees"]:
+        tree.update(r_trunk=0.1 * tree["r"], h_trunk=0.2 * tree["h"])
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("env", sorted(PRESETS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_layout_json_is_canonical_json(env, seed):
+    layout = generate_city(PRESETS[env], GenConfig(seed=seed))
+    assert layout_json(layout) == _reference_layout_json(layout)
+
+
+def test_layout_json_of_empty_tables():
+    layout = generate_city(URBAN, GenConfig(n_trees=0, n_lights=0, n_gu=0, seed=1))
+    assert [len(getattr(layout, f)) for f in FAMILIES[1:]] == [0, 0, 0]
+    assert layout_json(layout) == _reference_layout_json(layout)
+
+
 # -- infeasible configurations ------------------------------------------------
 
 

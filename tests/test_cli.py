@@ -217,6 +217,14 @@ def test_cli_import_leaves_yaml_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
+def test_cli_import_leaves_oracle_unloaded():
+    """The oracle is imported only by oracle-check, so simulate, fit and
+    report do not compile it."""
+    src = str(Path(urbanlos.__file__).parents[1])
+    code = "import sys, urbanlos.cli; sys.exit('urbanlos.oracle' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
 def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c"], [(np.float64(0.1), 0.1, 3)])

@@ -194,12 +194,15 @@ def test_density_zero_matches_buildings_only(small_gen, small_results):
 
 
 def test_density_monotone(crowded_gen):
-    curves = tree_density_sweep(URBAN, crowded_gen, SMALL_SWEEP, [0, 50, 200])
+    # 200 users per city, so that the trees past the 50th block samples too
+    # (tree-blocked counts 0, 41 and 137)
+    curves = tree_density_sweep(URBAN, replace(crowded_gen, n_gu=200), SMALL_SWEEP, [0, 50, 200])
     p0, p50, p200 = (curves[k].p_los for k in (0, 50, 200))
     assert np.all(p0 >= p50 - 1e-15)
     assert np.all(p50 >= p200 - 1e-15)
-    # trees block samples, so the curves differ
-    assert np.any(p0 > p50) and curves[200].counts[:, NLOS_T].sum() > 0
+    # more trees block more samples, so each curve differs from the next
+    assert np.any(p0 > p50) and np.any(p50 > p200)
+    assert [curves[k].counts[:, NLOS_T].sum() for k in (0, 50, 200)] == [0, 41, 137]
 
 
 def test_density_validation(small_gen):

@@ -33,6 +33,10 @@ def _cut(header, rows):
     del rows[1][3:]
 
 
+def _no_samples(header, rows):
+    rows[1] = "75.0,0.0,0.0,0.0,0.0,0,80.0".split(",")
+
+
 # fault -> (edit of the header and data rows, line the error names)
 FAULTS = {
     "missing-column": (_drop_n, 2),
@@ -45,7 +49,7 @@ FAULTS = {
     "not-counts": (_set("p_los", "0.41"), 3),
     "nan-probability": (_set("p_los", "nan"), 3),
     "negative-count": (_set("p_nlos_s", "-0.2"), 3),
-    "no-samples": (lambda header, rows: rows.__setitem__(1, "75.0,0.0,0.0,0.0,0.0,0,80.0".split(",")), 3),
+    "no-samples": (_no_samples, 3),
 }
 
 

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanlos.errors import AggregationError, ParameterError
-from urbanlos.montecarlo import class_counts
+from urbanlos.montecarlo import DISTANCE_BIN_M, NLOS_T, class_counts
 from urbanlos.pathloss import (
     VegGeometry,
     VegetationParams,
+    composite_bins,
     composite_pl,
     fit_ab,
     fresnel_radius,
@@ -200,6 +201,35 @@ def test_composite_within_component_envelope(raw, d):
     pl = composite_pl(p[0], p[1], p[2], p[3], d_m=d, veg=veg)
     components = [fspl(d), pl_nlos_building(d), pl_nlos_tree(d, veg, PARAMS_28)]
     assert min(components) - 1e-9 <= pl <= max(components) + 1e-9
+
+
+def _reference_composite_pl(probs, d, veg):
+    """The mixture for one row in Python floats, the per-row form of
+    composite_pl."""
+    p_los, p_b, p_t, p_s = probs
+    pl = p_b * float(pl_nlos_building(d))
+    if p_t > 0.0:
+        pl += p_t * (float(fspl(d)) + veg_attenuation(veg, PARAMS_28))
+    return pl + (p_los + p_s) * float(fspl(d))
+
+
+def test_composite_rows_match_the_per_row_formula():
+    """composite_bins and pl_vs_theta give bit for bit the floats of the
+    per-row formula, on tables whose rows hold every mix of classes."""
+    rng = np.random.default_rng(8)
+    counts = rng.integers(0, 4, size=(91, 4)) * rng.integers(0, 2, size=(91, 4))
+    counts[:, 0] += counts.sum(axis=1) == 0  # no row without samples
+    assert (counts[:, NLOS_T] > 0).sum() > 20 and (counts[:, NLOS_T] == 0).sum() > 20
+    centers = [(k + 0.5) * DISTANCE_BIN_M for k in range(91)]
+    stats = class_counts(centers, counts, mean_d=centers)
+    curve = class_counts([float(k) for k in range(91)], counts)
+    probs = stats.p.tolist()
+
+    want = [_reference_composite_pl(probs[k], d, sample_veg_geometry(d, 5, k)) for k, d in enumerate(centers)]
+    assert [pl for _, pl, _ in composite_bins(stats, seed=5)] == want
+    rows = pl_vs_theta(curve, seed=5)
+    want = [_reference_composite_pl(probs[k], d, sample_veg_geometry(d, 5, k)) for k, (_, d, _) in enumerate(rows, 1)]
+    assert [pl for *_, pl in rows] == want
 
 
 def test_sample_veg_geometry_deterministic():

@@ -1,4 +1,4 @@
-"""scripts/reproduce_results.py: each run it reports is the one it made."""
+"""The scripts under scripts/: each runs end to end on a small input."""
 
 import importlib.util
 import json
@@ -8,6 +8,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py
 
 
 def test_reproduce_run_returns_its_own_run(tmp_path):
+    """scripts/reproduce_results.py: each run it reports is the one it made."""
     spec = importlib.util.spec_from_file_location("reproduce_results", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -18,3 +19,18 @@ def test_reproduce_run_returns_its_own_run(tmp_path):
         run_dir = script.run("urban", seed, tmp_path, n_cities=1, n_gu=5)
         assert json.loads((run_dir / "manifest.json").read_text())["config"]["seed"] == seed
         assert (run_dir / "fits.csv").exists()
+
+
+def test_bench_stages_writes_every_stage(tmp_path):
+    """scripts/bench_stages.py at 1 city and one timing per stage."""
+    path = SCRIPT.with_name("bench_stages.py")
+    spec = importlib.util.spec_from_file_location("bench_stages", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--label", "smoke", "--repeat", "1", "--n-cities", "1", "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    simulate = [f"simulate.{env}" for env in ("urban", "dense_urban", "high_rise")]
+    stages = ["layouts_hash", "read_counts_csv", "composite_pl", "fit", "report"]
+    assert list(record["stages"]) == simulate + stages
+    assert all(len(s["times_s"]) == 1 and s["best_s"] > 0 for s in record["stages"].values())
+    assert record["run"]["n_cities"] == 1
