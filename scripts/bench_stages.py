@@ -135,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.n_cities < 1:
         parser.error("--repeat and --n-cities must be >= 1")
+    if not args.out.is_dir():
+        parser.error(f"--out {args.out} is not a directory")
     path = bench(args.label, args.repeat, args.n_cities, args.out)
     for name, stage in json.loads(path.read_text())["stages"].items():
         print(f"{name:<22}{stage['best_s'] * 1e3:10.2f} ms")
