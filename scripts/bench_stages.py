@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the pipeline's stages in-process and write BENCH_<label>.json.
+"""Time the pipeline's stages and write BENCH_<label>.json.
 
 Each stage is timed --repeat times and the file records the best time and
 every time, in seconds, with the machine it ran on. The default run is
@@ -13,7 +13,15 @@ each environment; the other stages work on the urban run:
 - composite_pl: composite_bins of the buildings-only and trees distance
   tables and pl_vs_theta of their angle tables, as fit and report call
   them;
-- fit, report: the commands through cli.main on the run directory.
+- fit, report: the commands through cli.main on the run directory;
+- process.python, process.numpy, process.import: a fresh interpreter
+  running nothing, `import numpy` and `import urbanlos.cli`;
+- process.simulate.urban, process.fit, process.report: the same commands
+  as fresh `python -m urbanlos.cli` processes, as a user runs them.
+
+The in-process stages leave out what every CLI call pays around its
+work: interpreter start, imports and shutdown. The process stages run on
+this checkout's src/ with one BLAS thread, as perfbench does.
 
 Run directories go to a temporary directory that is removed afterwards.
 Compare two commits by running the script under each one's src/ on the
@@ -25,8 +33,10 @@ Usage: PYTHONPATH=src python scripts/bench_stages.py --label <label>
 
 import os
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 if __name__ == "__main__":  # one BLAS thread, as perfbench runs; set before numpy loads
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in THREAD_VARS:
         os.environ.setdefault(_var, "1")
 
 import argparse
@@ -34,6 +44,7 @@ import contextlib
 import io
 import json
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -62,6 +73,15 @@ def _cli(argv: list[str]) -> str:
     return printed.getvalue().splitlines()[-1]
 
 
+def _process(args: list[str]) -> None:
+    """Run python with args as a fresh process on this checkout's src/
+    and check it exits 0."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict.fromkeys(THREAD_VARS, "1")}
+    proc = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    if proc.returncode != 0:
+        raise SystemExit(f"python {' '.join(args)} exited {proc.returncode}: {proc.stderr.decode()[-300:]}")
+
+
 def _best_of(repeat: int, stage) -> dict:
     times = []
     for _ in range(repeat):
@@ -88,9 +108,12 @@ def _machine() -> dict:
 def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
     stages, runs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for env in ENVIRONMENTS:
-            argv = ["simulate", "--env", env, "--seed", str(SEED), "--n-cities", str(n_cities)]
-            argv += ["--densities", DENSITIES, "--out", tmp]
+        simulate = {
+            env: ["simulate", "--env", env, "--seed", str(SEED), "--n-cities", str(n_cities)]
+            + ["--densities", DENSITIES, "--out", tmp]
+            for env in ENVIRONMENTS
+        }
+        for env, argv in simulate.items():
             stages[f"simulate.{env}"] = _best_of(repeat, lambda: runs.__setitem__(env, Path(_cli(argv))))
         run = runs["urban"]
 
@@ -113,6 +136,13 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
         stages["composite_pl"] = _best_of(repeat, composite)
         for command in ("fit", "report"):
             stages[command] = _best_of(repeat, lambda: _cli([command, "--run", str(run)]))
+
+        for name, code in (("python", "pass"), ("numpy", "import numpy"), ("import", "import urbanlos.cli")):
+            stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-c", code]))
+        commands = {"simulate.urban": simulate["urban"]}
+        commands.update({command: [command, "--run", str(run)] for command in ("fit", "report")})
+        for name, argv in commands.items():
+            stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-m", "urbanlos.cli", *argv]))
 
     path = out / f"BENCH_{label}.json"
     record = {

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import InfeasibleLayoutError, ParameterError
 
@@ -155,9 +154,9 @@ class CityLayout:
         return self.config.side
 
 
-def city_rng(seed: int, city_index: int, stream: int) -> Generator:
+def city_rng(seed: int, city_index: int, stream: int) -> np.random.Generator:
     """Generator for one named substream of one city."""
-    return default_rng(SeedSequence(seed, spawn_key=(city_index, stream)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(city_index, stream)))
 
 
 def building_count(params: BuiltUpParams, area: float) -> int:
@@ -275,7 +274,7 @@ class CellGrid:
         return np.divmod(key[new], self.n_items + 1)
 
 
-def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) -> np.recarray:
+def place_buildings(params: BuiltUpParams, config: GenConfig, rng: np.random.Generator) -> np.recarray:
     """Place all buildings on the block grid.
 
     The grid has ceil(sqrt(n))^2 blocks; a random subset of n blocks each
@@ -339,7 +338,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: Generator) ->
     return table(buildings, BUILDING)
 
 
-def _first_accepted(rng: Generator, n: int, what: str, draw: Callable, redraw: Callable) -> np.ndarray:
+def _first_accepted(rng: np.random.Generator, n: int, what: str, draw: Callable, redraw: Callable) -> np.ndarray:
     """Array of the rows of the first n accepted attempts in draw order:
     draw(m) makes m more, as outcomes and rows, and redraw(k) repeats k
     attempts' draws to leave rng after the last accepted one. RETRY_LIMIT
@@ -362,7 +361,7 @@ def _first_accepted(rng: Generator, n: int, what: str, draw: Callable, redraw: C
     return np.concatenate(rows) if rows else np.empty((0, 0))
 
 
-def _sidewalk_draws(rng: Generator, nb: int, doubles: int, m: int) -> tuple[np.ndarray, ...]:
+def _sidewalk_draws(rng: np.random.Generator, nb: int, doubles: int, m: int) -> tuple[np.ndarray, ...]:
     """m attempts' rng.integers(nb), rng.integers(4) and doubles rng.random(),
     as (building, side, (m, doubles) values), rng left as by those calls.
     An attempt's integers take a raw word: the low (or a pending high) half
@@ -391,7 +390,7 @@ def _sidewalk_draws(rng: Generator, nb: int, doubles: int, m: int) -> tuple[np.n
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: Generator, count: int, what: str,
+def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: np.random.Generator, count: int, what: str,
                         ranges: Sequence[tuple[float, float]], radius: float | None) -> np.recarray:
     """DISC table of count sidewalk obstacles whose discs avoid every
     building: a building, its south, north, west or east side and the
@@ -417,13 +416,13 @@ def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: Generator
     return table(rows, DISC)
 
 
-def place_trees(index: FootprintIndex, config: GenConfig, rng: Generator) -> np.recarray:
+def place_trees(index: FootprintIndex, config: GenConfig, rng: np.random.Generator) -> np.recarray:
     """Place n_trees sidewalk trees; discs may not intersect any building."""
     ranges = (TREE_HEIGHT_RANGE, TREE_RADIUS_RANGE)  # h, then r
     return _place_on_sidewalks(index, config, rng, config.n_trees, "tree {}", ranges, None)
 
 
-def place_lights(index: FootprintIndex, config: GenConfig, rng: Generator) -> np.recarray:
+def place_lights(index: FootprintIndex, config: GenConfig, rng: np.random.Generator) -> np.recarray:
     """Place n_lights streetlights; same sidewalk rule as trees."""
     ranges = (LIGHT_HEIGHT_RANGE,)
     return _place_on_sidewalks(index, config, rng, config.n_lights, "streetlight {}", ranges, LIGHT_RADIUS)
@@ -468,7 +467,7 @@ class FootprintIndex:
         return free
 
 
-def _open_points(index: FootprintIndex, rng: Generator, n: int, what: str) -> np.ndarray:
+def _open_points(index: FootprintIndex, rng: np.random.Generator, n: int, what: str) -> np.ndarray:
     """The first n points (rng.uniform(0, side), rng.uniform(0, side)) outside every footprint."""
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -478,12 +477,12 @@ def _open_points(index: FootprintIndex, rng: Generator, n: int, what: str) -> np
     return _first_accepted(rng, n, what, draw, lambda k: rng.bit_generator.random_raw(2 * k))
 
 
-def sample_open_point(index: FootprintIndex, rng: Generator, what: str = "point") -> tuple[float, float]:
+def sample_open_point(index: FootprintIndex, rng: np.random.Generator, what: str = "point") -> tuple[float, float]:
     """Uniform point over the free region of index's city via rejection sampling."""
     return tuple(_open_points(index, rng, 1, what)[0].tolist())
 
 
-def place_users(index: FootprintIndex, config: GenConfig, rng: Generator) -> np.recarray:
+def place_users(index: FootprintIndex, config: GenConfig, rng: np.random.Generator) -> np.recarray:
     """Place n_gu users uniformly over the open space of index."""
     free = config.area - sum((index.buildings.w * index.buildings.l).tolist())
     free -= sum(math.pi * r**2 for r in index.trees.r.tolist())

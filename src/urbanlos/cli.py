@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import sys
 from pathlib import Path
@@ -448,10 +449,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     tables["report_plos_vs_distance.csv"] = (["scenario", DISTANCE_KEY, *P_COLUMNS, "n"], rows)
 
     # extra tree-caused NLoS probability against elevation angle
-    curve = read_counts_csv(run_dir / f"angles_{WITH_TREES.name}.csv", ANGLE_KEY)
+    trees = read_counts_csv(run_dir / f"angles_{WITH_TREES.name}.csv", ANGLE_KEY)
     tables["report_tree_nlos_vs_theta.csv"] = (
         ["theta_deg", "p_nlos_t", "n"],
-        list(zip(curve.keys, curve.p_nlos_t.tolist(), curve.n.tolist())),
+        list(zip(trees.keys, trees.p_nlos_t.tolist(), trees.n.tolist())),
     )
 
     # density sweep, when the simulate run made one
@@ -468,7 +469,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for scenario in scenarios:
         if scenario not in (BUILDINGS_ONLY.name, WITH_TREES.name):
             continue
-        curve = read_counts_csv(run_dir / f"angles_{scenario}.csv", ANGLE_KEY)
+        curve = trees if scenario == WITH_TREES.name else read_counts_csv(run_dir / f"angles_{scenario}.csv", ANGLE_KEY)
         for theta, d, pl in pl_vs_theta(curve, h_gu_m=h_gu, params=params, seed=seed):
             rows.append((scenario, theta, d, pl))
     tables["report_pl_vs_theta.csv"] = (["scenario", "theta_deg", "d_m", "pl_db"], rows)
@@ -537,6 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     except UrbanLosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if argv is None:  # main owns the process: shutdown then skips collecting the import-time heap
+            gc.freeze()
 
 
 if __name__ == "__main__":

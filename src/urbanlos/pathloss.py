@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .errors import AggregationError, ParameterError
 from .montecarlo import DISTANCE_BIN_M, NLOS_T, ClassCounts
@@ -189,7 +188,7 @@ def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
     users), the transmitter side takes the remainder, and the traversed
     depth is uniform up to the mean foliage diameter.
     """
-    rng = default_rng(SeedSequence(seed, spawn_key=(_VEG_STREAM, bin_index)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_VEG_STREAM, bin_index)))
     d2 = min(rng.uniform(*VEG_D2_RANGE_M), d_m / 2.0)
     d_t = rng.uniform(*VEG_DEPTH_RANGE_M)
     return VegGeometry(d1=d_m - d2, d2=d2, d_t=d_t, r_t=TREE_MEAN_RADIUS_M)

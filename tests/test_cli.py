@@ -1,6 +1,7 @@
 """CLI pipeline: subcommands, exit codes, output schemas, and
 byte-identical reproduction from manifests."""
 
+import gc
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import urbanlos
-from urbanlos import citygen, oracle
+from urbanlos import citygen, cli, oracle
 from urbanlos.citygen import PRESETS, GenConfig, generate_city
 from urbanlos.cli import CONFIG_SCHEMA, main
 from urbanlos.geometry import LayoutGeometry, LinkClass
@@ -223,6 +224,32 @@ def test_cli_import_leaves_oracle_unloaded():
     src = str(Path(urbanlos.__file__).parents[1])
     code = "import sys, urbanlos.cli; sys.exit('urbanlos.oracle' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """numpy.random is loaded at the first draw, so fit and report on
+    tables without tree mass never load it."""
+    if subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"]).returncode:
+        pytest.skip("import numpy loads numpy.random itself (numpy < 2)")
+    src = str(Path(urbanlos.__file__).parents[1])
+    code = "import sys, urbanlos.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
+def test_main_freezes_heap_only_when_it_owns_the_process(tmp_path):
+    """main() reading sys.argv freezes the heap before it returns, so
+    interpreter shutdown skips collecting it; main(argv) leaves the gc as
+    it was."""
+    src = str(Path(urbanlos.__file__).parents[1])
+    code = (
+        "import gc, sys; from urbanlos.cli import main; "
+        f"sys.argv = ['urbanlos', 'fit', '--run', {str(tmp_path / 'none')!r}]; "
+        "assert gc.get_freeze_count() == 0 and main() == 3; sys.exit(gc.get_freeze_count() == 0)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+    frozen = gc.get_freeze_count()
+    assert main(["fit", "--run", str(tmp_path / "none")]) == 3
+    assert gc.get_freeze_count() == frozen
 
 
 def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
@@ -677,6 +704,22 @@ def test_report_rerun_identical_bytes(sim_run):
     assert main(["report", "--run", str(sim_run)]) == 0
     after = {p.name: p.read_bytes() for p in sim_run.glob("report_*.csv")}
     assert before == after
+
+
+def test_report_reads_each_count_table_once(sim_run, monkeypatch):
+    """angles_trees.csv feeds two report tables and is read once, like
+    every other count CSV report uses."""
+    reads = Counter()
+    real = cli.read_counts_csv
+
+    def counting(path, *args):
+        reads[path.name] += 1
+        return real(path, *args)
+
+    monkeypatch.setattr(cli, "read_counts_csv", counting)
+    assert main(["report", "--run", str(sim_run)]) == 0
+    assert reads["angles_trees.csv"] == 1
+    assert set(reads.values()) == {1}, reads
 
 
 def test_every_csv_parses_cleanly(sim_run):
