@@ -489,6 +489,26 @@ def test_shared_build_matches_separate_builds(plain_run, tmp_path, densities):
         assert (run / f"density_{k}.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command, name", [("fit", "distance_trees.csv"), ("report", "angles_trees.csv")])
+@pytest.mark.parametrize("content", ["empty", "header-only"])
+def test_empty_count_csv_is_an_error(sim_run, tmp_path, capsys, command, name, content):
+    """An empty count CSV, or one whose header lacks n and no row follows,
+    exits 1 naming the file and line 2, and writes nothing."""
+    run = tmp_path / "run"
+    shutil.copytree(sim_run, run)
+    path = run / name
+    header = path.read_text().splitlines()[0].split(",")
+    path.write_text("" if content == "empty" else ",".join(c for c in header if c != "n") + "\n")
+    for report in run.glob("report_*.csv"):  # as a run not yet reported
+        report.unlink()
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main([command, "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{path} line 2: no column 'n'" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before  # nothing written
+
+
 def test_report_outputs(sim_run):
     for name in (
         "report_plos_vs_distance.csv",

@@ -37,6 +37,16 @@ def _no_samples(header, rows):
     rows[1] = "75.0,0.0,0.0,0.0,0.0,0,80.0".split(",")
 
 
+def _empty(header, rows):
+    header.clear()
+    rows.clear()
+
+
+def _header_only(header, rows):
+    _drop_n(header, rows)
+    rows.clear()
+
+
 # fault -> (edit of the header and data rows, line the error names)
 FAULTS = {
     "missing-column": (_drop_n, 2),
@@ -50,6 +60,8 @@ FAULTS = {
     "nan-probability": (_set("p_los", "nan"), 3),
     "negative-count": (_set("p_nlos_s", "-0.2"), 3),
     "no-samples": (_no_samples, 3),
+    "empty-file": (_empty, 2),
+    "header-only": (_header_only, 2),
 }
 
 
@@ -57,7 +69,7 @@ def _write(path, edit):
     write_counts_csv(path, TABLE)
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
     edit(header, rows)
-    path.write_text("".join(",".join(cells) + "\n" for cells in (header, *rows)))
+    path.write_text("".join(",".join(cells) + "\n" for cells in (header, *rows) if cells))  # no header: an empty file
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -67,6 +79,17 @@ def test_reader_fault_names_file_and_line(tmp_path, fault):
     _write(path, edit)
     with pytest.raises(AggregationError, match=f"^{path} line {line}: "):
         read_counts_csv(path, DISTANCE_KEY)
+
+
+@pytest.mark.parametrize("fault", ["missing-column", "empty-file", "header-only"])
+def test_reader_names_the_missing_column(tmp_path, fault):
+    """A file without an n column fails on line 2 whether or not data rows
+    follow its header."""
+    path = tmp_path / "distance_trees.csv"
+    _write(path, FAULTS[fault][0])
+    with pytest.raises(AggregationError) as err:
+        read_counts_csv(path, DISTANCE_KEY)
+    assert str(err.value) == f"{path} line 2: no column 'n'"
 
 
 def test_reader_names_the_first_faulty_line(tmp_path):
@@ -91,3 +114,9 @@ def test_reader_accepts_what_the_writer_wrote(tmp_path):
     path = tmp_path / "distance_trees.csv"
     _write(path, lambda header, rows: None)
     assert read_counts_csv(path, DISTANCE_KEY) == TABLE
+
+
+def test_reader_reads_a_header_only_file_as_an_empty_table(tmp_path):
+    path = tmp_path / "distance_trees.csv"
+    _write(path, lambda header, rows: rows.clear())
+    assert read_counts_csv(path, DISTANCE_KEY) == class_counts((), (), mean_d=())
