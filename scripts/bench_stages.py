@@ -16,7 +16,7 @@ each environment; the other stages work on the urban run:
 - fit, report: the commands through cli.main on the run directory;
 - process.python, process.numpy, process.import: a fresh interpreter
   running nothing, `import numpy` and `import urbanlos.cli`;
-- process.simulate.urban, process.fit, process.report: the same commands
+- process.simulate.<env>, process.fit, process.report: the same commands
   as fresh `python -m urbanlos.cli` processes, as a user runs them.
 
 The in-process stages leave out what every CLI call pays around its
@@ -139,7 +139,7 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
 
         for name, code in (("python", "pass"), ("numpy", "import numpy"), ("import", "import urbanlos.cli")):
             stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-c", code]))
-        commands = {"simulate.urban": simulate["urban"]}
+        commands = {f"simulate.{env}": argv for env, argv in simulate.items()}
         commands.update({command: [command, "--run", str(run)] for command in ("fit", "report")})
         for name, argv in commands.items():
             stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-m", "urbanlos.cli", *argv]))
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--out {args.out} is not a directory")
     path = bench(args.label, args.repeat, args.n_cities, args.out)
     for name, stage in json.loads(path.read_text())["stages"].items():
-        print(f"{name:<22}{stage['best_s'] * 1e3:10.2f} ms")
+        print(f"{name:<30}{stage['best_s'] * 1e3:10.2f} ms")
     print(path)
     return 0
 

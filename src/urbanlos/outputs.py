@@ -62,15 +62,16 @@ def _count(cell) -> int:
 def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
     """The table write_counts_csv wrote to path, of key_column's kind.
 
-    Each class count comes back as round(p * n). A missing or non-finite
-    cell, n < 1, products farther than 1e-6 from a nonnegative integer, or
-    counts not summing to n mean the file does not hold counts, and raise
-    AggregationError naming it and the line of the first faulty row.
+    Each class count comes back as round(p * n). A missing column, a
+    missing or non-finite cell, n < 1, products farther than 1e-6 from a
+    nonnegative integer, or counts not summing to n mean the file does not
+    hold counts, and raise AggregationError naming it and the line of the
+    first faulty row (line 2 for a column, with or without data rows).
     """
     with open(path, newline="") as fh:  # as csv.DictReader: the first row is the header, blank rows are skipped
         header, *rows = [r for i, r in enumerate(csv.reader(fh)) if r or i == 0] or [[]]
     names = ["n", *P_COLUMNS, key_column] + (["mean_d_m"] if key_column == DISTANCE_KEY else [])
-    if rows and (missing := [name for name in names if name not in header]):
+    if missing := [name for name in names if name not in header]:
         raise AggregationError(f"{path} line 2: no column {missing[0]!r}")
     at, cells = {name: i for i, name in enumerate(header)}, list(itertools.zip_longest(*rows))  # short rows read None
     columns, end, error = [], len(rows), None
@@ -127,7 +128,8 @@ def write_manifest(path: Path, manifest: dict) -> None:
 
 def write_json_list(path: Path, records: list) -> None:
     """json.dumps(records, indent=2) + "\n", a record at a time: JSON escapes
-    newlines in strings, so indenting each record's lines nests it."""
+    newlines in strings, so indenting each record's lines nests it. The
+    bytes are one dump's, at half its peak allocation."""
     items = ["  " + json.dumps(r, indent=2).replace("\n", "\n  ") for r in records]
     path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
 

@@ -153,32 +153,30 @@ def pl_nlos_tree(d: float, geom: VegGeometry, params: VegetationParams) -> float
     return float(fspl(d)) + veg_attenuation(geom, params)
 
 
-def composite_pl(p_los, p_nlos_b, p_nlos_t, p_nlos_s, d_m, veg=(), params: VegetationParams = VegetationParams()):
+def composite_pl(p, d_m, veg=(), params: VegetationParams = VegetationParams()) -> np.ndarray:
     """Probability-weighted mixture of the per-class path losses, dB, of
-    each row of the arguments: scalars, or arrays of one length. veg holds
-    the VegGeometry of each row with p_nlos_t > 0, in row order, or is one
-    for all of them.
+    each row of p, a (rows, 4) probability matrix in class-code order, at
+    its distance in d_m. veg holds the VegGeometry of each row with
+    p_nlos_t > 0, in row order.
 
     Streetlight-blocked links carry no excess loss, so their probability
     is charged free-space loss together with the LoS term.
     """
-    rows = np.broadcast_arrays(*(np.asarray(v, float) for v in (p_los, p_nlos_b, p_nlos_t, p_nlos_s, d_m)))
-    p_los, p_b, p_t, p_s, d = np.reshape(rows, (5, -1))
-    probs = np.stack((p_los, p_b, p_t, p_s))
-    bad = (probs < 0.0).any(axis=0) | (abs(probs.sum(axis=0) - 1.0) > 1e-9)
+    p, d = np.asarray(p, dtype=float), np.asarray(d_m, dtype=float)
+    bad = (p < 0.0).any(axis=1) | (abs(p.sum(axis=1) - 1.0) > 1e-9)
     if bad.any():
-        raise AggregationError(f"probabilities {tuple(probs[:, bad.argmax()].tolist())} are negative or do not sum to 1")
+        raise AggregationError(f"probabilities {tuple(p[bad.argmax()].tolist())} are negative or do not sum to 1")
     if np.any(d <= 0.0):
         raise ParameterError("bin distance must be > 0")
+    p_los, p_b, p_t, p_s = p.T
     treed = p_t > 0.0
-    veg = [veg] * np.count_nonzero(treed) if isinstance(veg, VegGeometry) else veg
     if len(veg) != np.count_nonzero(treed):
         raise ParameterError("vegetation geometry required for each row with p_nlos_t > 0")
 
     pl = p_b * pl_nlos_building(d)
     pl[treed] += p_t[treed] * [pl_nlos_tree(x, g, params) for x, g in zip(d[treed].tolist(), veg)]
     pl += (p_los + p_s) * fspl(d)
-    return pl if rows[0].ndim else float(pl[0])
+    return pl
 
 
 def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
@@ -194,13 +192,11 @@ def sample_veg_geometry(d_m: float, seed: int, bin_index: int) -> VegGeometry:
     return VegGeometry(d1=d_m - d2, d2=d2, d_t=d_t, r_t=TREE_MEAN_RADIUS_M)
 
 
-def _composite_rows(counts: ClassCounts, rows: Sequence[tuple[int, float, int]], params: VegetationParams, seed: int) -> list[float]:
-    """Composite PL for each (row index, distance, vegetation key) of a
-    class-count table; vegetation is drawn only for rows with tree mass."""
-    index, d, key = (list(column) for column in zip(*rows)) if rows else ([], [], [])
-    p = counts.p[index]
-    veg = [sample_veg_geometry(d[i], seed, key[i]) for i in np.flatnonzero(p[:, NLOS_T] > 0.0)]
-    return composite_pl(*p.T, d, veg, params).tolist()
+def _composite_rows(p: np.ndarray, d: Sequence[float], keys: Sequence[int], params: VegetationParams, seed: int) -> list[float]:
+    """Composite PL of each row of p at its distance in d; vegetation is
+    drawn, under the row's key, only for rows with tree mass."""
+    veg = [sample_veg_geometry(d[i], seed, keys[i]) for i in np.flatnonzero(p[:, NLOS_T] > 0.0)]
+    return composite_pl(p, d, veg, params).tolist()
 
 
 def composite_bins(
@@ -210,11 +206,8 @@ def composite_bins(
 ) -> list[tuple[float, float, int]]:
     """(bin center, composite PL, sample count) for every populated bin;
     vegetation is keyed by the distance bin index."""
-    rows = [
-        (i, center, int(round(center / DISTANCE_BIN_M - 0.5)))
-        for i, center in enumerate(stats.keys)
-    ]
-    pls = _composite_rows(stats, rows, params, seed)
+    bins = [int(round(center / DISTANCE_BIN_M - 0.5)) for center in stats.keys]
+    pls = _composite_rows(stats.p, stats.keys, bins, params, seed)
     return list(zip(stats.keys, pls, (int(v) for v in stats.n)))
 
 
@@ -273,13 +266,10 @@ def pl_vs_theta(
     """
     if PL_THETA_ALTITUDE_M <= h_gu_m:
         raise ParameterError("h_abs must exceed h_gu")
-    rows = [
-        (i, (PL_THETA_ALTITUDE_M - h_gu_m) / math.sin(math.radians(theta)), i)
-        for i, theta in enumerate(curve.keys)
-        if theta > 0.0
-    ]
-    pls = _composite_rows(curve, rows, params, seed)
-    return [(curve.keys[i], d, pl) for (i, d, _), pl in zip(rows, pls)]
+    kept = [i for i, theta in enumerate(curve.keys) if theta > 0.0]
+    d = [(PL_THETA_ALTITUDE_M - h_gu_m) / math.sin(math.radians(curve.keys[i])) for i in kept]
+    pls = _composite_rows(curve.p[kept], d, kept, params, seed)
+    return [(curve.keys[i], x, pl) for i, x, pl in zip(kept, d, pls)]
 
 
 def median_extra_loss(

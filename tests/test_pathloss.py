@@ -158,33 +158,54 @@ def test_pl_nlos_tree_composition():
 
 
 def test_composite_pure_los():
-    assert composite_pl(1.0, 0.0, 0.0, 0.0, d_m=250.0) == fspl(250.0)
+    assert composite_pl([[1.0, 0.0, 0.0, 0.0]], d_m=[250.0]).tolist() == [fspl(250.0)]
 
 
 def test_composite_pure_building():
-    assert composite_pl(0.0, 1.0, 0.0, 0.0, d_m=100.0) == 130.4
+    assert composite_pl([[0.0, 1.0, 0.0, 0.0]], d_m=[100.0]).tolist() == [130.4]
 
 
 def test_composite_equal_mix_is_mean():
-    pl = composite_pl(0.5, 0.5, 0.0, 0.0, d_m=100.0)
+    (pl,) = composite_pl([[0.5, 0.5, 0.0, 0.0]], d_m=[100.0])
     assert pl == pytest.approx((101.4 + 130.4) / 2.0, abs=1e-12)
 
 
 def test_composite_partition_violation():
+    with pytest.raises(AggregationError, match=r"\(0\.6, 0\.6, 0\.0, 0\.0\)"):
+        composite_pl([[0.5, 0.5, 0.0, 0.0], [0.6, 0.6, 0.0, 0.0]], d_m=[100.0, 100.0])
     with pytest.raises(AggregationError):
-        composite_pl(0.6, 0.6, 0.0, 0.0, d_m=100.0)
+        composite_pl([[1.5, -0.5, 0.0, 0.0]], d_m=[100.0])
+
+
+def test_composite_needs_positive_distance():
+    with pytest.raises(ParameterError):
+        composite_pl([[1.0, 0.0, 0.0, 0.0]], d_m=[0.0])
 
 
 def test_composite_needs_veg_geometry():
     with pytest.raises(ParameterError):
-        composite_pl(0.5, 0.0, 0.5, 0.0, d_m=100.0)
+        composite_pl([[0.5, 0.0, 0.5, 0.0]], d_m=[100.0])
+    with pytest.raises(ParameterError):  # one geometry per row with tree mass
+        composite_pl([[0.5, 0.0, 0.5, 0.0]] * 2, d_m=[100.0] * 2, veg=[GOLDEN_GEOM])
 
 
 def test_composite_streetlight_charged_free_space():
-    assert composite_pl(0.0, 0.0, 0.0, 1.0, d_m=400.0) == fspl(400.0)
-    mixed = composite_pl(0.6, 0.3, 0.0, 0.1, d_m=400.0)
+    assert composite_pl([[0.0, 0.0, 0.0, 1.0]], d_m=[400.0]).tolist() == [fspl(400.0)]
+    (mixed,) = composite_pl([[0.6, 0.3, 0.0, 0.1]], d_m=[400.0])
     expected = 0.7 * fspl(400.0) + 0.3 * pl_nlos_building(400.0)
     assert mixed == pytest.approx(expected, abs=1e-12)
+
+
+def test_composite_of_no_rows_is_empty():
+    pl = composite_pl(np.zeros((0, 4)), d_m=[])
+    assert isinstance(pl, np.ndarray) and pl.shape == (0,)
+
+
+def test_composite_tables_without_rows_give_no_rows():
+    """An empty distance table, and an angle curve whose only angle is 0°
+    (no finite distance), give empty tables."""
+    assert composite_bins(class_counts((), (), mean_d=())) == []
+    assert pl_vs_theta(class_counts((0.0,), [(1, 0, 0, 0)])) == []
 
 
 @given(
@@ -198,7 +219,7 @@ def test_composite_within_component_envelope(raw, d):
     total = sum(raw)
     p = [v / total for v in raw]
     veg = VegGeometry(d1=max(d - 6.0, 1.0), d2=6.0, d_t=1.0, r_t=1.0)
-    pl = composite_pl(p[0], p[1], p[2], p[3], d_m=d, veg=veg)
+    (pl,) = composite_pl([p], d_m=[d], veg=[veg] if p[2] > 0.0 else [])
     components = [fspl(d), pl_nlos_building(d), pl_nlos_tree(d, veg, PARAMS_28)]
     assert min(components) - 1e-9 <= pl <= max(components) + 1e-9
 
@@ -214,8 +235,10 @@ def _reference_composite_pl(probs, d, veg):
 
 
 def test_composite_rows_match_the_per_row_formula():
-    """composite_bins and pl_vs_theta give bit for bit the floats of the
-    per-row formula, on tables whose rows hold every mix of classes."""
+    """composite_pl of a table's probability matrix, composite_bins and
+    pl_vs_theta give bit for bit the floats of the per-row formula, on
+    tables whose rows hold every mix of classes, with and without tree
+    mass."""
     rng = np.random.default_rng(8)
     counts = rng.integers(0, 4, size=(91, 4)) * rng.integers(0, 2, size=(91, 4))
     counts[:, 0] += counts.sum(axis=1) == 0  # no row without samples
@@ -225,7 +248,10 @@ def test_composite_rows_match_the_per_row_formula():
     curve = class_counts([float(k) for k in range(91)], counts)
     probs = stats.p.tolist()
 
-    want = [_reference_composite_pl(probs[k], d, sample_veg_geometry(d, 5, k)) for k, d in enumerate(centers)]
+    veg = [sample_veg_geometry(d, 5, k) for k, d in enumerate(centers)]
+    want = [_reference_composite_pl(probs[k], d, veg[k]) for k, d in enumerate(centers)]
+    treed = [g for g, row in zip(veg, counts) if row[NLOS_T] > 0]
+    assert composite_pl(stats.p, centers, treed).tolist() == want
     assert [pl for _, pl, _ in composite_bins(stats, seed=5)] == want
     rows = pl_vs_theta(curve, seed=5)
     want = [_reference_composite_pl(probs[k], d, sample_veg_geometry(d, 5, k)) for k, (_, d, _) in enumerate(rows, 1)]

@@ -31,7 +31,7 @@ def test_bench_stages_writes_every_stage(tmp_path):
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     simulate = [f"simulate.{env}" for env in ("urban", "dense_urban", "high_rise")]
     stages = ["layouts_hash", "read_counts_csv", "composite_pl", "fit", "report"]
-    processes = [f"process.{name}" for name in ("python", "numpy", "import", "simulate.urban", "fit", "report")]
+    processes = [f"process.{name}" for name in ("python", "numpy", "import", *simulate, "fit", "report")]
     assert list(record["stages"]) == simulate + stages + processes
     assert all(len(s["times_s"]) == 1 and s["best_s"] > 0 for s in record["stages"].values())
     assert record["run"]["n_cities"] == 1
