@@ -100,6 +100,30 @@ def test_generate_infeasible_exit(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--area", "1e300"],
+        ["generate", "--beta", "1e300"],
+        ["generate", "--area", "1e300", "--beta", "1e10"],
+        ["simulate", "--area", "1e300"],
+        ["oracle-check", "--area", "1e300"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_unindexable_building_count_exit(tmp_path, capsys, monkeypatch, args):
+    """A building count whose block grid numpy cannot index is refused
+    before any draw, naming the count, beta and the area."""
+    monkeypatch.chdir(tmp_path)  # the default --out is under it
+    assert main(args + ["--env", "urban", "--seed", "1"]) == 1
+    flags = dict(zip(args[1::2], map(float, args[2::2])))
+    beta, area = flags.get("--beta", PRESETS["urban"].beta), flags.get("--area", GenConfig.area)
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert all(f"{v:g}" in err for v in (beta * area / 1e6, beta, area))
+    assert not list(tmp_path.iterdir())
+
+
 def test_flags_do_not_leak_into_defaults(tmp_path):
     base = ["generate", "--env", "urban", "--seed", "3", "--n-trees", "0", "--n-lights", "0"]
     assert main(base + ["--n-gu", "7", "--out", str(tmp_path / "a")]) == 0
@@ -130,6 +154,9 @@ BAD_CONFIG_FILES = [
     ('gen: {h_gu: "3.0"}\n', "gen.h_gu"),
     ("sweep: {angles: [true]}\n", "sweep.angles"),
     ("gen: {area: true}\n", "gen.area"),
+    ("seed: 1\ngen: {n_gu: 3}\nseed: 2\n", "seed"),
+    ("seed: 1\ngen: {h_gu: 0.0}\ngen: {n_gu: 3}\n", "'gen'"),
+    ("gen: {n_gu: 3, h_gu: 0.0, n_gu: 4}\n", "gen.n_gu"),
 ]
 
 
@@ -142,6 +169,26 @@ def test_bad_config_file_exit(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "config" in err
     assert key in err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 1, "seed": 2, "gen": {"h_gu": 0.0}, "gen": {"n_gu": 3}}', "seed"),
+        ('{"gen": {"h_gu": 0.0}, "gen": {"n_gu": 3}}', "gen"),
+        ('{"sweep": {"angles": [10.0], "n_cities": 1, "angles": [20.0]}}', "sweep.angles"),
+    ],
+)
+def test_repeated_json_config_key_exit(tmp_path, capsys, text, key):
+    """JSON, like YAML, refuses a key its mapping repeats, by its path."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    args = ["simulate", "--env", "urban", "--seed", "1", "--n-cities", "1"]
+    code = main(args + ["--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and f"repeated config key {key!r}" in err
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
