@@ -290,7 +290,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: np.random.Gen
         return table((), BUILDING)
     side, gdim = config.side, math.ceil(math.sqrt(n))
     block, blocks = side / gdim, rng.permutation(gdim * gdim)[:n]
-    bg, buf, taken, start = rng.bit_generator, [], 0, rng.bit_generator.state  # buf: rng.random() ahead
+    buf, taken, start = [], 0, rng.bit_generator.state  # buf: rng.random() ahead
 
     def uniform(a: float, b: float) -> float:  # rng.uniform(a, b), from the buffer
         nonlocal taken
@@ -333,20 +333,22 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: np.random.Gen
                 break
         else:
             raise InfeasibleLayoutError(f"could not place building {i} after {RETRY_LIMIT} attempts")
-    bg.state = start
-    bg.random_raw(taken)  # as far as the draws used
+    rng.bit_generator.state = start
+    rng.random(taken)  # as far as the draws used
     return table(buildings, BUILDING)
 
 
-def _first_accepted(rng: np.random.Generator, n: int, what: str, draw: Callable, redraw: Callable) -> np.ndarray:
-    """Array of the rows of the first n accepted attempts in draw order:
-    draw(m) makes m more, as outcomes and rows, and redraw(k) repeats k
-    attempts' draws to leave rng after the last accepted one. RETRY_LIMIT
-    misses in a row make the layout infeasible; what.format(i) names
-    entity i."""
-    bg, rows, done, used, last, start = rng.bit_generator, [], 0, 0, -1, rng.bit_generator.state
+def _first_accepted(rng: np.random.Generator, n: int, what: str, sample: Callable, test: Callable) -> np.ndarray:
+    """Array of the first n accepted candidate rows in draw order: sample(m)
+    draws m candidate rows from rng and test(rows) flags the accepted ones.
+    rng is then set back to its start and sample(k) replays the k candidates
+    up to the last accepted one, untested, which leaves rng where drawing
+    one candidate at a time would. RETRY_LIMIT misses in a row make the
+    layout infeasible; what.format(i) names entity i."""
+    rows, done, used, last, start = [], 0, 0, -1, rng.bit_generator.state
     while done < n:
-        ok, block = draw(min(2 * (n - done) + 8, 1 << 14))
+        block = sample(min(2 * (n - done) + 8, 1 << 14))
+        ok = test(block)
         hits = np.flatnonzero(ok)[: n - done]
         rows.append(block[hits])
         for at in (hits + used).tolist():  # each success, numbered from the first attempt
@@ -356,8 +358,9 @@ def _first_accepted(rng: np.random.Generator, n: int, what: str, draw: Callable,
         used = last + 1 if done == n else used + ok.size
         if used - last > RETRY_LIMIT:
             raise InfeasibleLayoutError(f"could not place {what.format(done)} after {RETRY_LIMIT} attempts")
-    bg.state = start
-    redraw(used)
+    if used:
+        rng.bit_generator.state = start
+        sample(used)
     return np.concatenate(rows) if rows else np.empty((0, 0))
 
 
@@ -402,7 +405,7 @@ def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: np.random
         raise InfeasibleLayoutError(f"could not place {what.format(0)}: no building edges available")
     sides = index.bx0, index.by0, index.bx1, index.by1, index.buildings.w, index.buildings.l
 
-    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(m: int) -> np.ndarray:
         pick, side, u = _sidewalk_draws(rng, nb, 1 + len(ranges), m)
         values = [a + (b - a) * u[:, k] for k, (a, b) in enumerate(ranges, 1)]
         x0, y0, x1, y1, w, l = (a[pick] for a in sides)
@@ -410,10 +413,9 @@ def _place_on_sidewalks(index: FootprintIndex, config: GenConfig, rng: np.random
         x = np.choose(side, (along_x, along_x, x0 - d_o, x1 + d_o))
         y = np.choose(side, (y0 - d_o, y1 + d_o, along_y, along_y))
         r = values[-1] if radius is None else np.full(x.shape, radius)
-        return index.disc_is_free(x, y, r), np.column_stack((x, y, r, values[0]))
+        return np.column_stack((x, y, r, values[0]))
 
-    rows = _first_accepted(rng, count, what, draw, lambda k: _sidewalk_draws(rng, nb, 1 + len(ranges), k))
-    return table(rows, DISC)
+    return table(_first_accepted(rng, count, what, sample, lambda rows: index.disc_is_free(*rows[:, :3].T)), DISC)
 
 
 def place_trees(index: FootprintIndex, config: GenConfig, rng: np.random.Generator) -> np.recarray:
@@ -469,12 +471,7 @@ class FootprintIndex:
 
 def _open_points(index: FootprintIndex, rng: np.random.Generator, n: int, what: str) -> np.ndarray:
     """The first n points (rng.uniform(0, side), rng.uniform(0, side)) outside every footprint."""
-
-    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
-        xy = index.side * rng.random((m, 2))
-        return ~index.blocked(xy[:, 0], xy[:, 1]), xy
-
-    return _first_accepted(rng, n, what, draw, lambda k: rng.bit_generator.random_raw(2 * k))
+    return _first_accepted(rng, n, what, lambda m: index.side * rng.random((m, 2)), lambda xy: ~index.blocked(*xy.T))
 
 
 def sample_open_point(index: FootprintIndex, rng: np.random.Generator, what: str = "point") -> tuple[float, float]:

@@ -302,16 +302,54 @@ def test_random_links_match_the_reference():
 def test_retry_limit_counts_misses_across_blocks(misses, placed):
     """Entity 1 follows entity 0 after misses failed attempts, which span
     many blocks; RETRY_LIMIT of them in a row are too many."""
-    outcomes, drawn = [True] + [False] * misses + [True, True], []
+    accepted, drawn = [0, misses + 1, misses + 2], []
 
-    def draw(m):
-        ok = np.array((outcomes[len(drawn):] + [False] * m)[:m])
-        drawn.extend(ok.tolist())
-        return ok, np.arange(len(drawn) - m, len(drawn))[:, None]
+    def sample(m):  # candidate k is the row [k]
+        drawn.extend(range(len(drawn), len(drawn) + m))
+        return np.array(drawn[-m:])[:, None]
 
     rng = default_rng(0)
+    test = lambda rows: np.isin(rows[:, 0], accepted)
     if placed:
-        assert _first_accepted(rng, 3, "thing {}", draw, lambda k: None).tolist() == [[0], [misses + 1], [misses + 2]]
+        assert _first_accepted(rng, 3, "thing {}", sample, test).tolist() == [[0], [misses + 1], [misses + 2]]
     else:
         with pytest.raises(InfeasibleLayoutError, match=f"^could not place thing 1 after {RETRY_LIMIT} attempts$"):
-            _first_accepted(rng, 3, "thing {}", draw, lambda k: None)
+            _first_accepted(rng, 3, "thing {}", sample, test)
+
+
+def test_rewind_replays_the_sampler_once_untested():
+    """Over several blocks, the rows are the first n accepted one at a
+    time, and rng ends as one sample(used) call from its start leaves it,
+    used counting the candidates up to the last accepted one; the replay's
+    rows are not tested."""
+    n, sampled, tested = 12, [], []
+
+    def sample(m):
+        sampled.append(m)
+        return rng.random((m, 3))
+
+    def test(rows):
+        tested.append(len(rows))
+        return rows[:, 0] < 0.05
+
+    rng = default_rng(11)
+    got = _first_accepted(rng, n, "thing {}", sample, test)
+    assert len(tested) >= 2 and sampled == tested + [sampled[-1]]  # each block tested, then one replay
+    one_at_a_time, want, used = default_rng(11), [], 0
+    while len(want) < n:
+        row, used = one_at_a_time.random(3), used + 1
+        if row[0] < 0.05:
+            want.append(row.tolist())
+    assert got.tolist() == want
+    assert sampled[-1] == used
+    replayed = default_rng(11)
+    replayed.random((used, 3))
+    assert _state(rng) == _state(replayed) == _state(one_at_a_time)
+
+
+def test_no_entities_leave_the_generator_untouched():
+    rng, calls = default_rng(5), []
+    before = _state(rng)
+    rows = _first_accepted(rng, 0, "thing {}", lambda m: calls.append(m), lambda rows: calls.append(rows))
+    assert rows.size == 0 and not calls
+    assert _state(rng) == before
