@@ -160,8 +160,13 @@ def city_rng(seed: int, city_index: int, stream: int) -> np.random.Generator:
 
 
 def building_count(params: BuiltUpParams, area: float) -> int:
-    """Number of buildings for a given land area (exact, rounded)."""
-    return int(round(params.beta * area / 1e6))
+    """Number of buildings for a given land area (exact, rounded); a
+    ParameterError if its ceil(sqrt(n))^2 blocks are more than numpy can index."""
+    n = params.beta * area / 1e6
+    if n == math.inf or math.ceil(math.sqrt(round(n))) ** 2 > np.iinfo(np.intp).max:
+        where = f"beta {params.beta:g} per km^2 over area {area:g} m^2"
+        raise ParameterError(f"{n:g} buildings ({where}) need more blocks than numpy can index")
+    return round(n)
 
 
 def average_footprint(params: BuiltUpParams, area: float) -> float:
