@@ -208,6 +208,23 @@ def _overlay(config: dict, doc: dict, where: str = "") -> None:
         config[key] = value
 
 
+class _Pairs(list):
+    """A parsed mapping as its (key, value) pairs in file order, repeats kept."""
+
+
+def _unique(doc, where: str = ""):
+    """doc with each _Pairs in it made a dict; ParameterError names, by its
+    path, the first key that a mapping repeats."""
+    if isinstance(doc, _Pairs):
+        out = {}
+        for key, value in doc:
+            if key in out:
+                raise ParameterError(f"repeated config key '{where}{key}'")
+            out[key] = _unique(value, f"{where}{key}.")
+        return out
+    return [_unique(item, where) for item in doc] if isinstance(doc, list) else doc
+
+
 def read_config(path: Path | None) -> dict:
     """The config a config file or manifest at path lays over the
     CONFIG_SCHEMA defaults (the defaults alone for None). A manifest, a
@@ -219,16 +236,24 @@ def read_config(path: Path | None) -> dict:
     if path is None:
         return config
     if path.suffix == ".json":  # YAML 1.1 reads JSON's exponent form (1e-05) as a string
-        parse, parse_error = json.loads, json.JSONDecodeError
+        parse, parse_error = lambda text: json.loads(text, object_pairs_hook=_Pairs), json.JSONDecodeError
     else:  # PyYAML is imported only when a YAML file is read
         import yaml
-        parse, parse_error = yaml.safe_load, yaml.YAMLError
+
+        class PairsLoader(yaml.SafeLoader):  # safe_load, with each mapping as its _Pairs
+            def construct_yaml_map(self, node):
+                self.construct_mapping(node)  # PyYAML's merge keys and hashable-key check
+                return _Pairs(self.construct_pairs(node))
+        PairsLoader.add_constructor("tag:yaml.org,2002:map", PairsLoader.construct_yaml_map)
+        parse, parse_error = lambda text: yaml.load(text, PairsLoader), yaml.YAMLError
     try:
-        doc = parse(path.read_text(encoding="utf-8"))
+        doc = _unique(parse(path.read_text(encoding="utf-8")))
     except OSError as exc:
         raise MissingInputError(f"cannot read config file {path}: {exc.strerror}") from None
     except (UnicodeDecodeError, parse_error) as exc:
         raise ParameterError(f"config file {path} does not parse: {exc}") from None
+    except ParameterError as exc:
+        raise ParameterError(f"config file {path}: {exc}") from None
     manifest = isinstance(doc, dict) and "config_hash" in doc
     if manifest:
         recorded, doc = doc["config_hash"], doc.get("config")
