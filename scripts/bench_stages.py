@@ -9,6 +9,11 @@ each environment; the other stages work on the urban run:
 
 - simulate.<env>: one simulate of the environment through cli.main;
 - layouts_hash: outputs.layouts_hash over the run's layouts;
+- generate.buildings, generate.sidewalks, generate.users, generate.abs:
+  the run's cities placed again, a stage per step, on the arguments that
+  generate_obstacles, add_users and the sweep's ABS draw pass: buildings
+  (place_buildings), trees and lights (place_trees, place_lights), users
+  (add_users) and the ABS position (sample_open_point);
 - read_counts_csv: every count CSV of the run, read once each;
 - composite_pl: composite_bins of the buildings-only and trees distance
   tables and pl_vs_theta of their angle tables, as fit and report call
@@ -52,8 +57,27 @@ from pathlib import Path
 
 import numpy as np
 
-from urbanlos.citygen import PRESETS, GenConfig, generate_city
+from urbanlos.citygen import (
+    DISC,
+    PRESETS,
+    STREAM_ABS,
+    STREAM_BUILDINGS,
+    STREAM_LIGHTS,
+    STREAM_TREES,
+    FootprintIndex,
+    GenConfig,
+    add_users,
+    city_rng,
+    generate_city,
+    generate_obstacles,
+    place_buildings,
+    place_lights,
+    place_trees,
+    sample_open_point,
+    table,
+)
 from urbanlos.cli import main as cli_main
+from urbanlos.geometry import LayoutGeometry
 from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, layouts_hash, read_counts_csv
 from urbanlos.pathloss import composite_bins, pl_vs_theta
 
@@ -105,6 +129,36 @@ def _machine() -> dict:
     }
 
 
+def _generation_stages(repeat: int, layouts: list) -> dict:
+    """The generation steps of layouts, city i of the urban seed-1 run,
+    timed over all of them."""
+    params, config = PRESETS["urban"], GenConfig(seed=SEED)
+    obstacles = [generate_obstacles(params, config, i) for i in range(len(layouts))]
+    empty = table((), DISC)
+    bare = [FootprintIndex(city.buildings, empty, empty, config.side) for city in obstacles]
+    geoms = [LayoutGeometry(layout) for layout in layouts]
+
+    def buildings():
+        for i in range(len(layouts)):
+            place_buildings(params, config, city_rng(SEED, i, STREAM_BUILDINGS))
+
+    def sidewalks():
+        for i, index in enumerate(bare):
+            place_trees(index, config, city_rng(SEED, i, STREAM_TREES))
+            place_lights(index, config, city_rng(SEED, i, STREAM_LIGHTS))
+
+    def users():
+        for i, city in enumerate(obstacles):
+            add_users(city, config.n_trees, i)
+
+    def abs_draw():
+        for i, geom in enumerate(geoms):
+            sample_open_point(geom.index, city_rng(SEED, i, STREAM_ABS), what="abs")
+
+    steps = {"buildings": buildings, "sidewalks": sidewalks, "users": users, "abs": abs_draw}
+    return {f"generate.{name}": _best_of(repeat, step) for name, step in steps.items()}
+
+
 def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
     stages, runs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,6 +175,7 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
         if json.loads((run / "manifest.json").read_text())["layout_hash"] != layouts_hash(layouts):
             raise SystemExit("the regenerated layouts do not hash to the run's layout_hash")
         stages["layouts_hash"] = _best_of(repeat, lambda: layouts_hash(layouts))
+        stages.update(_generation_stages(repeat, layouts))
 
         tables = [(p, DISTANCE_KEY if p.name.startswith("distance_") else ANGLE_KEY) for p in sorted(run.glob("*.csv"))]
         tables = [(p, key) for p, key in tables if not p.name.startswith("delta_")]
