@@ -1,6 +1,7 @@
 """CLI pipeline: subcommands, exit codes, output schemas, and
 byte-identical reproduction from manifests."""
 
+import errno
 import gc
 import json
 import math
@@ -931,6 +932,30 @@ def test_output_path_checked_before_work(tmp_path, capsys, monkeypatch, args, fl
     err = capsys.readouterr().err
     assert "error:" in err and flag in err
     assert not calls
+
+
+@pytest.mark.parametrize(
+    "args, flag, suffix, code, prefix",
+    [
+        (["generate", "--env", "urban", "--seed", "1"], "--out", "", 1, "error: --out: "),
+        (["simulate", "--env", "urban", "--seed", "1", "--n-cities", "1", "--n-gu", "2"], "--out", "", 1, "error: --out: "),
+        (["oracle-check", "--env", "urban", "--seed", "1", "--n-links", "2"], "--dump-hits", ".json", 1, "error: --dump-hits: "),
+        (["fit"], "--run", "", 3, "error: cannot read "),
+        (["report"], "--run", "", 3, "error: cannot read "),
+    ],
+    ids=["generate-out", "simulate-out", "oracle-check-dump-hits", "fit-run", "report-run"],
+)
+def test_path_the_os_cannot_stat_is_an_error(tmp_path, capsys, monkeypatch, args, flag, suffix, code, prefix):
+    """A 300-character name is longer than the OS lets a path component
+    be: the command exits with one error line naming the path and the OS's
+    reason, before any work, and makes nothing."""
+    path = tmp_path / ("a" * 300 + suffix)
+    calls = _count_calls(monkeypatch, citygen, ["generate_obstacles"])
+    assert main([*args, flag, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and str(path) in err and err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert not calls
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
