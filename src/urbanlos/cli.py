@@ -318,7 +318,10 @@ def _run_dir(out_root: Path, config: dict) -> Path:
     """out_root/<config hash>; ParameterError unless it is a directory or
     can be made one, checked before the work whose outputs go there."""
     run_dir = out_root / config_hash(config)
-    ancestor = next(p for p in (run_dir, *run_dir.parents) if p.exists())
+    try:
+        ancestor = next(p for p in (run_dir, *run_dir.parents) if p.exists())
+    except OSError as exc:
+        raise ParameterError(f"--out: cannot check {run_dir}: {exc.strerror}") from None
     if not ancestor.is_dir():
         raise ParameterError(f"--out: {ancestor} is not a directory")
     return run_dir
@@ -402,7 +405,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _require(run_dir: Path, names: list[str]) -> None:
-    missing = [str(run_dir / n) for n in names if not (run_dir / n).exists()]
+    try:
+        missing = [str(run_dir / n) for n in names if not (run_dir / n).exists()]
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {run_dir}: {exc.strerror}") from None
     if missing:
         raise MissingInputError("missing inputs: " + ", ".join(missing))
 
@@ -507,7 +513,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     from .oracle import check_links, random_links  # imported only by the one command that uses it
-    if args.dump_hits and (args.dump_hits.is_dir() or not args.dump_hits.parent.is_dir()):
+    try:
+        bad_dump = args.dump_hits and (args.dump_hits.is_dir() or not args.dump_hits.parent.is_dir())
+    except OSError as exc:
+        raise ParameterError(f"--dump-hits: cannot check {args.dump_hits}: {exc.strerror}") from None
+    if bad_dump:
         raise ParameterError(f"--dump-hits: {args.dump_hits} is not a file in an existing directory")
     config = resolve_config(args, "oracle-check")
     if config["seed"] is None:
