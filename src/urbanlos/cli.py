@@ -44,7 +44,7 @@ from .outputs import (
     write_counts_csv,
     write_csv,
     write_delta_csv,
-    write_json_list,
+    write_hit_dump,
     write_manifest,
 )
 from .pathloss import PL_THETA_ALTITUDE_M, VegetationParams, composite_bins, fit_ab, pl_vs_theta
@@ -526,23 +526,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     geom = LayoutGeometry(layout)
     rng = np.random.default_rng(config["seed"])
     links = random_links(geom, rng, args.n_links)
-    disagreements, dump = [], []
+    disagreements, checked = [], []
     for i, (link, (hits, fast, brute)) in enumerate(zip(links, check_links(geom, links))):
         if fast is not brute.link_class:
             disagreements.append(f"  link {i}: analytic={fast.value} bruteforce={brute.link_class.value}")
         if args.dump_hits:
-            dump.append(
-                {
-                    "abs_xy": list(link.abs_xy),
-                    "gu_xy": list(link.gu_xy),
-                    "h_abs": link.h_abs,
-                    "analytic_hits": [vars(h) for h in hits],
-                    "bruteforce_crossed": {k: sorted(v) for k, v in brute.crossed.items()},
-                    "bruteforce_blocked": {k: sorted(v) for k, v in brute.blocked.items()},
-                }
-            )
+            checked.append((link, hits, brute))
     if args.dump_hits:
-        write_json_list(args.dump_hits, dump)
+        write_hit_dump(args.dump_hits, checked)
     print(f"{len(links)} links, {len(disagreements)} disagreements")
     if disagreements:
         print(*disagreements[:10], sep="\n")

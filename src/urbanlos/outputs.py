@@ -126,12 +126,33 @@ def write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def write_json_list(path: Path, records: list) -> None:
-    """json.dumps(records, indent=2) + "\n", a record at a time: JSON escapes
-    newlines in strings, so indenting each record's lines nests it. The
-    bytes are one dump's, at half its peak allocation."""
-    items = ["  " + json.dumps(r, indent=2).replace("\n", "\n  ") for r in records]
-    path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
+def _indented(indent: int, brackets: str, items: list[str]) -> str:
+    """A JSON list or object of items, each laid out one level deeper, as
+    json.dumps(..., indent=2) lays it out at indent spaces."""
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + "  " + f",{pad}  ".join(items) + pad + brackets[1] if items else brackets
+
+
+_HIT = _indented(6, "{}", ['"kind": "%s"', '"index": %d', '"r_i": %r', '"obstacle_height": %r', '"blockage_height": %r', '"blocks": %s'])
+_PAIR = _indented(4, "[]", ["%r", "%r"])
+_RECORD = _indented(2, "{}", [f'"abs_xy": {_PAIR}', f'"gu_xy": {_PAIR}', '"h_abs": %r', '"analytic_hits": %s',
+                              '"bruteforce_crossed": %s', '"bruteforce_blocked": %s'])
+
+
+def write_hit_dump(path: Path, checked: Sequence[tuple]) -> None:
+    """Write one record per (link, hits, brute) triple, a link with what
+    check_links finds for it, a record at a time: the bytes of
+    json.dumps(records, indent=2) + "\n", as JSON writes a finite float as
+    float.__repr__ does and link ends, h_abs, r_i and heights are finite."""
+    with open(path, "w") as fh:
+        start = "[\n  "
+        for link, hits, brute in checked:
+            rows = [_HIT % (h.kind, h.index, h.r_i, h.obstacle_height, h.blockage_height, "true" if h.blocks else "false") for h in hits]
+            families = [_indented(4, "{}", [f'"{kind}": ' + _indented(6, "[]", [*map(str, sorted(ids))]) for kind, ids in found.items()])
+                        for found in (brute.crossed, brute.blocked)]
+            fh.write(start + _RECORD % (*link.abs_xy, *link.gu_xy, link.h_abs, _indented(4, "[]", rows), *families))
+            start = ",\n  "
+        fh.write("\n]\n" if checked else "[]\n")
 
 
 def read_csv_dicts(path: Path) -> list[dict[str, str]]:

@@ -21,7 +21,8 @@ from urbanlos.citygen import PRESETS, STREAM_ABS, GenConfig, city_rng, generate_
 from urbanlos.cli import main
 from urbanlos.geometry import LayoutGeometry, Link
 from urbanlos.montecarlo import class_counts
-from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv, write_json_list
+from urbanlos.oracle import check_links, random_links
+from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv, write_hit_dump
 from urbanlos.pathloss import VegetationParams, composite_bins, pl_vs_theta
 
 ANGLES_SHA = "b7ad24ada62bfb63e0eae5519a1dc5c34354496d511fe685f0469cd913baf671"
@@ -176,11 +177,34 @@ def test_oracle_hit_dump_golden_on_a_known_miss(tmp_path, capsys):
     assert _sha(dump) == MISS_HITS_SHA
 
 
-@pytest.mark.parametrize("records", [[], [{}], [{"a": [1, {"b": "x\ny"}], "c": {}}, [2.5, []], "s"]])
-def test_json_list_is_indented_json(tmp_path, records):
-    """The hit dump's writer gives json.dumps(records, indent=2) + "\n"."""
-    write_json_list(tmp_path / "out.json", records)
-    assert (tmp_path / "out.json").read_text() == json.dumps(records, indent=2) + "\n"
+def _hit_record(link, hits, brute) -> dict:
+    """One link's hit-dump record built field by field, the reference
+    write_hit_dump's templates are checked against."""
+    return {
+        "abs_xy": list(link.abs_xy),
+        "gu_xy": list(link.gu_xy),
+        "h_abs": link.h_abs,
+        "analytic_hits": [vars(h) for h in hits],
+        "bruteforce_crossed": {k: sorted(v) for k, v in brute.crossed.items()},
+        "bruteforce_blocked": {k: sorted(v) for k, v in brute.blocked.items()},
+    }
+
+
+@pytest.mark.parametrize("env", sorted(PRESETS))
+def test_hit_dump_is_indented_json(tmp_path, env):
+    """write_hit_dump writes json.dumps(records, indent=2) + "\n" for no
+    link, one, and random links plus a 0.5 m one that crosses nothing."""
+    geom = LayoutGeometry(generate_city(PRESETS[env], GenConfig(seed=1)))
+    links = random_links(geom, np.random.default_rng(1), 20)
+    x, y = links[0].gu_xy
+    links.append(Link((x + 0.5, y), links[0].h_abs, (x, y), links[0].h_gu))
+    checked = [(link, hits, brute) for link, (hits, _, brute) in zip(links, check_links(geom, links))]
+    assert not checked[-1][1] and {h.blocks for _, hits, _ in checked for h in hits} == {False, True}
+    assert not all(checked[-1][2].crossed.values())  # a family with an empty id list
+    path = tmp_path / "hits.json"
+    for part in ([], checked[-1:], checked):
+        write_hit_dump(path, part)
+        assert path.read_text() == json.dumps([_hit_record(*c) for c in part], indent=2) + "\n"
 
 
 def test_kernel_golden():
