@@ -19,10 +19,13 @@ each environment; the other stages work on the urban run:
   tables and pl_vs_theta of their angle tables, as fit and report call
   them;
 - fit, report: the commands through cli.main on the run directory;
+- oracle_check: oracle-check through cli.main on a high_rise city of the
+  same seed, 300 links, with its --dump-hits file;
 - process.python, process.numpy, process.import: a fresh interpreter
   running nothing, `import numpy` and `import urbanlos.cli`;
-- process.simulate.<env>, process.fit, process.report: the same commands
-  as fresh `python -m urbanlos.cli` processes, as a user runs them.
+- process.simulate.<env>, process.fit, process.report,
+  process.oracle_check: the same commands as fresh
+  `python -m urbanlos.cli` processes, as a user runs them.
 
 The in-process stages leave out what every CLI call pays around its
 work: interpreter start, imports and shutdown. The process stages run on
@@ -84,6 +87,7 @@ from urbanlos.pathloss import composite_bins, pl_vs_theta
 ENVIRONMENTS = ("urban", "dense_urban", "high_rise")
 DENSITIES = "0,100,200,400"
 SEED = 1
+ORACLE_LINKS = 300
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -191,11 +195,15 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
         stages["composite_pl"] = _best_of(repeat, composite)
         for command in ("fit", "report"):
             stages[command] = _best_of(repeat, lambda: _cli([command, "--run", str(run)]))
+        oracle = ["oracle-check", "--env", "high_rise", "--seed", str(SEED), "--n-links", str(ORACLE_LINKS)]
+        oracle += ["--dump-hits", str(Path(tmp) / "hits.json")]
+        stages["oracle_check"] = _best_of(repeat, lambda: _cli(oracle))
 
         for name, code in (("python", "pass"), ("numpy", "import numpy"), ("import", "import urbanlos.cli")):
             stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-c", code]))
         commands = {f"simulate.{env}": argv for env, argv in simulate.items()}
         commands.update({command: [command, "--run", str(run)] for command in ("fit", "report")})
+        commands["oracle_check"] = oracle
         for name, argv in commands.items():
             stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-m", "urbanlos.cli", *argv]))
 
@@ -203,7 +211,7 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
     record = {
         "label": label,
         "repeat": repeat,
-        "run": {"seed": SEED, "n_cities": n_cities, "n_gu": 100, "densities": DENSITIES},
+        "run": {"seed": SEED, "n_cities": n_cities, "n_gu": 100, "densities": DENSITIES, "oracle_links": ORACLE_LINKS},
         "machine": _machine(),
         "stages": stages,
     }

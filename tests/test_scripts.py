@@ -31,8 +31,8 @@ def test_bench_stages_writes_every_stage(tmp_path):
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     simulate = [f"simulate.{env}" for env in ("urban", "dense_urban", "high_rise")]
     generation = [f"generate.{step}" for step in ("buildings", "sidewalks", "users", "abs")]
-    stages = ["layouts_hash", *generation, "read_counts_csv", "composite_pl", "fit", "report"]
-    processes = [f"process.{name}" for name in ("python", "numpy", "import", *simulate, "fit", "report")]
+    stages = ["layouts_hash", *generation, "read_counts_csv", "composite_pl", "fit", "report", "oracle_check"]
+    processes = [f"process.{name}" for name in ("python", "numpy", "import", *simulate, "fit", "report", "oracle_check")]
     assert list(record["stages"]) == simulate + stages + processes
     assert all(len(s["times_s"]) == 1 and s["best_s"] > 0 for s in record["stages"].values())
     assert record["run"]["n_cities"] == 1
