@@ -14,6 +14,11 @@ each environment; the other stages work on the urban run:
   generate_obstacles, add_users and the sweep's ABS draw pass: buildings
   (place_buildings), trees and lights (place_trees, place_lights), users
   (add_users) and the ABS position (sample_open_point);
+- kernel.critical.<city>, kernel.sweep.<city>: batch_critical_altitudes
+  from the city's ABS position, and the whole per-city sweep
+  (_city_worker, which also builds the index and draws the ABS), on
+  city 0 of the urban run (urban) and on city 0 of a dense_urban run
+  with 1500 users, the heavy shape of the acceptance sweep (heavy);
 - read_counts_csv: every count CSV of the run, read once each;
 - composite_pl: composite_bins of the buildings-only and trees distance
   tables and pl_vs_theta of their angle tables, as fit and report call
@@ -23,6 +28,9 @@ each environment; the other stages work on the urban run:
   same seed, 300 links, with its --dump-hits file;
 - process.python, process.numpy, process.import: a fresh interpreter
   running nothing, `import numpy` and `import urbanlos.cli`;
+- process.compile: compile() of every src/urbanlos module in this
+  process, which every CLI process pays at import when no bytecode is
+  cached (PYTHONDONTWRITEBYTECODE set);
 - process.simulate.<env>, process.fit, process.report,
   process.oracle_check: the same commands as fresh
   `python -m urbanlos.cli` processes, as a user runs them.
@@ -67,6 +75,7 @@ from urbanlos.citygen import (
     STREAM_BUILDINGS,
     STREAM_LIGHTS,
     STREAM_TREES,
+    CityLayout,
     FootprintIndex,
     GenConfig,
     add_users,
@@ -81,6 +90,7 @@ from urbanlos.citygen import (
 )
 from urbanlos.cli import main as cli_main
 from urbanlos.geometry import LayoutGeometry
+from urbanlos.montecarlo import SweepConfig, _city_worker
 from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, layouts_hash, read_counts_csv
 from urbanlos.pathloss import composite_bins, pl_vs_theta
 
@@ -88,6 +98,7 @@ ENVIRONMENTS = ("urban", "dense_urban", "high_rise")
 DENSITIES = "0,100,200,400"
 SEED = 1
 ORACLE_LINKS = 300
+HEAVY_USERS = 1500
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -163,6 +174,20 @@ def _generation_stages(repeat: int, layouts: list) -> dict:
     return {f"generate.{name}": _best_of(repeat, step) for name, step in steps.items()}
 
 
+def _kernel_stages(repeat: int, urban: CityLayout) -> dict:
+    """The critical-altitude kernel and the per-city sweep on urban (city 0
+    of the urban run) and on the heavy city, as the scenario pass calls them."""
+    heavy = generate_city(PRESETS["dense_urban"], GenConfig(n_gu=HEAVY_USERS, seed=SEED))
+    stages = {}
+    for name, layout in (("urban", urban), ("heavy", heavy)):
+        geom = LayoutGeometry(layout)
+        abs_xy = sample_open_point(geom.index, city_rng(SEED, 0, STREAM_ABS), what="abs")
+        gu = np.column_stack((layout.users.x, layout.users.y))
+        stages[f"kernel.critical.{name}"] = _best_of(repeat, lambda: geom.batch_critical_altitudes(abs_xy, gu, layout.config.h_gu))
+        stages[f"kernel.sweep.{name}"] = _best_of(repeat, lambda: _city_worker(layout, SweepConfig(n_cities=1), [None], 0))
+    return stages
+
+
 def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
     stages, runs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -180,6 +205,7 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
             raise SystemExit("the regenerated layouts do not hash to the run's layout_hash")
         stages["layouts_hash"] = _best_of(repeat, lambda: layouts_hash(layouts))
         stages.update(_generation_stages(repeat, layouts))
+        stages.update(_kernel_stages(repeat, layouts[0]))
 
         tables = [(p, DISTANCE_KEY if p.name.startswith("distance_") else ANGLE_KEY) for p in sorted(run.glob("*.csv"))]
         tables = [(p, key) for p, key in tables if not p.name.startswith("delta_")]
@@ -201,6 +227,8 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
 
         for name, code in (("python", "pass"), ("numpy", "import numpy"), ("import", "import urbanlos.cli")):
             stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-c", code]))
+        sources = [(path.read_text(), str(path)) for path in sorted((ROOT / "src" / "urbanlos").glob("*.py"))]
+        stages["process.compile"] = _best_of(repeat, lambda: [compile(text, path, "exec") for text, path in sources])
         commands = {f"simulate.{env}": argv for env, argv in simulate.items()}
         commands.update({command: [command, "--run", str(run)] for command in ("fit", "report")})
         commands["oracle_check"] = oracle
@@ -211,7 +239,14 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
     record = {
         "label": label,
         "repeat": repeat,
-        "run": {"seed": SEED, "n_cities": n_cities, "n_gu": 100, "densities": DENSITIES, "oracle_links": ORACLE_LINKS},
+        "run": {
+            "seed": SEED,
+            "n_cities": n_cities,
+            "n_gu": 100,
+            "densities": DENSITIES,
+            "oracle_links": ORACLE_LINKS,
+            "heavy_n_gu": HEAVY_USERS,
+        },
         "machine": _machine(),
         "stages": stages,
     }

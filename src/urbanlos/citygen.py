@@ -39,8 +39,9 @@ STREAM_ABS = 4
 
 RETRY_LIMIT = 10_000
 
-# CellGrid and place_buildings widen every box by this, so that rounding in a
-# cell lookup or segment walk never drops a footprint an exact test would find.
+# CellGrid, place_buildings and FootprintIndex.fan_pairs widen every box by this,
+# so that rounding in a cell lookup, segment walk or bearing never drops a
+# footprint an exact test would find.
 GRID_PAD = 1e-6  # m
 
 SHAPE_FACTOR_LOW = 0.5
@@ -255,15 +256,13 @@ class CellGrid:
 
     def segment_pairs(self, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
         """(row, item) of the items in the cells that the segment from
-        (ax, ay) to (bx[row], by[row]) meets, widened by GRID_PAD, each
-        pair once and row-major; ax and ay are one shared start or one per
-        row. In each column the segment spans, its y range between the
-        column's padded walls picks one run of cells."""
+        (ax[row], ay[row]) to (bx[row], by[row]) meets, widened by GRID_PAD,
+        each pair once and row-major. In each column the segment spans, its
+        y range between the column's padded walls picks one run of cells."""
         c0 = self.cells_of(np.minimum(bx, ax) - GRID_PAD)
         link, k = _ragged(self.cells_of(np.maximum(bx, ax) + GRID_PAD) - c0 + 1)
         col = c0[link] + k
-        if isinstance(ax, np.ndarray):  # one start per row: each column reads its row's
-            ax, ay = ax[link], ay[link]
+        ax, ay = ax[link], ay[link]
         dx, dy = bx[link] - ax, by[link] - ay
         with np.errstate(all="ignore"):  # a vertical or near-vertical link
             ta, tb = (self.west[col] - ax) / dx, (self.east[col] - ax) / dx
@@ -472,6 +471,36 @@ class FootprintIndex:
         free = (cx - r >= 0.0) & (cy - r >= 0.0) & (cx + r <= self.side) & (cy + r <= self.side)
         free[q[dx * dx + dy * dy < rr * rr]] = False
         return free
+
+    def fan_pairs(self, ax: float, ay: float, bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, item) of the items, widened by GRID_PAD and numbered as the
+        grid's, that the segment from the one start (ax, ay) to (bx[row],
+        by[row]) may meet: the row's bearing lies in the item's bearing
+        interval from the start and its length reaches the item's nearest
+        point. Each pair once, row-major, as CellGrid.segment_pairs gives
+        them. An item whose widened footprint holds the start spans the
+        full circle."""
+        x0, y0, x1, y1 = self.bx0 - GRID_PAD, self.by0 - GRID_PAD, self.bx1 + GRID_PAD, self.by1 + GRID_PAD
+        rect_mid = np.arctan2((y0 + y1) / 2.0 - ay, (x0 + x1) / 2.0 - ax)
+        corners = np.arctan2(np.stack((y0, y0, y1, y1)) - ay, np.stack((x0, x1, x0, x1)) - ax) - rect_mid
+        corners = np.pi - (np.pi - corners) % (2.0 * np.pi)  # relative to the centre, in (-pi, pi]
+        rect_near = np.hypot(np.maximum(np.maximum(x0 - ax, 0.0), ax - x1), np.maximum(np.maximum(y0 - ay, 0.0), ay - y1))
+        w, ex, ey = self.cr + GRID_PAD, self.cx - ax, self.cy - ay
+        rho, disc_mid = np.hypot(ex, ey), np.arctan2(ey, ex)
+        half = np.arcsin(w / np.maximum(rho, w))
+        lo = np.concatenate((rect_mid + corners.min(axis=0), disc_mid - half))
+        hi = np.concatenate((rect_mid + corners.max(axis=0), disc_mid + half))
+        near = np.concatenate((rect_near, np.maximum(rho - w, 0.0)))
+        theta = np.arctan2(by - ay, bx - ax)
+        order, n = np.argsort(theta), theta.size
+        ring = (theta[order] + 2.0 * np.pi * np.array([[-1.0], [0.0], [1.0]])).ravel()  # the rows' bearings, thrice
+        full = near == 0.0  # the middle copy only, or a row at bearing +-pi would come twice
+        first = np.where(full, n, np.searchsorted(ring, lo, side="left"))
+        item, k = _ragged(np.where(full, 2 * n, np.searchsorted(ring, hi, side="right")) - first)
+        row = order[(first[item] + k) % n]
+        keep = np.hypot(bx - ax, by - ay)[row] >= near[item]
+        key = np.sort(row[keep] * (near.size + 1) + item[keep])
+        return np.divmod(key, near.size + 1)
 
 
 def _open_points(index: FootprintIndex, rng: np.random.Generator, n: int, what: str) -> np.ndarray:

@@ -24,7 +24,9 @@ One array pass, LayoutGeometry._critical_points, derives every critical
 point for L links sharing one ground-user height, from one shared ABS
 position or one per link, as flat parallel arrays over the crossed
 (link, obstacle) pairs of each family: _rect_chords and _disc_chords test
-only the pairs the layout's cell grid hands out. One _required_altitude
+only the candidate pairs of the layout's FootprintIndex, by bearing from
+a shared ABS (fan_pairs) and from the cell grid's walk along each link
+with its own ABS (segment_pairs). One _required_altitude
 rule serves all three families, and _tree_critical evaluates the tree
 candidate set for all crossed (link, tree) pairs at once. The batch view
 reduces the pairs to per-link maxima with link_maxima; crossings_of
@@ -272,20 +274,20 @@ class LayoutGeometry:
         with xs and ys (L,) arrays, returns one family per entry in FAMILIES
         order, each as flat parallel arrays (link row, obstacle index,
         u_crit, profile, alt) over the crossed pairs only, row-major. A
-        shared position stays a scalar, gathered per pair only when there
-        is one per link.
+        shared position stays a scalar and takes its candidates by bearing;
+        one per link is gathered per pair and walks the cell grid.
         """
         ax, ay = abs_xy
         dx, dy = gu_xy[:, 0] - ax, gu_xy[:, 1] - ay
         g2 = dx * dx + dy * dy
         if np.any(g2 <= 0.0):
             raise DegenerateLinkError("a link has zero ground distance")
-        idx, layout = self.index, self.layout
-        link, item = idx.grid.segment_pairs(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
+        idx, layout, shared = self.index, self.layout, not isinstance(ax, np.ndarray)
+        link, item = (idx.fan_pairs if shared else idx.grid.segment_pairs)(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
         nb, nt = idx.bx0.size, len(idx.trees)
 
         def at(r):  # the ABS position of the pairs in link rows r
-            return (ax[r], ay[r]) if isinstance(ax, np.ndarray) else (ax, ay)
+            return (ax, ay) if shared else (ax[r], ay[r])
 
         def chords(pick, first, clip, *obstacle):
             # the crossed pairs among the picked ones, with obstacles numbered from first

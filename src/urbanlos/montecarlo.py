@@ -47,6 +47,8 @@ TOP_ANGLE_EVAL_DEG = 89.9
 ALTITUDE_CAP_M = 100_000.0
 #: Width of the 3-D distance bins.
 DISTANCE_BIN_M = 50.0
+#: Links per block of the angle sweep, which bounds its (links, angles) arrays.
+SWEEP_BLOCK = 256
 
 LOS, NLOS_B, NLOS_T, NLOS_S = 0, 1, 2, 3
 #: Class of each blockage mask (bit 0 building, 1 tree, 2 light): the lowest set bit's family; 0 is LoS.
@@ -164,8 +166,10 @@ def _blockage_masks(h_abs: np.ndarray, alt_b: np.ndarray, alt_t: np.ndarray, alt
     """uint8 blockage masks of an (L, A) altitude matrix: bit i is set where
     the (L,) critical altitudes of the i-th family in FAMILIES order reach
     h_abs. A family left out reads -inf and never blocks."""
-    blocked = [h_abs <= alt[:, None] for alt in (alt_b, alt_t, alt_s)]
-    return np.packbits(blocked, axis=0, bitorder="little")[0]
+    masks = np.zeros(h_abs.shape, np.uint8)
+    for bit, alt in enumerate((alt_b, alt_t, alt_s)):
+        masks |= (h_abs <= alt[:, None]).view(np.uint8) << bit
+    return masks
 
 
 def _city_worker(
@@ -174,7 +178,9 @@ def _city_worker(
     """Blockage mask counts for one city: (limits, angles, 8), (limits,
     bins, 8) and the d sums per bin. A limit is how many of the city's trees
     block (None = all); the masks of each limit are counted once. The ABS
-    draw and the kernel read the layout's LayoutGeometry."""
+    draw and the kernel read the layout's LayoutGeometry. The (links,
+    angles) arrays are built SWEEP_BLOCK links at a time, and the d sums
+    add in link order, as one bincount over the whole city would."""
     gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
@@ -184,28 +190,31 @@ def _city_worker(
     alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes(
         (ax, ay), gu, gen.h_gu
     )
+    keeps = (slice(None) if limit is None else t_idx < limit for limit in limits)
+    alt_t = [link_maxima(len(gu), t_link[keep], t_alt[keep]) for keep in keeps]  # per limit, once
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
     angles = np.asarray(sweep.angles)
-    if sweep.altitude_policy == "per-angle":
-        theta_eff = np.where(angles >= 90.0, TOP_ANGLE_EVAL_DEG, angles)
-        h_abs = gen.h_gu + g[:, None] * np.tan(np.radians(theta_eff))[None, :]
-        h_abs = np.minimum(h_abs, ALTITUDE_CAP_M)
-    else:
-        h_abs = np.full((len(gu), angles.size), sweep.fixed_altitude_m)
-    d = np.hypot(g[:, None], h_abs - gen.h_gu)
+    tan = np.tan(np.radians(np.where(angles >= 90.0, TOP_ANGLE_EVAL_DEG, angles)))
     # the bins cover the capped altitude over the city's diagonal
     n_bins = int(math.hypot(ALTITUDE_CAP_M, layout.side * math.sqrt(2.0)) / DISTANCE_BIN_M) + 2
-    bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
 
     # one count per tree limit, keyed 8 * angle + mask and 8 * bin + mask
     angle_counts = np.zeros((len(limits), angles.size, 8), dtype=np.int64)
     dist_counts = np.zeros((len(limits), n_bins, 8), dtype=np.int64)
-    for v, limit in enumerate(limits):
-        keep = slice(None) if limit is None else t_idx < limit
-        masks = _blockage_masks(h_abs, alt_b, link_maxima(len(gu), t_link[keep], t_alt[keep]), alt_s)
-        for out, key in ((angle_counts, 8 * np.arange(angles.size)), (dist_counts, 8 * bins)):
-            out[v] = np.bincount((key + masks).ravel(), minlength=out[v].size).reshape(-1, 8)
-    d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)
+    d_sums = np.zeros(n_bins)
+    for block in range(0, len(gu), SWEEP_BLOCK):
+        links = slice(block, block + SWEEP_BLOCK)
+        if sweep.altitude_policy == "per-angle":
+            h_abs = np.minimum(gen.h_gu + g[links, None] * tan[None, :], ALTITUDE_CAP_M)
+        else:
+            h_abs = np.full((g[links].size, angles.size), sweep.fixed_altitude_m)
+        d = np.hypot(g[links, None], h_abs - gen.h_gu)
+        bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
+        for v, alt in enumerate(alt_t):
+            masks = _blockage_masks(h_abs, alt_b[links], alt[links], alt_s[links])
+            for out, key in ((angle_counts, 8 * np.arange(angles.size)), (dist_counts, 8 * bins)):
+                out[v] += np.bincount((key + masks).ravel(), minlength=out[v].size).reshape(-1, 8)
+        np.add.at(d_sums, bins.ravel(), d.ravel())
     return angle_counts, dist_counts, d_sums
 
 

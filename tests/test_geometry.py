@@ -16,11 +16,14 @@ from urbanlos import oracle
 from urbanlos.citygen import (
     BUILDING,
     DISC,
+    GRID_PAD,
     PRESETS,
+    STREAM_ABS,
     USER,
     BuiltUpParams,
     CityLayout,
     GenConfig,
+    city_rng,
     generate_city,
     sample_open_point,
     table,
@@ -325,14 +328,92 @@ def test_crossings_of_axis_parallel_links_from_distinct_abs(urban_layout, urban_
     assert sum(map(len, batch[0::3])) > 0 and sum(map(len, batch[1::3])) > 0
 
 
-def test_shared_and_per_link_abs_give_the_same_pairs(urban_layout, urban_geometry):
-    gu = np.column_stack((urban_layout.users.x, urban_layout.users.y))
-    ax, ay = sample_open_point(urban_geometry.index, default_rng(8))
-    shared = urban_geometry._critical_points((ax, ay), gu, 1.5)
-    per_link = urban_geometry._critical_points((np.full(len(gu), ax), np.full(len(gu), ay)), gu, 1.5)
-    assert sum(pairs[0].size for pairs in shared) > 0
+# the city of tests/test_golden.py's simulate run with trees and lights (city 0)
+CROWDED_GOLDEN = GenConfig(area=250_000.0, n_trees=400, n_lights=400, n_gu=1000, seed=1)
+
+
+def _assert_shared_abs_is_per_link_abs(geom, abs_xy, gu, h_gu=1.5):
+    """_critical_points from one shared ABS (the bearing broad phase) equals
+    it from the same ABS given per link (the grid walk), byte for byte, and
+    fan_pairs gives each of its pairs once, row-major. Returns the pairs."""
+    ax, ay = abs_xy
+    shared = geom._critical_points((ax, ay), gu, h_gu)
+    per_link = geom._critical_points((np.full(len(gu), ax), np.full(len(gu), ay)), gu, h_gu)
     for a, b in zip(shared, per_link):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert [(x.dtype, x.tobytes()) for x in a] == [(y.dtype, y.tobytes()) for y in b]
+    row, item = geom.index.fan_pairs(ax, ay, gu[:, 0], gu[:, 1])
+    assert np.all(np.diff(row * (geom.index.grid.n_items + 1) + item) > 0)
+    return shared
+
+
+def test_shared_and_per_link_abs_give_the_same_pairs():
+    """1,500 users of each preset, and the crowded golden city's 1,000,
+    from two ABS positions each; every family is crossed."""
+    cities = [(PRESETS[env], GenConfig(n_gu=1500, seed=5)) for env in ("urban", "dense_urban", "high_rise")]
+    for params, gen in cities + [(URBAN, CROWDED_GOLDEN)]:
+        layout = generate_city(params, gen)
+        geom = LayoutGeometry(layout)
+        gu = np.column_stack((layout.users.x, layout.users.y))
+        for seed in (8, 9):
+            shared = _assert_shared_abs_is_per_link_abs(geom, sample_open_point(geom.index, default_rng(seed)), gu)
+            assert all(pairs[0].size > 0 for pairs in shared)
+
+
+@pytest.mark.parametrize("left_out", [None, "buildings", "trees", "lights"])
+def test_shared_abs_pairs_at_bearing_pi_on_walls_and_corners(left_out):
+    """The bearing intervals where they are at risk: users due west of the
+    ABS, at bearing exactly pi, and items whose interval straddles +-pi;
+    full-circle items, from an ABS within GRID_PAD of a wall, on a building
+    corner, inside a light's widened disc and on a tree's axis; one user;
+    and layouts with one family left out."""
+    rows = {
+        "buildings": [(300.0, 490.0, 20.0, 20.0, 30.0), (500.0, 520.0, 40.0, 30.0, 25.0), (560.0, 440.0, 30.0, 30.0, 40.0)],
+        "trees": [(420.0, 500.0, 1.5, 4.0), (450.0, 503.0, 1.0, 3.0), (700.0, 600.0, 1.2, 5.0)],
+        "lights": [(200.0, 500.0, 0.1, 3.0), (600.0, 480.0, 0.1, 4.0), (505.0, 500.0, 0.1, 2.5)],
+    }
+    geom = LayoutGeometry(_fixture_layout(**{k: [] if k == left_out else v for k, v in rows.items()}))
+    rng = default_rng(12)
+    starts = [
+        (500.0, 500.0),  # open street, with a building, a tree and a light due west
+        (500.0 - GRID_PAD / 2.0, 530.0),  # within GRID_PAD of a wall
+        (500.0 - 2.0 * GRID_PAD, 530.0),  # just beyond the widened wall
+        (560.0, 440.0),  # on a building corner
+        (505.0 + 0.1 + GRID_PAD / 2.0, 500.0),  # in a light's widened disc, beyond the light
+        (450.0, 503.0),  # on a tree's axis
+    ]
+    crossed_west = 0
+    for ax, ay in starts:
+        west = [(ax - d, ay) for d in (40.0, 90.0, 220.0, 400.0)]
+        beside = [(ax - 300.0, ay + s) for s in (1e-9, -1e-9, 8.0, -8.0)]
+        # links through each building corner and tangent to each disc, which the pad keeps
+        corners = [(x + dx, y + dy) for x, y, w, l, _ in rows["buildings"] for dx in (0.0, w) for dy in (0.0, l)]
+        through = [(2.0 * x - ax, 2.0 * y - ay) for x, y in corners if (x, y) != (ax, ay)]
+        for x, y, r, _ in rows["trees"] + rows["lights"]:
+            rho, mid = math.hypot(x - ax, y - ay), math.atan2(y - ay, x - ax)
+            for side in (-1.0, 1.0) if rho > r else ():
+                bearing = mid + side * math.asin(r / rho)
+                through.append((ax + 2.0 * rho * math.cos(bearing), ay + 2.0 * rho * math.sin(bearing)))
+        gu = np.concatenate([west, beside, through, rng.uniform(0.0, 1000.0, (300, 2))])
+        assert np.arctan2(gu[:4, 1] - ay, gu[:4, 0] - ax).tolist() == [np.pi] * 4
+        shared = _assert_shared_abs_is_per_link_abs(geom, (ax, ay), gu)
+        crossed_west += sum(int(np.sum(pairs[0] < 8)) for pairs in shared)
+        for one in gu[:8]:
+            _assert_shared_abs_is_per_link_abs(geom, (ax, ay), one[None, :])
+    assert crossed_west > 0
+
+
+@pytest.mark.parametrize("env, gen", [("urban", CROWDED_GOLDEN), ("dense_urban", GenConfig(n_gu=1500, seed=1))])
+def test_bearing_broad_phase_hands_out_few_candidates(env, gen):
+    """On the crowded golden city and on a heavy-shape city (1,500 users),
+    the bearing broad phase hands out at most 30 % of the grid walk's
+    candidate pairs."""
+    layout = generate_city(PRESETS[env], gen)
+    geom = LayoutGeometry(layout)
+    ax, ay = sample_open_point(geom.index, city_rng(gen.seed, 0, STREAM_ABS))
+    x, y, n = layout.users.x, layout.users.y, gen.n_gu
+    fan = geom.index.fan_pairs(ax, ay, x, y)[0].size
+    grid = geom.index.grid.segment_pairs(np.full(n, ax), np.full(n, ay), x, y)[0].size
+    assert 0 < fan <= 0.3 * grid
 
 
 def test_crossings_of_needs_one_h_gu(urban_geometry):

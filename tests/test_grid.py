@@ -1,8 +1,10 @@
-"""The cell grid narrows every obstacle test to the cells under the query.
-Each test here compares a grid-backed result with a dense reference over
-every footprint, on the inputs where a cell lookup could go wrong: points
-and discs on cell lines, footprint edges and corners and the city border,
-and links along cell lines, parallel to an axis or ending on a corner."""
+"""The cell grid narrows every obstacle test to the cells under the query,
+and the bearing broad phase narrows a shared ABS's links. Each test here
+compares a grid-backed or bearing-backed result with a dense reference
+over every footprint, on the inputs where a cell lookup could go wrong:
+points and discs on cell lines, footprint edges and corners and the city
+border, and links along cell lines, parallel to an axis or ending on a
+corner."""
 
 import numpy as np
 import pytest
@@ -203,7 +205,12 @@ def _dense_families(geom, abs_xy, gu, h_gu):
 
 
 def _assert_kernel_matches_dense(geom, abs_xy, gu, h_gu=1.5):
+    """The kernel's pairs from the shared ABS (the bearing broad phase) and
+    from the ABS given per link (the grid walk) match the dense reference."""
     buildings, trees, lights = geom._critical_points(abs_xy, gu, h_gu)
+    per_link = geom._critical_points(tuple(np.full(len(gu), v) for v in abs_xy), gu, h_gu)
+    for shared, walked in zip((buildings, trees, lights), per_link):
+        assert all(np.array_equal(a, b) for a, b in zip(shared, walked))
     dense_b, dense_t, dense_s = _dense_families(geom, abs_xy, gu, h_gu)
     for got, want in ((buildings, dense_b), (lights, dense_s)):
         row, col, u, _, alt = got

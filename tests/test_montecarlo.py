@@ -1,13 +1,25 @@
 """Sweep engine: partitions, determinism, scenario pairing, density sweep,
 and the altitude policies."""
 
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from urbanlos import montecarlo
-from urbanlos.citygen import PRESETS, GenConfig, generate_city, generate_obstacles, layout_json
+from urbanlos.citygen import (
+    PRESETS,
+    STREAM_ABS,
+    GenConfig,
+    city_rng,
+    generate_city,
+    generate_obstacles,
+    layout_json,
+    sample_open_point,
+)
 from urbanlos.errors import AggregationError, ParameterError
+from urbanlos.geometry import LayoutGeometry, link_maxima
 from urbanlos.montecarlo import (
     ALTITUDE_CAP_M,
     BUILDINGS_ONLY,
@@ -18,8 +30,11 @@ from urbanlos.montecarlo import (
     NLOS_S,
     NLOS_T,
     SCENARIOS,
+    SWEEP_BLOCK,
+    TOP_ANGLE_EVAL_DEG,
     WITH_TREES,
     SweepConfig,
+    _city_worker,
     class_counts,
     mean_abs_delta_p_los,
     parse_scenario,
@@ -275,6 +290,57 @@ def test_city_order_independent(small_gen):
     angle_sum_rev = np.sum([ac for ac, _, _ in reversed(per_city)], axis=0)
     assert np.array_equal(angle_sum_fwd, angle_sum_rev)
     assert forward == angle_sum_fwd.sum()
+
+
+def _whole_city_worker(layout, sweep, limits, city_index):
+    """_city_worker on the whole (links, angles) matrix at once, with
+    packbits masks and one bincount of the d sums: the reference that the
+    blocked sweep must equal byte for byte."""
+    gen = layout.config
+    geom = LayoutGeometry(layout)
+    ax, ay = sample_open_point(geom.index, city_rng(gen.seed, city_index, STREAM_ABS), what="abs")
+    gu = np.column_stack((layout.users.x, layout.users.y))
+    alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes((ax, ay), gu, gen.h_gu)
+    g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
+    angles = np.asarray(sweep.angles)
+    if sweep.altitude_policy == "per-angle":
+        theta_eff = np.where(angles >= 90.0, TOP_ANGLE_EVAL_DEG, angles)
+        h_abs = gen.h_gu + g[:, None] * np.tan(np.radians(theta_eff))[None, :]
+        h_abs = np.minimum(h_abs, ALTITUDE_CAP_M)
+    else:
+        h_abs = np.full((len(gu), angles.size), sweep.fixed_altitude_m)
+    d = np.hypot(g[:, None], h_abs - gen.h_gu)
+    n_bins = int(math.hypot(ALTITUDE_CAP_M, layout.side * math.sqrt(2.0)) / DISTANCE_BIN_M) + 2
+    bins = np.minimum((d / DISTANCE_BIN_M).astype(np.int64), n_bins - 1)
+    angle_counts = np.zeros((len(limits), angles.size, 8), dtype=np.int64)
+    dist_counts = np.zeros((len(limits), n_bins, 8), dtype=np.int64)
+    for v, limit in enumerate(limits):
+        keep = slice(None) if limit is None else t_idx < limit
+        alt_t = link_maxima(len(gu), t_link[keep], t_alt[keep])
+        blocked = [h_abs <= alt[:, None] for alt in (alt_b, alt_t, alt_s)]
+        masks = np.packbits(blocked, axis=0, bitorder="little")[0]
+        for out, key in ((angle_counts, 8 * np.arange(angles.size)), (dist_counts, 8 * bins)):
+            out[v] = np.bincount((key + masks).ravel(), minlength=out[v].size).reshape(-1, 8)
+    d_sums = np.bincount(bins.ravel(), weights=d.ravel(), minlength=n_bins)
+    return angle_counts, dist_counts, d_sums
+
+
+@pytest.mark.parametrize("n_gu", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 3])
+def test_blocked_sweep_equals_the_whole_city_sweep(crowded_gen, n_gu):
+    """_city_worker, a block of links at a time, gives the whole-matrix
+    counts and, byte for byte, its d sums: under both altitude policies, for
+    the scenario pass's tree limit and the density pass's several."""
+    gen = replace(crowded_gen, n_gu=n_gu)
+    limits = [None, 0, 10, 40]
+    fixed = replace(SMALL_SWEEP, altitude_policy="fixed", fixed_altitude_m=30.0)
+    for sweep in (SMALL_SWEEP, fixed):
+        for city in range(SMALL_SWEEP.n_cities):
+            layout = generate_city(URBAN, gen, city)
+            got, want = _city_worker(layout, sweep, limits, city), _whole_city_worker(layout, sweep, limits, city)
+            assert [(a.dtype, a.tobytes()) for a in got] == [(b.dtype, b.tobytes()) for b in want]
+            assert got[0].sum() == n_gu * len(limits) * len(sweep.angles)
+    if n_gu > SWEEP_BLOCK:  # the trees block some samples, so the limits count different masks
+        assert len({counts.tobytes() for counts in got[0]}) > 1
 
 
 def _fold(mask_counts, kept_bits):
