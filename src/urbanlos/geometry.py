@@ -336,8 +336,10 @@ class LayoutGeometry:
     # -- single-link views ----------------------------------------------
 
     def critical_altitudes(self, link: Link) -> tuple[float, float, float]:
-        """(building, tree, streetlight) critical altitudes for one link."""
-        families = self._critical_points(link.abs_xy, np.array([link.gu_xy]), link.h_gu)
+        """(building, tree, streetlight) critical altitudes for one link,
+        whose ABS goes in as a per-link position: the grid walk reads a few
+        cells, where the bearing broad phase would read every footprint."""
+        families = self._critical_points(np.array([link.abs_xy]).T, np.array([link.gu_xy]), link.h_gu)
         return tuple(float(np.max(alt, initial=-np.inf)) for *_, alt in families)
 
     def crossings_of(self, links: list[Link]) -> list[list[ObstructionHit]]:
