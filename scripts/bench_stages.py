@@ -168,7 +168,7 @@ def _generation_stages(repeat: int, layouts: list) -> dict:
 
     def abs_draw():
         for i, geom in enumerate(geoms):
-            sample_open_point(geom.index, city_rng(SEED, i, STREAM_ABS), what="abs")
+            sample_open_point(geom, city_rng(SEED, i, STREAM_ABS), what="abs")
 
     steps = {"buildings": buildings, "sidewalks": sidewalks, "users": users, "abs": abs_draw}
     return {f"generate.{name}": _best_of(repeat, step) for name, step in steps.items()}
@@ -181,7 +181,7 @@ def _kernel_stages(repeat: int, urban: CityLayout) -> dict:
     stages = {}
     for name, layout in (("urban", urban), ("heavy", heavy)):
         geom = LayoutGeometry(layout)
-        abs_xy = sample_open_point(geom.index, city_rng(SEED, 0, STREAM_ABS), what="abs")
+        abs_xy = sample_open_point(geom, city_rng(SEED, 0, STREAM_ABS), what="abs")
         gu = np.column_stack((layout.users.x, layout.users.y))
         stages[f"kernel.critical.{name}"] = _best_of(repeat, lambda: geom.batch_critical_altitudes(abs_xy, gu, layout.config.h_gu))
         stages[f"kernel.sweep.{name}"] = _best_of(repeat, lambda: _city_worker(layout, SweepConfig(n_cities=1), [None], 0))

@@ -10,7 +10,7 @@ building walls, and ground users are rejection-sampled over open space,
 in blocks that give the layout of drawing one candidate at a time.
 
 A layout holds one read-only float64 table per family, its columns named
-by BUILDING, DISC (trees and lights) or USER. The cell grid, the link
+by BUILDING, DISC (trees and lights) or USER. The obstacle index, the link
 kernel, the oracle and layout.json all read these columns.
 
 All randomness flows through named substreams derived from a single
@@ -39,9 +39,9 @@ STREAM_ABS = 4
 
 RETRY_LIMIT = 10_000
 
-# CellGrid, place_buildings and FootprintIndex.fan_pairs widen every box by this,
-# so that rounding in a cell lookup, segment walk or bearing never drops a
-# footprint an exact test would find.
+# FootprintIndex (its cell table, segment walk and bearings) and place_buildings
+# widen every box by this, so that rounding in a cell lookup, segment walk or
+# bearing never drops a footprint an exact test would find.
 GRID_PAD = 1e-6  # m
 
 SHAPE_FACTOR_LOW = 0.5
@@ -209,73 +209,13 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cells_under(cells: list[list[int]], side: float, x0: float, y0: float, x1: float, y1: float) -> list[list[int]]:
-    """The lists of cells, a CellGrid's numbering over side, that the box
+    """The lists of cells, a FootprintIndex's numbering over side, that the box
     [x0, x1] x [y0, y1] meets."""
     g = math.isqrt(len(cells))
     s, top = g / side, g - 1
     i0, i1 = int(min(max(x0 * s, 0.0), top)), int(min(max(x1 * s, 0.0), top))
     j0, j1 = int(min(max(y0 * s, 0.0), top)), int(min(max(y1 * s, 0.0), top)) + 1
     return [c for i in range(i0 * g, i1 * g + 1, g) for c in cells[i + j0 : i + j1]]
-
-
-class CellGrid:
-    """Uniform gdim x gdim cell table over the city square, built once from
-    all its boxes: each item in every cell its box, widened by GRID_PAD,
-    meets. Cell (i, j), i along x, is number i * gdim + j, so a column's
-    cells are consecutive; points beyond the city fall into the border
-    cells. place_buildings, which adds one building at a time, keeps lists
-    of its own on the same numbering (cells_under)."""
-
-    def __init__(self, side: float, gdim: int, boxes: np.ndarray):
-        """boxes: (N, 4) rows (x0, y0, x1, y1), registered as items 0..N-1."""
-        self.gdim, self.scale, self.n_items = gdim, gdim / side, len(boxes)
-        walls = np.concatenate(([-np.inf], np.arange(1, gdim) / self.scale, [np.inf]))
-        self.west, self.east = walls[:-1] - GRID_PAD, walls[1:] + GRID_PAD  # each column's padded x range
-        item, cell = self._box_cells(*(boxes[:, :2].T - GRID_PAD), *(boxes[:, 2:].T + GRID_PAD))
-        order = np.argsort(cell, kind="stable")
-        # the segment table: cell c holds items[start[c]:start[c + 1]]
-        self.items, self.start = item[order], np.searchsorted(cell[order], np.arange(gdim * gdim + 1))
-
-    def cells_of(self, v: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(v * self.scale, 0.0), self.gdim - 1).astype(np.intp)
-
-    def _box_cells(self, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
-        """(box, cell) of each cell that box k, [x0[k], x1[k]] x [y0[k], y1[k]], meets."""
-        i0, j0 = self.cells_of(x0), self.cells_of(y0)
-        rows = self.cells_of(y1) - j0 + 1
-        box, k = _ragged((self.cells_of(x1) - i0 + 1) * rows)
-        return box, (i0[box] + k // rows[box]) * self.gdim + j0[box] + k % rows[box]
-
-    def pairs(self, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
-        """(box, item) of the items of each cell that box k meets; an item
-        in more than one of those cells comes once for each."""
-        box, cell = self._box_cells(x0, y0, x1, y1)
-        lo = self.start[cell]
-        run, k = _ragged(self.start[cell + 1] - lo)
-        return box[run], self.items[lo[run] + k]
-
-    def segment_pairs(self, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
-        """(row, item) of the items in the cells that the segment from
-        (ax[row], ay[row]) to (bx[row], by[row]) meets, widened by GRID_PAD,
-        each pair once and row-major. In each column the segment spans, its
-        y range between the column's padded walls picks one run of cells."""
-        c0 = self.cells_of(np.minimum(bx, ax) - GRID_PAD)
-        link, k = _ragged(self.cells_of(np.maximum(bx, ax) + GRID_PAD) - c0 + 1)
-        col = c0[link] + k
-        ax, ay = ax[link], ay[link]
-        dx, dy = bx[link] - ax, by[link] - ay
-        with np.errstate(all="ignore"):  # a vertical or near-vertical link
-            ta, tb = (self.west[col] - ax) / dx, (self.east[col] - ax) / dx
-        t0 = np.where(dx == 0.0, 0.0, np.maximum(np.minimum(ta, tb), 0.0))
-        t1 = np.where(dx == 0.0, 1.0, np.minimum(np.maximum(ta, tb), 1.0))
-        y0, y1 = ay + t0 * dy, ay + t1 * dy
-        lo = self.start[col * self.gdim + self.cells_of(np.minimum(y0, y1) - GRID_PAD)]
-        hi = self.start[col * self.gdim + self.cells_of(np.maximum(y0, y1) + GRID_PAD) + 1]
-        run, k = _ragged(hi - lo)
-        key = np.sort(link[run] * (self.n_items + 1) + self.items[lo[run] + k])
-        new = np.empty(key.size, bool)  # the first of each run of equal keys
-        new[:1], new[1:] = True, key[1:] != key[:-1]
-        return np.divmod(key[new], self.n_items + 1)
 
 
 def place_buildings(params: BuiltUpParams, config: GenConfig, rng: np.random.Generator) -> np.recarray:
@@ -285,7 +225,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: np.random.Gen
     receives one building, jittered inside its block when the footprint
     fits and block-centered (spilling into the street) otherwise, with
     overlap rejection against the buildings placed so far, which it keeps
-    in one growing list per block (the CellGrid numbering, cells_under).
+    in one growing list per block (the FootprintIndex numbering, cells_under).
     Long-and-thin shape draws can exceed the block size, so a jammed block
     falls back to a uniform free position for the second half of the retry
     budget before generation is declared infeasible."""
@@ -307,7 +247,7 @@ def place_buildings(params: BuiltUpParams, config: GenConfig, rng: np.random.Gen
         c = uniform(lo + dim / 2.0, lo + block - dim / 2.0) if dim <= block else lo + block / 2.0
         return min(max(c, dim / 2.0), side - dim / 2.0)  # and always inside the city
 
-    cells = [[] for _ in range(gdim * gdim)]  # the buildings placed so far, per CellGrid cell
+    cells = [[] for _ in range(gdim * gdim)]  # the buildings placed so far, per FootprintIndex cell
     boxes, buildings = [], []  # (x0, y0, x1, y1) and the BUILDING row of each
     for i, blk in enumerate(blocks):
         bx, by = float(blk % gdim) * block, float(blk // gdim) * block
@@ -435,9 +375,14 @@ def place_lights(index: FootprintIndex, config: GenConfig, rng: np.random.Genera
 
 
 class FootprintIndex:
-    """Footprint arrays of a layout for the link kernel, and point and disc
-    tests that read only the cells under each query. The grid's items are
-    the buildings, then the trees, then the lights; side is the city's."""
+    """The obstacle index of a layout: its footprint arrays, and one
+    gdim x gdim cell table over the city square that narrows each point,
+    disc and link test to the cells under it. The items are the buildings,
+    then the trees, then the lights, each in every cell that its box,
+    widened by GRID_PAD, meets; cell (i, j), i along x, is number
+    i * gdim + j, so a column's cells are consecutive, and points beyond
+    the city fall into the border cells. side is the city's.
+    place_buildings keeps lists of its own on this numbering (cells_under)."""
 
     def __init__(self, buildings: np.recarray, trees: np.recarray, lights: np.recarray, side: float):
         """buildings: a BUILDING table; trees and lights: DISC tables."""
@@ -445,13 +390,62 @@ class FootprintIndex:
         self.bx0, self.by0 = buildings.x, buildings.y
         self.bx1, self.by1 = self.bx0 + buildings.w, self.by0 + buildings.l
         self.cx, self.cy, self.cr = (np.concatenate((trees[k], lights[k])) for k in "xyr")  # trees, then lights
-        boxes = np.column_stack((self.bx0, self.by0, self.bx1, self.by1))
-        disc_boxes = np.column_stack((self.cx - self.cr, self.cy - self.cr, self.cx + self.cr, self.cy + self.cr))
-        self.grid = CellGrid(side, math.ceil(math.sqrt(len(buildings))) or 1, np.vstack([boxes, disc_boxes]))
+        self.gdim = gdim = math.ceil(math.sqrt(len(buildings))) or 1
+        self.scale, self.n_items = gdim / side, self.bx0.size + self.cx.size
+        walls = np.concatenate(([-np.inf], np.arange(1, gdim) / self.scale, [np.inf]))
+        self.west, self.east = walls[:-1] - GRID_PAD, walls[1:] + GRID_PAD  # each column's padded x range
+        centres = np.stack((self.cx, self.cy))
+        lo = np.concatenate((np.stack((self.bx0, self.by0)), centres - self.cr), axis=1) - GRID_PAD
+        hi = np.concatenate((np.stack((self.bx1, self.by1)), centres + self.cr), axis=1) + GRID_PAD
+        item, cell = self._box_cells(*lo, *hi)
+        order = np.argsort(cell, kind="stable")
+        # the segment table: cell c holds items[start[c]:start[c + 1]]
+        self.items, self.start = item[order], np.searchsorted(cell[order], np.arange(gdim * gdim + 1))
+
+    def cells_of(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(v * self.scale, 0.0), self.gdim - 1).astype(np.intp)
+
+    def _box_cells(self, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+        """(box, cell) of each cell that box k, [x0[k], x1[k]] x [y0[k], y1[k]], meets."""
+        i0, j0 = self.cells_of(x0), self.cells_of(y0)
+        rows = self.cells_of(y1) - j0 + 1
+        box, k = _ragged((self.cells_of(x1) - i0 + 1) * rows)
+        return box, (i0[box] + k // rows[box]) * self.gdim + j0[box] + k % rows[box]
+
+    def pairs(self, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+        """(box, item) of the items of each cell that box k meets; an item
+        in more than one of those cells comes once for each."""
+        box, cell = self._box_cells(x0, y0, x1, y1)
+        lo = self.start[cell]
+        run, k = _ragged(self.start[cell + 1] - lo)
+        return box[run], self.items[lo[run] + k]
+
+    def segment_pairs(self, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
+        """(row, item) of the items in the cells that the segment from
+        (ax[row], ay[row]) to (bx[row], by[row]) meets, widened by GRID_PAD,
+        each pair once and row-major. In each column the segment spans, its
+        y range between the column's padded walls picks one run of cells."""
+        c0 = self.cells_of(np.minimum(bx, ax) - GRID_PAD)
+        link, k = _ragged(self.cells_of(np.maximum(bx, ax) + GRID_PAD) - c0 + 1)
+        col = c0[link] + k
+        ax, ay = ax[link], ay[link]
+        dx, dy = bx[link] - ax, by[link] - ay
+        with np.errstate(all="ignore"):  # a vertical or near-vertical link
+            ta, tb = (self.west[col] - ax) / dx, (self.east[col] - ax) / dx
+        t0 = np.where(dx == 0.0, 0.0, np.maximum(np.minimum(ta, tb), 0.0))
+        t1 = np.where(dx == 0.0, 1.0, np.minimum(np.maximum(ta, tb), 1.0))
+        y0, y1 = ay + t0 * dy, ay + t1 * dy
+        lo = self.start[col * self.gdim + self.cells_of(np.minimum(y0, y1) - GRID_PAD)]
+        hi = self.start[col * self.gdim + self.cells_of(np.maximum(y0, y1) + GRID_PAD) + 1]
+        run, k = _ragged(hi - lo)
+        key = np.sort(link[run] * (self.n_items + 1) + self.items[lo[run] + k])
+        new = np.empty(key.size, bool)  # the first of each run of equal keys
+        new[:1], new[1:] = True, key[1:] != key[:-1]
+        return np.divmod(key[new], self.n_items + 1)
 
     def blocked(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flags: (x[k], y[k]) lies inside some footprint (closed sets)."""
-        (q, k), nb = self.grid.pairs(x, y, x, y), self.bx0.size
+        (q, k), nb = self.pairs(x, y, x, y), self.bx0.size
         qr, kr, qd, kd = q[k < nb], k[k < nb], q[k >= nb], k[k >= nb] - nb
         px, py = x[qr], y[qr]
         in_rect = (self.bx0[kr] <= px) & (px <= self.bx1[kr]) & (self.by0[kr] <= py) & (py <= self.by1[kr])
@@ -463,7 +457,7 @@ class FootprintIndex:
     def disc_is_free(self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Flags: disc k lies inside the city and meets no building interior;
         tree and light footprints are not tested."""
-        q, k = self.grid.pairs(cx - r, cy - r, cx + r, cy + r)
+        q, k = self.pairs(cx - r, cy - r, cx + r, cy + r)
         q, k = q[k < self.bx0.size], k[k < self.bx0.size]
         x, y, rr = cx[q], cy[q], r[q]
         dx = np.maximum(np.maximum(self.bx0[k] - x, 0.0), x - self.bx1[k])
@@ -473,13 +467,12 @@ class FootprintIndex:
         return free
 
     def fan_pairs(self, ax: float, ay: float, bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, item) of the items, widened by GRID_PAD and numbered as the
-        grid's, that the segment from the one start (ax, ay) to (bx[row],
-        by[row]) may meet: the row's bearing lies in the item's bearing
-        interval from the start and its length reaches the item's nearest
-        point. Each pair once, row-major, as CellGrid.segment_pairs gives
-        them. An item whose widened footprint holds the start spans the
-        full circle."""
+        """(row, item) of the items, widened by GRID_PAD, that the segment
+        from the one start (ax, ay) to (bx[row], by[row]) may meet: the row's
+        bearing lies in the item's bearing interval from the start and its
+        length reaches the item's nearest point. Each pair once, row-major,
+        as segment_pairs gives them. An item whose widened footprint holds
+        the start spans the full circle."""
         x0, y0, x1, y1 = self.bx0 - GRID_PAD, self.by0 - GRID_PAD, self.bx1 + GRID_PAD, self.by1 + GRID_PAD
         rect_mid = np.arctan2((y0 + y1) / 2.0 - ay, (x0 + x1) / 2.0 - ax)
         corners = np.arctan2(np.stack((y0, y0, y1, y1)) - ay, np.stack((x0, x1, x0, x1)) - ax) - rect_mid

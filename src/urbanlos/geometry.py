@@ -20,20 +20,21 @@ its critical point is either a chord endpoint, a trunk-cap boundary, an
 interior stationary point with a closed-form quadratic solution, or the
 point nearest the tree axis.
 
-One array pass, LayoutGeometry._critical_points, derives every critical
+LayoutGeometry is a layout's FootprintIndex, its one obstacle index. One
+array pass, LayoutGeometry._critical_points, derives every critical
 point for L links sharing one ground-user height, from one shared ABS
 position or one per link, as flat parallel arrays over the crossed
 (link, obstacle) pairs of each family: _rect_chords and _disc_chords test
-only the candidate pairs of the layout's FootprintIndex, by bearing from
-a shared ABS (fan_pairs) and from the cell grid's walk along each link
-with its own ABS (segment_pairs). One _required_altitude
-rule serves all three families, and _tree_critical evaluates the tree
-candidate set for all crossed (link, tree) pairs at once. The batch view
-reduces the pairs to per-link maxima with link_maxima; crossings_of
-turns the pairs of many links, each with its own ABS, into their hit
-lists, and the single-link views read the same pairs. classify is the
-family precedence over the blocking flags of crossings, so one link
-costs one pass, and so does a list of links.
+only the index's candidate pairs, by bearing from a shared ABS
+(fan_pairs) and by the cell table's walk along each link with its own
+ABS (segment_pairs). One _required_altitude rule serves all three
+families, and _tree_critical evaluates the tree candidate set for all
+crossed (link, tree) pairs at once. The batch view reduces the pairs to
+per-link maxima with link_maxima; crossings_of turns the pairs of many
+links, each with its own ABS, into their hit lists, and the single-link
+views read the same pairs. classify is the family precedence over the
+blocking flags of crossings, so one link costs one pass, and so does a
+list of links.
 """
 
 from __future__ import annotations
@@ -251,13 +252,13 @@ def _tree_critical(ex, ey, dx, dy, g2, r_t, h_t, lo, hi, h_gu: float):
     return u[pick], prof[pick], alt[pick]
 
 
-class LayoutGeometry:
-    """Crossing and blockage analysis against one fixed layout, through the
-    FootprintIndex built from its tables."""
+class LayoutGeometry(FootprintIndex):
+    """Crossing and blockage analysis against one fixed layout: the layout's
+    FootprintIndex, built from its tables, with the layout kept beside it."""
 
     def __init__(self, layout: CityLayout):
+        super().__init__(layout.buildings, layout.trees, layout.lights, layout.side)
         self.layout = layout
-        self.index = FootprintIndex(layout.buildings, layout.trees, layout.lights, layout.side)
 
     # -- batched crossing analysis -------------------------------------
 
@@ -275,16 +276,16 @@ class LayoutGeometry:
         order, each as flat parallel arrays (link row, obstacle index,
         u_crit, profile, alt) over the crossed pairs only, row-major. A
         shared position stays a scalar and takes its candidates by bearing;
-        one per link is gathered per pair and walks the cell grid.
+        one per link is gathered per pair and walks the cell table.
         """
         ax, ay = abs_xy
         dx, dy = gu_xy[:, 0] - ax, gu_xy[:, 1] - ay
         g2 = dx * dx + dy * dy
         if np.any(g2 <= 0.0):
             raise DegenerateLinkError("a link has zero ground distance")
-        idx, layout, shared = self.index, self.layout, not isinstance(ax, np.ndarray)
-        link, item = (idx.fan_pairs if shared else idx.grid.segment_pairs)(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
-        nb, nt = idx.bx0.size, len(idx.trees)
+        shared = not isinstance(ax, np.ndarray)
+        link, item = (self.fan_pairs if shared else self.segment_pairs)(ax, ay, gu_xy[:, 0], gu_xy[:, 1])
+        nb, nt = self.bx0.size, len(self.trees)
 
         def at(r):  # the ABS position of the pairs in link rows r
             return (ax, ay) if shared else (ax[r], ay[r])
@@ -302,18 +303,18 @@ class LayoutGeometry:
             u = np.where(h >= h_gu, u_out, u_in)
             return row, col, u, h, _required_altitude(h, h_gu, u)
 
-        crossed_rects = chords(item < nb, 0, _rect_chords, idx.bx0, idx.by0, idx.bx1, idx.by1)
-        buildings = constant_height(layout.buildings.h, *crossed_rects)
-        row, col, lo, hi = chords(item >= nb, nb, _disc_chords, idx.cx, idx.cy, idx.cr)
+        crossed_rects = chords(item < nb, 0, _rect_chords, self.bx0, self.by0, self.bx1, self.by1)
+        buildings = constant_height(self.buildings.h, *crossed_rects)
+        row, col, lo, hi = chords(item >= nb, nb, _disc_chords, self.cx, self.cy, self.cr)
         light = col >= nt
-        lights = constant_height(layout.lights.h, row[light], col[light] - nt, lo[light], hi[light])
+        lights = constant_height(self.lights.h, row[light], col[light] - nt, lo[light], hi[light])
         row, col, lo, hi = row[~light], col[~light], lo[~light], hi[~light]
         if not row.size:  # most single links cross no tree
             return buildings, (row, col, lo, lo, lo), lights
         tx, ty = at(row[:, None])
         trees = (row, col) + _tree_critical(
-            tx - idx.cx[col, None], ty - idx.cy[col, None], dx[row, None], dy[row, None], g2[row, None],
-            idx.cr[col, None], layout.trees.h[col, None], lo[:, None], hi[:, None], h_gu,
+            tx - self.cx[col, None], ty - self.cy[col, None], dx[row, None], dy[row, None], g2[row, None],
+            self.cr[col, None], self.trees.h[col, None], lo[:, None], hi[:, None], h_gu,
         )
         return buildings, trees, lights
 

@@ -184,7 +184,7 @@ def _city_worker(
     gen = layout.config
     geom = LayoutGeometry(layout)
     abs_rng = city_rng(gen.seed, city_index, STREAM_ABS)
-    ax, ay = sample_open_point(geom.index, abs_rng, what="abs")
+    ax, ay = sample_open_point(geom, abs_rng, what="abs")
 
     gu = np.column_stack((layout.users.x, layout.users.y))
     alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes(

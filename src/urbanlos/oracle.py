@@ -173,7 +173,7 @@ def random_links(geom: LayoutGeometry, rng: Generator, n: int) -> list[Link]:
         raise ParameterError(f"gen.h_gu ({h_gu}) must be <= the link altitude cap {LINK_ALTITUDE_CAP_M:g}")
     for _ in range(n):
         x, y, _ = users[int(rng.integers(len(users)))]
-        ax, ay = sample_open_point(geom.index, rng, what="abs")
+        ax, ay = sample_open_point(geom, rng, what="abs")
         g = math.hypot(x - ax, y - ay)
         theta = math.radians(rng.uniform(*LINK_ANGLES_DEG))
         h_abs = min(h_gu + g * math.tan(theta), LINK_ALTITUDE_CAP_M)

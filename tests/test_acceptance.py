@@ -245,7 +245,7 @@ def test_paired_obstacle_monotonicity():
     for _ in range(20):
         from urbanlos.citygen import sample_open_point
 
-        ax, ay = sample_open_point(geom.index, rng, what="abs")
+        ax, ay = sample_open_point(geom, rng, what="abs")
         gu = np.array([[u.x, u.y] for u in layout.users])
         alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes(
             (ax, ay), gu, 1.5

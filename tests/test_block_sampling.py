@@ -294,7 +294,7 @@ def test_random_links_match_the_reference():
         want.append(Link(abs_xy=(ax, ay), h_abs=h_abs, gu_xy=(user.x, user.y), h_gu=user.h))
     assert random_links(geom, got_rng, 30) == want
     assert _state(got_rng) == _state(want_rng)
-    assert sample_open_point(geom.index, got_rng) == ref_open_point(layout, want_rng, "point")
+    assert sample_open_point(geom, got_rng) == ref_open_point(layout, want_rng, "point")
     assert _state(got_rng) == _state(want_rng)
 
 

@@ -246,7 +246,7 @@ def _tree_critical_loop(ax, ay, dx, dy, g2, tree_x, tree_y, r_t, h_t, h_gu):
 def test_tree_pass_matches_loop_reference(env, h_gu):
     layout = generate_city(PRESETS[env], GenConfig(n_gu=300, seed=5, h_gu=h_gu))
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, default_rng(6))
+    ax, ay = sample_open_point(geom, default_rng(6))
     gu = np.column_stack((layout.users.x, layout.users.y))
     _, trees, _ = geom._critical_points((ax, ay), gu, h_gu)
     expected = []
@@ -341,8 +341,8 @@ def _assert_shared_abs_is_per_link_abs(geom, abs_xy, gu, h_gu=1.5):
     per_link = geom._critical_points((np.full(len(gu), ax), np.full(len(gu), ay)), gu, h_gu)
     for a, b in zip(shared, per_link):
         assert [(x.dtype, x.tobytes()) for x in a] == [(y.dtype, y.tobytes()) for y in b]
-    row, item = geom.index.fan_pairs(ax, ay, gu[:, 0], gu[:, 1])
-    assert np.all(np.diff(row * (geom.index.grid.n_items + 1) + item) > 0)
+    row, item = geom.fan_pairs(ax, ay, gu[:, 0], gu[:, 1])
+    assert np.all(np.diff(row * (geom.n_items + 1) + item) > 0)
     return shared
 
 
@@ -355,7 +355,7 @@ def test_shared_and_per_link_abs_give_the_same_pairs():
         geom = LayoutGeometry(layout)
         gu = np.column_stack((layout.users.x, layout.users.y))
         for seed in (8, 9):
-            shared = _assert_shared_abs_is_per_link_abs(geom, sample_open_point(geom.index, default_rng(seed)), gu)
+            shared = _assert_shared_abs_is_per_link_abs(geom, sample_open_point(geom, default_rng(seed)), gu)
             assert all(pairs[0].size > 0 for pairs in shared)
 
 
@@ -409,10 +409,10 @@ def test_bearing_broad_phase_hands_out_few_candidates(env, gen):
     candidate pairs."""
     layout = generate_city(PRESETS[env], gen)
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, city_rng(gen.seed, 0, STREAM_ABS))
+    ax, ay = sample_open_point(geom, city_rng(gen.seed, 0, STREAM_ABS))
     x, y, n = layout.users.x, layout.users.y, gen.n_gu
-    fan = geom.index.fan_pairs(ax, ay, x, y)[0].size
-    grid = geom.index.grid.segment_pairs(np.full(n, ax), np.full(n, ay), x, y)[0].size
+    fan = geom.fan_pairs(ax, ay, x, y)[0].size
+    grid = geom.segment_pairs(np.full(n, ax), np.full(n, ay), x, y)[0].size
     assert 0 < fan <= 0.3 * grid
 
 
@@ -807,8 +807,8 @@ def test_tree_and_light_sets_match_the_kernel_in_a_crowded_city():
 def test_oracle_takes_no_intersection_math_from_geometry():
     """oracle.py imports only the link types, the family precedence and the
     layout wrapper from geometry.py, so none of its intersection math, and
-    neither of citygen's spatial indexes, so it never takes its candidates
-    from the kernel's grid."""
+    not citygen's FootprintIndex, so it never takes its candidates from the
+    kernel's cell table."""
     source = ast.parse(Path(oracle.__file__).read_text())
     imported = [
         (getattr(node, "module", None), alias.name)
@@ -820,4 +820,4 @@ def test_oracle_takes_no_intersection_math_from_geometry():
     assert from_geometry == {"Link", "LinkClass", "ObstructionHit", "classify_hits", "LayoutGeometry"}
     assert not [pair for pair in imported if "geometry" in pair[1]]
     from_citygen = {name for module, name in imported if module and module.endswith("citygen")}
-    assert from_citygen and not from_citygen & {"FootprintIndex", "CellGrid"}
+    assert from_citygen and "FootprintIndex" not in from_citygen

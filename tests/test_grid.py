@@ -17,7 +17,6 @@ from urbanlos.citygen import (
     GRID_PAD,
     USER,
     BuiltUpParams,
-    CellGrid,
     CityLayout,
     FootprintIndex,
     GenConfig,
@@ -112,7 +111,7 @@ BEYOND = np.array(OUTSIDE + [(-1e-9, 500.0), (SIDE + 5.0, SIDE + 5.0), (-3.0, -3
 
 def test_blocked_matches_dense(crowded_layout):
     index = FootprintIndex(crowded_layout.buildings, crowded_layout.trees, crowded_layout.lights, SIDE)
-    px, py = _sample_points(crowded_layout, index.grid.gdim, 6000, seed=1)
+    px, py = _sample_points(crowded_layout, index.gdim, 6000, seed=1)
     px, py = np.concatenate([px, BEYOND[:, 0]]), np.concatenate([py, BEYOND[:, 1]])
     got = index.blocked(px, py)  # the whole array at once
     want = _dense_blocked(crowded_layout, px, py)
@@ -125,12 +124,12 @@ def test_blocked_matches_dense(crowded_layout):
 
 def test_disc_is_free_matches_dense(crowded_layout):
     index = FootprintIndex(crowded_layout.buildings, NO_DISCS, NO_DISCS, SIDE)
-    cx, cy = _sample_points(crowded_layout, index.grid.gdim, 6000, seed=2)
+    cx, cy = _sample_points(crowded_layout, index.gdim, 6000, seed=2)
     r = np.random.default_rng(3).choice([0.1, 0.5, 1.5, 7.0], cx.size)
     # discs exactly tangent to a building edge from outside, and the city
     # border; discs beyond the border; discs centred on cell walls
     b = crowded_layout.buildings[:300]
-    walls = np.arange(index.grid.gdim + 1) * (SIDE / index.grid.gdim)
+    walls = np.arange(index.gdim + 1) * (SIDE / index.gdim)
     cx = np.concatenate([cx, b.x - 1.5, b.x + b.w + 1.5, [1.5, SIDE - 1.5], BEYOND[:, 0], walls])
     cy = np.concatenate([cy, b.y, b.y + b.l, [1.5, SIDE - 1.5], BEYOND[:, 1], walls[::-1]])
     r = np.concatenate([r, np.full(2 * len(b) + 2, 1.5), np.full(BEYOND.shape[0] + walls.size, 0.5)])
@@ -146,13 +145,13 @@ def test_building_overlap_matches_dense(urban_layout):
     per-cell lists through cells_under, padded by GRID_PAD, then the
     strict-overlap test on the items under a query box."""
     rects = _rects(urban_layout)
-    gdim = FootprintIndex(urban_layout.buildings, NO_DISCS, NO_DISCS, SIDE).grid.gdim
+    bulk = FootprintIndex(urban_layout.buildings, NO_DISCS, NO_DISCS, SIDE)
+    gdim = bulk.gdim
     cells = [[] for _ in range(gdim * gdim)]
     for i, (x0, y0, x1, y1) in enumerate(rects.tolist()):
         for cell in cells_under(cells, SIDE, x0 - GRID_PAD, y0 - GRID_PAD, x1 + GRID_PAD, y1 + GRID_PAD):
             cell.append(i)
     # one registration rule: the incremental lists equal the segment table built at once
-    bulk = CellGrid(SIDE, gdim, rects)
     assert cells == [bulk.items[bulk.start[c] : bulk.start[c + 1]].tolist() for c in range(gdim * gdim)]
     xs, ys = _sample_points(urban_layout, gdim, 4000, seed=4)
     rng = np.random.default_rng(5)
@@ -228,8 +227,7 @@ def crowded_geometry(crowded_layout):
 
 
 def test_kernel_matches_dense_on_cell_lines_axes_and_corners(crowded_geometry):
-    grid = crowded_geometry.index.grid
-    lines = np.arange(grid.gdim + 1) * (SIDE / grid.gdim)
+    lines = np.arange(crowded_geometry.gdim + 1) * (SIDE / crowded_geometry.gdim)
     rng = np.random.default_rng(6)
     ax, ay = lines[7], lines[11]  # the ABS on a cell corner
     ends = [
@@ -246,8 +244,8 @@ def test_kernel_matches_dense_on_cell_lines_axes_and_corners(crowded_geometry):
     # an ABS inside a cell, links to the same kinds of end points
     _assert_kernel_matches_dense(crowded_geometry, (ax + 12.5, ay + 0.25), gu)
     # vertical links exactly one pad left of a column wall, as the walk places it
-    x = 5 / grid.scale - GRID_PAD
-    gu = np.column_stack([np.full(grid.gdim, x), lines[1:] + 1.0])
+    x = 5 / crowded_geometry.scale - GRID_PAD
+    gu = np.column_stack([np.full(crowded_geometry.gdim, x), lines[1:] + 1.0])
     _assert_kernel_matches_dense(crowded_geometry, (x, 3.0), gu)
 
 
@@ -257,7 +255,7 @@ def test_kernel_matches_dense_on_cell_lines_axes_and_corners(crowded_geometry):
     nudge=st.sampled_from([0.0, 1e-9, -1e-9, 0.5]),
 )
 def test_kernel_matches_dense_between_grid_corners(crowded_geometry, a, b, nudge):
-    cell = SIDE / crowded_geometry.index.grid.gdim
+    cell = SIDE / crowded_geometry.gdim
     abs_xy = (a[0] * cell + nudge, a[1] * cell)
     gu = np.array([[b[0] * cell, b[1] * cell + nudge]])
     if np.hypot(gu[0, 0] - abs_xy[0], gu[0, 1] - abs_xy[1]) > 0.0:
@@ -271,7 +269,7 @@ def test_kernel_matches_dense_on_a_one_cell_grid(n_buildings):
     trees = [(500.0, y, 1.2, 4.0) for y in (150.0, 420.0, 700.0, -20.0)]
     lights = [(x, 500.0, 0.1, 3.0) for x in (100.0, 500.0, 900.0, 1020.0, -20.0)]
     geom = LayoutGeometry(_layout(buildings, trees, lights))
-    assert geom.index.grid.gdim == 1
+    assert geom.gdim == 1
     rng = np.random.default_rng(7)
     # one link through the middle of each disc and beyond it
     ends = [500.0, 50.0] + 1.1 * (np.array([(x, y) for x, y, *_ in trees + lights]) - [500.0, 50.0])

@@ -298,7 +298,7 @@ def _whole_city_worker(layout, sweep, limits, city_index):
     blocked sweep must equal byte for byte."""
     gen = layout.config
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, city_rng(gen.seed, city_index, STREAM_ABS), what="abs")
+    ax, ay = sample_open_point(geom, city_rng(gen.seed, city_index, STREAM_ABS), what="abs")
     gu = np.column_stack((layout.users.x, layout.users.y))
     alt_b, alt_s, t_link, t_idx, t_alt = geom.batch_critical_altitudes((ax, ay), gu, gen.h_gu)
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
@@ -398,7 +398,7 @@ def test_sweep_classes_match_single_link_classify():
     gen = GenConfig(area=250_000.0, n_trees=400, n_lights=400, n_gu=200, seed=2)
     layout = generate_city(URBAN, gen)
     geom = LayoutGeometry(layout)
-    ax, ay = sample_open_point(geom.index, city_rng(gen.seed, 0, STREAM_ABS))
+    ax, ay = sample_open_point(geom, city_rng(gen.seed, 0, STREAM_ABS))
     gu = np.array([[u.x, u.y] for u in layout.users])
     alt_b, alt_s, t_link, _, t_alt = geom.batch_critical_altitudes((ax, ay), gu, gen.h_gu)
     g = np.hypot(gu[:, 0] - ax, gu[:, 1] - ay)
