@@ -421,6 +421,8 @@ CORRUPTIONS = {
     "text": lambda v: "x",
     "short": None,  # the row cut to its first three cells
     "zero": lambda v: "0",
+    "negative": lambda v: "-25.0",
+    "beyond-90": lambda v: "120.0",
 }
 # the corruptions of a probability cell; an inf one takes nan's path
 P_CORRUPTIONS = ["off-count", "off-partition", "nan", "text", "short"]
@@ -439,6 +441,10 @@ CORRUPT_INPUTS = [("fit", "distance_trees.csv", "p_los", kind) for kind in P_COR
     ("report", "angles_trees.csv", "theta_deg", "nan"),
     ("fit", "distance_trees.csv", "n", "zero"),
     ("report", "distance_full.csv", "n", "zero"),
+    ("fit", "distance_trees.csv", "bin_center_m", "zero"),
+    ("fit", "distance_buildings-only.csv", "bin_center_m", "negative"),
+    ("report", "angles_trees.csv", "theta_deg", "beyond-90"),
+    ("report", "angles_trees.csv", "theta_deg", "negative"),
 ]
 
 
@@ -472,7 +478,7 @@ def test_fit_rejects_corrupt_probability(sim_run, tmp_path, capsys, command, nam
         report.unlink()
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     assert main([command, "--run", str(run)]) == 1
-    assert name in capsys.readouterr().err
+    assert f"{path} line 2: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before  # nothing written
 
 

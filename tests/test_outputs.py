@@ -5,13 +5,14 @@ import pytest
 
 from urbanlos.errors import AggregationError
 from urbanlos.montecarlo import class_counts
-from urbanlos.outputs import DISTANCE_KEY, read_counts_csv, write_counts_csv
+from urbanlos.outputs import ANGLE_KEY, DISTANCE_KEY, read_counts_csv, write_counts_csv
 
 TABLE = class_counts(
     (25.0, 75.0, 125.0),
     [(3, 1, 0, 0), (2, 2, 1, 0), (1, 0, 0, 1)],
     mean_d=(20.0, 80.0, 130.0),
 )
+ANGLES = class_counts((0.0, 45.0, 90.0), [(3, 1, 0, 0), (2, 2, 1, 0), (1, 0, 0, 1)])
 
 
 def _set(column, value):
@@ -53,6 +54,8 @@ FAULTS = {
     "short-row": (_cut, 3),
     "non-integer-n": (_set("n", "2.5"), 3),
     "nan-key": (_set(DISTANCE_KEY, "nan"), 3),
+    "zero-key": (_set(DISTANCE_KEY, "0.0"), 3),
+    "negative-key": (_set(DISTANCE_KEY, "-25.0"), 3),
     "inf-key": (_set(DISTANCE_KEY, "inf"), 3),
     "nan-mean": (_set("mean_d_m", "nan"), 3),
     "text-mean": (_set("mean_d_m", "x"), 3),
@@ -65,8 +68,8 @@ FAULTS = {
 }
 
 
-def _write(path, edit):
-    write_counts_csv(path, TABLE)
+def _write(path, edit, table=TABLE):
+    write_counts_csv(path, table)
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
     edit(header, rows)
     path.write_text("".join(",".join(cells) + "\n" for cells in (header, *rows) if cells))  # no header: an empty file
@@ -79,6 +82,14 @@ def test_reader_fault_names_file_and_line(tmp_path, fault):
     _write(path, edit)
     with pytest.raises(AggregationError, match=f"^{path} line {line}: "):
         read_counts_csv(path, DISTANCE_KEY)
+
+
+@pytest.mark.parametrize("theta", ["-1.0", "90.5", "200.0"])
+def test_reader_refuses_an_angle_outside_0_90(tmp_path, theta):
+    path = tmp_path / "angles_trees.csv"
+    _write(path, _set(ANGLE_KEY, theta), ANGLES)
+    with pytest.raises(AggregationError, match=f"^{path} line 3: {ANGLE_KEY} {theta} must lie in \\[0, 90\\]"):
+        read_counts_csv(path, ANGLE_KEY)
 
 
 @pytest.mark.parametrize("fault", ["missing-column", "empty-file", "header-only"])
@@ -110,10 +121,12 @@ def test_reader_names_the_first_faulty_line(tmp_path):
             read_counts_csv(path, DISTANCE_KEY)
 
 
-def test_reader_accepts_what_the_writer_wrote(tmp_path):
-    path = tmp_path / "distance_trees.csv"
-    _write(path, lambda header, rows: None)
-    assert read_counts_csv(path, DISTANCE_KEY) == TABLE
+@pytest.mark.parametrize("table, key", [(TABLE, DISTANCE_KEY), (ANGLES, ANGLE_KEY)])
+def test_reader_accepts_what_the_writer_wrote(tmp_path, table, key):
+    """A distance table, and an angle table with keys on both ends of [0, 90]."""
+    path = tmp_path / "table.csv"
+    _write(path, lambda header, rows: None, table)
+    assert read_counts_csv(path, key) == table
 
 
 def test_reader_reads_a_header_only_file_as_an_empty_table(tmp_path):
