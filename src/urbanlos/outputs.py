@@ -63,7 +63,8 @@ def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
     """The table write_counts_csv wrote to path, of key_column's kind.
 
     Each class count comes back as round(p * n). A missing column, a
-    missing or non-finite cell, n < 1, products farther than 1e-6 from a
+    missing or non-finite cell, a theta_deg outside [0, 90] (SweepConfig's
+    rule) or a bin_center_m <= 0, n < 1, products farther than 1e-6 from a
     nonnegative integer, or counts not summing to n mean the file does not
     hold counts, and raise AggregationError naming it and the line of the
     first faulty row (line 2 for a column, with or without data rows).
@@ -88,12 +89,16 @@ def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
         products = np.array([col[:end] for col in columns[1:5]], dtype=float).T * n[:, None]
         c = np.rint(products)
         counted = ((c >= 0) & (c <= n[:, None]) & (abs(products - c) <= 1e-6)).all(axis=1)
+        key, angle = reals[0], key_column == ANGLE_KEY
+        in_domain = (key >= 0.0) & (key <= 90.0) if angle else key > 0.0
     counts = np.where(counted[:, None], c, 0).astype(np.int64)
     finite = np.isfinite(reals).all(axis=0)
-    faulty = np.flatnonzero(~finite | ~counted | (counts.sum(axis=1) != n))
+    faulty = np.flatnonzero(~finite | ~in_domain | ~counted | (counts.sum(axis=1) != n))
     if faulty.size:
         end = faulty[0]
         error = f"p * n = {products[end].tolist()} are not class counts summing to n = {n[end]}"
+        if not in_domain[end]:
+            error = f"{key_column} {float(key[end])!r} must " + ("lie in [0, 90]" if angle else "be > 0")
         if not finite[end]:
             error = f"{dict(zip(names[5:], reals[:, end].tolist()))} must be finite"
     if error is not None:
