@@ -263,7 +263,10 @@ def test_empty_families_match_the_reference(counts):
 
 
 def test_one_building_city_matches_the_reference():
+    """A small building, and one of 900,000 m^2 whose first 7 shape draws
+    are wider or longer than the 1 km city and are skipped."""
     _assert_same_city(BuiltUpParams(alpha=0.3, beta=1.0, gamma=15.0), GenConfig(seed=4, n_trees=30, n_lights=30))
+    _assert_same_city(BuiltUpParams(alpha=0.9, beta=1.0, gamma=15.0), GenConfig(seed=1, n_trees=0, n_lights=0))
 
 
 def test_sidewalks_match_the_reference_through_a_rejection():

@@ -76,29 +76,16 @@ def test_generate_validation_exit(tmp_path, capsys):
 
 
 def test_generate_infeasible_exit(tmp_path, capsys):
-    code = main(
-        [
-            "generate",
-            "--alpha",
-            "0.98",
-            "--beta",
-            "20",
-            "--gamma",
-            "15",
-            "--seed",
-            "1",
-            "--n-trees",
-            "0",
-            "--n-lights",
-            "0",
-            "--n-gu",
-            "0",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert code == 2
-    assert "infeasible" in capsys.readouterr().err
+    """Blocks too jammed for their buildings, and users with under 1 % of
+    the city free."""
+    for alpha, beta, n_gu, says in [
+        ("0.98", "20", "0", "could not place building 14 after 10000 attempts"),
+        ("0.995", "1", "100", "free area 5000 m^2 is below 1% of the city"),
+    ]:
+        args = ["generate", "--alpha", alpha, "--beta", beta, "--gamma", "15", "--seed", "1"]
+        code = main(args + ["--n-trees", "0", "--n-lights", "0", "--n-gu", n_gu, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: infeasible generation: {says}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -158,6 +145,7 @@ BAD_CONFIG_FILES = [
     ("seed: 1\ngen: {n_gu: 3}\nseed: 2\n", "seed"),
     ("seed: 1\ngen: {h_gu: 0.0}\ngen: {n_gu: 3}\n", "'gen'"),
     ("gen: {n_gu: 3, h_gu: 0.0, n_gu: 4}\n", "gen.n_gu"),
+    ("gen: 5\n", "config key gen must be a mapping"),
 ]
 
 
@@ -229,6 +217,17 @@ def test_non_integer_count_exit(tmp_path, capsys, text, key):
     code = main(["generate", "--env", "urban", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 1
     assert key in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+@pytest.mark.parametrize(
+    "text, says", [("scenarios: []\n", "at least one scenario is required"), ("sweep: {angles: []}\n", "angles must be non-empty")]
+)
+def test_empty_config_list_exit(tmp_path, capsys, text, says):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["simulate", "--env", "urban", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"error: {says}" in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
@@ -637,6 +636,14 @@ def test_report_missing_prerequisites(tmp_path, capsys):
     assert "fits.csv" in capsys.readouterr().err
 
 
+def test_fit_requires_a_fittable_scenario(tmp_path, capsys):
+    assert main(SIM_ARGS + ["--scenario", "full", "--out", str(tmp_path)]) == 0
+    run = _run_dir(tmp_path)
+    assert main(["fit", "--run", str(run)]) == 3
+    assert "error: fit requires buildings-only and/or trees scenario outputs" in capsys.readouterr().err
+    assert not (run / "fits.csv").exists()
+
+
 @pytest.mark.parametrize("scenarios", ["buildings,+trees", "trees,trees"])
 def test_simulate_takes_each_scenario_once_by_name(tmp_path, capsys, scenarios):
     assert main(SIM_ARGS + ["--scenario", scenarios, "--out", str(tmp_path)]) == 1
@@ -692,19 +699,20 @@ def test_corrupt_manifest_exit(sim_run, tmp_path, capsys, command, kind):
 
 
 @pytest.mark.parametrize(
-    "flags, code",
+    "flags, code, says",
     [
-        (["--env", "urban", "--densities", "50,0"], 1),
-        (["--env", "urban", "--densities=-5,0"], 1),
-        (["--env", "urban", "--densities", "0,20,20"], 1),
-        (["--alpha", "0.98", "--beta", "20", "--gamma", "15", "--n-trees", "0", "--n-lights", "0"], 2),
+        (["--env", "urban", "--densities", "50,0"], 1, "densities must be strictly ascending"),
+        (["--env", "urban", "--densities=-5,0"], 1, "densities must be >= 0"),
+        (["--env", "urban", "--densities", "0,20,20"], 1, "densities must be strictly ascending"),
+        (["--alpha", "0.98", "--beta", "20", "--gamma", "15", "--n-trees", "0", "--n-lights", "0"], 2, "infeasible"),
+        ([], 1, "provide --env or all of --alpha/--beta/--gamma"),
     ],
-    ids=["unsorted-densities", "negative-density", "repeated-density", "infeasible"],
+    ids=["unsorted-densities", "negative-density", "repeated-density", "infeasible", "no-environment"],
 )
-def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code):
+def test_failed_simulate_leaves_no_run_directory(tmp_path, capsys, flags, code, says):
     args = ["simulate", "--seed", "1", "--n-cities", "1", "--n-gu", "2", *flags]
     assert main(args + ["--out", str(tmp_path)]) == code
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {says}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -75,6 +75,11 @@ def test_blockage_height_endpoints():
     assert blockage_height(100.0, 1.5, 80.0, 80.0) == pytest.approx(1.5, abs=1e-12)
 
 
+def test_link_with_abs_below_its_user_raises():
+    with pytest.raises(ParameterError, match=r"h_abs \(1.0\) must be >= h_gu \(2.0\)"):
+        Link((0.0, 0.0), 1.0, (5.0, 0.0), 2.0)
+
+
 def test_blockage_height_degenerate():
     with pytest.raises(DegenerateLinkError):
         blockage_height(100.0, 1.5, 0.0, 0.0)
