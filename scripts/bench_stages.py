@@ -28,9 +28,11 @@ each environment; the other stages work on the urban run:
   same seed, 300 links, with its --dump-hits file;
 - process.python, process.numpy, process.import: a fresh interpreter
   running nothing, `import numpy` and `import urbanlos.cli`;
-- process.compile: compile() of every src/urbanlos module in this
-  process, which every CLI process pays at import when no bytecode is
-  cached (PYTHONDONTWRITEBYTECODE set);
+- process.compile: compile() in this process of the src/urbanlos files
+  that `import urbanlos.cli` loads in a fresh process, which every CLI
+  process pays at import when no bytecode is cached
+  (PYTHONDONTWRITEBYTECODE set); oracle.py, which only oracle-check
+  imports, is left out;
 - process.simulate.<env>, process.fit, process.report,
   process.oracle_check: the same commands as fresh
   `python -m urbanlos.cli` processes, as a user runs them.
@@ -100,6 +102,8 @@ SEED = 1
 ORACLE_LINKS = 300
 HEAVY_USERS = 1500
 ROOT = Path(__file__).resolve().parents[1]
+# prints the file of each urbanlos module that `import urbanlos.cli` loads, one a line
+CLI_SOURCES = "import sys, urbanlos.cli; print(*sorted(m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'urbanlos'), sep='\\n')"
 
 
 def _cli(argv: list[str]) -> str:
@@ -227,7 +231,9 @@ def bench(label: str, repeat: int, n_cities: int, out: Path) -> Path:
 
         for name, code in (("python", "pass"), ("numpy", "import numpy"), ("import", "import urbanlos.cli")):
             stages[f"process.{name}"] = _best_of(repeat, lambda: _process(["-c", code]))
-        sources = [(path.read_text(), str(path)) for path in sorted((ROOT / "src" / "urbanlos").glob("*.py"))]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        loaded = subprocess.run([sys.executable, "-c", CLI_SOURCES], env=env, capture_output=True, text=True, check=True)
+        sources = [(Path(path).read_text(), path) for path in loaded.stdout.splitlines()]
         stages["process.compile"] = _best_of(repeat, lambda: [compile(text, path, "exec") for text, path in sources])
         commands = {f"simulate.{env}": argv for env, argv in simulate.items()}
         commands.update({command: [command, "--run", str(run)] for command in ("fit", "report")})
