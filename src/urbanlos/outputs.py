@@ -89,9 +89,9 @@ def read_counts_csv(path: Path, key_column: str) -> ClassCounts:
         products = np.array([col[:end] for col in columns[1:5]], dtype=float).T * n[:, None]
         c = np.rint(products)
         counted = ((c >= 0) & (c <= n[:, None]) & (abs(products - c) <= 1e-6)).all(axis=1)
-        key, angle = reals[0], key_column == ANGLE_KEY
-        in_domain = (key >= 0.0) & (key <= 90.0) if angle else key > 0.0
     counts = np.where(counted[:, None], c, 0).astype(np.int64)
+    key, angle = reals[0], key_column == ANGLE_KEY
+    in_domain = (key >= 0.0) & (key <= 90.0) if angle else key > 0.0
     finite = np.isfinite(reals).all(axis=0)
     faulty = np.flatnonzero(~finite | ~in_domain | ~counted | (counts.sum(axis=1) != n))
     if faulty.size:

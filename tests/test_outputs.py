@@ -121,12 +121,12 @@ def test_reader_names_the_first_faulty_line(tmp_path):
             read_counts_csv(path, DISTANCE_KEY)
 
 
-@pytest.mark.parametrize("table, key", [(TABLE, DISTANCE_KEY), (ANGLES, ANGLE_KEY)])
-def test_reader_accepts_what_the_writer_wrote(tmp_path, table, key):
+def test_reader_accepts_what_the_writer_wrote(tmp_path):
     """A distance table, and an angle table with keys on both ends of [0, 90]."""
-    path = tmp_path / "table.csv"
-    _write(path, lambda header, rows: None, table)
-    assert read_counts_csv(path, key) == table
+    for table, key in [(TABLE, DISTANCE_KEY), (ANGLES, ANGLE_KEY)]:
+        path = tmp_path / f"{key}.csv"
+        _write(path, lambda header, rows: None, table)
+        assert read_counts_csv(path, key) == table
 
 
 def test_reader_reads_a_header_only_file_as_an_empty_table(tmp_path):
